@@ -14,7 +14,7 @@ from .walk import (CoinConfig, Distribution, InitialState, WalkState,
                    evolve, evolve_accumulate, named_coin4, norm_drift_scan,
                    position_distribution, step_memory, step_recycled)
 from .spectral import (DegenerateClusterWarning, EigenSystem, FourierBlock,
-                       MemoryFourierBlock, SpectralCache, build_Mk, build_Nk,
+                       SpectralCache, build_Mk, build_Nk,
                        cache_with_state, closed_form_distribution,
                        closed_form_probability, eigensystem,
                        eigenvalue_multiset_distance, limiting_distribution,
@@ -35,7 +35,7 @@ __all__ = [
     "named_coin4", "norm_drift_scan", "position_distribution",
     "step_memory", "step_recycled",
     "DegenerateClusterWarning", "EigenSystem", "FourierBlock",
-    "MemoryFourierBlock", "SpectralCache", "build_Mk", "build_Nk",
+    "SpectralCache", "build_Mk", "build_Nk",
     "cache_with_state", "closed_form_distribution",
     "closed_form_probability", "eigensystem",
     "eigenvalue_multiset_distance", "limiting_distribution",

@@ -1,18 +1,20 @@
 """Evolution kernels for the cycle walks.
 
-Two interchangeable backends live here: a pure-numpy one built on
-``np.roll`` and a numba-jitted one with fused multi-step loops.  The
-active backend is picked at import time from the environment variable
-``CYCLEWALK_BACKEND`` ("numba" or "numpy"); the default is numba when
-it imports, numpy otherwise.  Both backends expose the same six
-functions over (d, 4) complex128 amplitude tables:
+A walk is given by its one-step rule, ``step(a, *coin) -> out``, over
+a (d, 4) complex128 amplitude table.  The rule has the form
 
-    evolve_recycled(amps, steps, c, s)            -> amps
-    evolve_memory(amps, steps)                    -> amps
-    evolve_recycled_accumulate(amps, steps, c, s) -> (amps, acc)
-    evolve_memory_accumulate(amps, steps)         -> (amps, acc)
-    evolve_recycled_normscan(amps, steps, c, s)   -> (amps, drift, norm)
-    evolve_memory_normscan(amps, steps)           -> (amps, drift, norm)
+    out[n] = A+ a[n+1] + A- a[n-1]   (indices mod d)
+
+for two 4x4 matrices A+ and A-; ``_shift_blocks`` reads them off the
+rule, so the rule is the only place a walk's coefficients are written
+down.  Its Fourier block at momentum k is M_k = x A+ + conj(x) A- with
+x = e^{2 pi i k/d} (``_fourier_blocks``); the spectral module builds
+its blocks the same way.  The kernels take the rule and its coin
+arguments after the table and the step count:
+
+    evolve(amps, steps, step, *coin)            -> amps
+    evolve_accumulate(amps, steps, step, *coin) -> (amps, acc)
+    normscan(amps, steps, step, *coin)          -> (amps, drift, norm)
 
 where acc[n] is the sum of the position-n probability over steps
 t = 1..steps, drift is the largest per-step change of the state norm
@@ -20,42 +22,28 @@ and norm is the final state norm.  Inputs are never mutated.
 
 Component order per site is fixed by the walk module: recycled-coin
 states hold (c1 c2) = (dd, du, ud, uu) and memory states hold
-(coin, memory) = (dd, du, ud, uu).  c and s are cos(theta), sin(theta)
-of the second coin block; the first block is always the Hadamard angle.
+(coin, memory) = (dd, du, ud, uu).  The recycled rule takes c and s,
+cos(theta) and sin(theta) of the second coin block; the first block is
+always the Hadamard angle.  The memory rule takes no coin arguments.
 
-The numpy norm scans do not step site by site.  An orthonormal FFT
-over sites takes the table to momentum space, where one step is the
-4x4 block M_k = D_k G at each frequency k: G is the site-independent
-coin-and-swap matrix, and D_k puts e^{+2 pi i k/d} on the rows that
-arrive from n+1 and e^{-2 pi i k/d} on the rows that arrive from n-1.
-G and that row pattern are read off the position-space step itself
-(``_shift_blocks``), so both paths describe one walk.  The steps are
-taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
-does not grow with the step count.  Within a chunk the states
-t = 1..L come from log-depth doubling, X <- [X, M^|X| X], with the
-powers M^(2^m) from repeated squaring; their norms come by Parseval,
-the last state seeds the next chunk, and the final state is
-transformed back.  No eigendecomposition is involved.
+``evolve`` and ``evolve_accumulate`` apply the rule site by site.  The
+norm scan does not.  An orthonormal FFT over sites takes the table to
+momentum space, where one step is the block M_k at each frequency k.
+The steps are taken in chunks of at most ``_SCAN_CHUNK_AMPS``
+amplitudes, so memory does not grow with the step count.  Within a
+chunk the states t = 1..L come from log-depth doubling,
+X <- [X, M^|X| X], with the powers M^(2^m) from repeated squaring;
+their norms come by Parseval, the last state seeds the next chunk, and
+the final state is transformed back.  No eigendecomposition is
+involved.
 """
-
-import os
 
 import numpy as np
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _step_recycled_np(a, c, s):
+def _step_recycled(a, c, s):
     # up[n] = a[n+1], dn[n] = a[n-1] (indices mod d): a left mover arrives
     # at n from n+1, a right mover from n-1.
     up = np.roll(a, -1, axis=0)
@@ -68,7 +56,7 @@ def _step_recycled_np(a, c, s):
     return out
 
 
-def _step_memory_np(a):
+def _step_memory(a):
     up = np.roll(a, -1, axis=0)
     dn = np.roll(a, 1, axis=0)
     out = np.empty_like(a)
@@ -79,35 +67,18 @@ def _step_memory_np(a):
     return out
 
 
-def _evolve_recycled_np(amps, steps, c, s):
+def evolve(amps, steps, step, *coin):
     a = amps.copy()
     for _ in range(steps):
-        a = _step_recycled_np(a, c, s)
+        a = step(a, *coin)
     return a
 
 
-def _evolve_memory_np(amps, steps):
-    a = amps.copy()
-    for _ in range(steps):
-        a = _step_memory_np(a)
-    return a
-
-
-def _evolve_recycled_accumulate_np(amps, steps, c, s):
+def evolve_accumulate(amps, steps, step, *coin):
     a = amps.copy()
     acc = np.zeros(amps.shape[0], dtype=np.float64)
     for _ in range(steps):
-        a = _step_recycled_np(a, c, s)
-        acc += np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2 \
-            + np.abs(a[:, 2]) ** 2 + np.abs(a[:, 3]) ** 2
-    return a, acc
-
-
-def _evolve_memory_accumulate_np(amps, steps):
-    a = amps.copy()
-    acc = np.zeros(amps.shape[0], dtype=np.float64)
-    for _ in range(steps):
-        a = _step_memory_np(a)
+        a = step(a, *coin)
         acc += np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2 \
             + np.abs(a[:, 2]) ** 2 + np.abs(a[:, 3]) ** 2
     return a, acc
@@ -119,13 +90,24 @@ def _shift_blocks(step, *coin):
     The rule runs once on a 3-site probe holding the identity at site
     0: site 2 then receives only what arrives from its n+1 neighbour
     (A+) and site 1 only what arrives from n-1 (A-).  A+ + A- is the
-    coin-and-swap matrix G; the nonzero rows of A+ are the rows that
+    coin-and-swap matrix; the nonzero rows of A+ are the rows that
     arrive from n+1.
     """
     probe = np.zeros((3, 4, 4), dtype=np.complex128)
     probe[0] = np.eye(4)
     out = step(probe, *coin)
     return out[2], out[1]
+
+
+def _fourier_blocks(d, step, *coin):
+    """The d momentum blocks M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}.
+
+    np.fft.fft takes a[n+1] to x times the transform of a, so M_k is
+    one step of the rule at frequency k.
+    """
+    a_plus, a_minus = _shift_blocks(step, *coin)
+    x = np.exp(2j * np.pi * np.arange(d) / d)[:, None, None]
+    return x * a_plus + x.conj() * a_minus
 
 
 # Amplitudes held by one chunk of states in the Fourier norm scan; it
@@ -138,14 +120,11 @@ def _scan_chunk_len(d):
     return max(1, _SCAN_CHUNK_AMPS // (4 * d))
 
 
-def _fourier_normscan(amps, steps, a_plus, a_minus):
-    """Norm scan of out[n] = A+ a[n+1] + A- a[n-1] (module docstring)."""
+def normscan(amps, steps, step, *coin):
+    """Evolve in momentum space, tracking the norm (module docstring)."""
     d = amps.shape[0]
     prev = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
-    x = np.exp(2j * np.pi * np.arange(d) / d)[:, None, None]
-    # np.fft.fft takes a[n+1] to e^{+2 pi i k/d} times the transform of
-    # a, so M_k = e^{+2 pi i k/d} A+ + e^{-2 pi i k/d} A- = D_k G.
-    powers = [x * a_plus + x.conj() * a_minus]
+    powers = [_fourier_blocks(d, step, *coin)]
     chunk = min(_scan_chunk_len(d), steps)
     while 1 << len(powers) < chunk:
         powers.append(powers[-1] @ powers[-1])
@@ -173,207 +152,3 @@ def _fourier_normscan(amps, steps, a_plus, a_minus):
         done += n
     out = np.fft.ifft(state[:, :, 0], axis=0, norm="ortho")
     return out, drift, prev
-
-
-def _evolve_recycled_normscan_np(amps, steps, c, s):
-    return _fourier_normscan(amps, steps,
-                             *_shift_blocks(_step_recycled_np, c, s))
-
-
-def _evolve_memory_normscan_np(amps, steps):
-    return _fourier_normscan(amps, steps, *_shift_blocks(_step_memory_np))
-
-
-_NUMPY_IMPL = {
-    "evolve_recycled": _evolve_recycled_np,
-    "evolve_memory": _evolve_memory_np,
-    "evolve_recycled_accumulate": _evolve_recycled_accumulate_np,
-    "evolve_memory_accumulate": _evolve_memory_accumulate_np,
-    "evolve_recycled_normscan": _evolve_recycled_normscan_np,
-    "evolve_memory_normscan": _evolve_memory_normscan_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _step_recycled_nb(a, out, c, s):
-        d = a.shape[0]
-        for n in range(d):
-            u = n + 1
-            if u == d:
-                u = 0
-            v = n - 1
-            if v < 0:
-                v = d - 1
-            out[n, 0] = _SQ2 * (a[u, 0] + a[u, 1])
-            out[n, 1] = c * a[u, 2] + s * a[u, 3]
-            out[n, 2] = _SQ2 * (a[v, 0] - a[v, 1])
-            out[n, 3] = s * a[v, 2] - c * a[v, 3]
-
-    @njit(cache=True)
-    def _step_memory_nb(a, out):
-        d = a.shape[0]
-        for n in range(d):
-            u = n + 1
-            if u == d:
-                u = 0
-            v = n - 1
-            if v < 0:
-                v = d - 1
-            out[n, 0] = _SQ2 * (a[u, 0] + a[u, 2])
-            out[n, 1] = _SQ2 * (a[v, 1] + a[v, 3])
-            out[n, 2] = _SQ2 * (a[u, 1] - a[u, 3])
-            out[n, 3] = _SQ2 * (a[v, 0] - a[v, 2])
-
-    @njit(cache=True)
-    def _evolve_recycled_nb(amps, steps, c, s):
-        a = amps.copy()
-        b = np.empty_like(a)
-        for _ in range(steps):
-            _step_recycled_nb(a, b, c, s)
-            a, b = b, a
-        return a
-
-    @njit(cache=True)
-    def _evolve_memory_nb(amps, steps):
-        a = amps.copy()
-        b = np.empty_like(a)
-        for _ in range(steps):
-            _step_memory_nb(a, b)
-            a, b = b, a
-        return a
-
-    @njit(cache=True)
-    def _evolve_recycled_accumulate_nb(amps, steps, c, s):
-        d = amps.shape[0]
-        a = amps.copy()
-        b = np.empty_like(a)
-        acc = np.zeros(d, dtype=np.float64)
-        for _ in range(steps):
-            _step_recycled_nb(a, b, c, s)
-            a, b = b, a
-            for n in range(d):
-                acc[n] += (a[n, 0].real ** 2 + a[n, 0].imag ** 2
-                           + a[n, 1].real ** 2 + a[n, 1].imag ** 2
-                           + a[n, 2].real ** 2 + a[n, 2].imag ** 2
-                           + a[n, 3].real ** 2 + a[n, 3].imag ** 2)
-        return a, acc
-
-    @njit(cache=True)
-    def _evolve_memory_accumulate_nb(amps, steps):
-        d = amps.shape[0]
-        a = amps.copy()
-        b = np.empty_like(a)
-        acc = np.zeros(d, dtype=np.float64)
-        for _ in range(steps):
-            _step_memory_nb(a, b)
-            a, b = b, a
-            for n in range(d):
-                acc[n] += (a[n, 0].real ** 2 + a[n, 0].imag ** 2
-                           + a[n, 1].real ** 2 + a[n, 1].imag ** 2
-                           + a[n, 2].real ** 2 + a[n, 2].imag ** 2
-                           + a[n, 3].real ** 2 + a[n, 3].imag ** 2)
-        return a, acc
-
-    @njit(cache=True)
-    def _norm_nb(a):
-        d = a.shape[0]
-        total = 0.0
-        for n in range(d):
-            total += (a[n, 0].real ** 2 + a[n, 0].imag ** 2
-                      + a[n, 1].real ** 2 + a[n, 1].imag ** 2
-                      + a[n, 2].real ** 2 + a[n, 2].imag ** 2
-                      + a[n, 3].real ** 2 + a[n, 3].imag ** 2)
-        return np.sqrt(total)
-
-    @njit(cache=True)
-    def _evolve_recycled_normscan_nb(amps, steps, c, s):
-        a = amps.copy()
-        b = np.empty_like(a)
-        prev = _norm_nb(a)
-        drift = 0.0
-        for _ in range(steps):
-            _step_recycled_nb(a, b, c, s)
-            a, b = b, a
-            norm = _norm_nb(a)
-            delta = abs(norm - prev)
-            if delta > drift:
-                drift = delta
-            prev = norm
-        return a, drift, prev
-
-    @njit(cache=True)
-    def _evolve_memory_normscan_nb(amps, steps):
-        a = amps.copy()
-        b = np.empty_like(a)
-        prev = _norm_nb(a)
-        drift = 0.0
-        for _ in range(steps):
-            _step_memory_nb(a, b)
-            a, b = b, a
-            norm = _norm_nb(a)
-            delta = abs(norm - prev)
-            if delta > drift:
-                drift = delta
-            prev = norm
-        return a, drift, prev
-
-    _NUMBA_IMPL = {
-        "evolve_recycled": _evolve_recycled_nb,
-        "evolve_memory": _evolve_memory_nb,
-        "evolve_recycled_accumulate": _evolve_recycled_accumulate_nb,
-        "evolve_memory_accumulate": _evolve_memory_accumulate_nb,
-        "evolve_recycled_normscan": _evolve_recycled_normscan_nb,
-        "evolve_memory_normscan": _evolve_memory_normscan_nb,
-    }
-else:
-    _NUMBA_IMPL = None
-
-
-def available_backends():
-    backends = ["numpy"]
-    if HAS_NUMBA:
-        backends.insert(0, "numba")
-    return backends
-
-
-def _resolve_backend():
-    requested = os.environ.get("CYCLEWALK_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAS_NUMBA:
-            raise ImportError(
-                "CYCLEWALK_BACKEND=numba requested but numba is not installed")
-        return "numba"
-    if requested:
-        raise ValueError(
-            "unknown CYCLEWALK_BACKEND %r (expected 'numba' or 'numpy')"
-            % requested)
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def get_impl(backend):
-    """Return the kernel table for an explicit backend name."""
-    if backend == "numpy":
-        return _NUMPY_IMPL
-    if backend == "numba":
-        if _NUMBA_IMPL is None:
-            raise ImportError("numba backend unavailable")
-        return _NUMBA_IMPL
-    raise ValueError("unknown backend %r" % backend)
-
-
-BACKEND = _resolve_backend()
-_impl = get_impl(BACKEND)
-
-evolve_recycled = _impl["evolve_recycled"]
-evolve_memory = _impl["evolve_memory"]
-evolve_recycled_accumulate = _impl["evolve_recycled_accumulate"]
-evolve_memory_accumulate = _impl["evolve_memory_accumulate"]
-evolve_recycled_normscan = _impl["evolve_recycled_normscan"]
-evolve_memory_normscan = _impl["evolve_memory_normscan"]

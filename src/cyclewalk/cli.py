@@ -4,7 +4,8 @@ Subcommands: evolve, limiting, sweep, mixing, verify, residue.  Every
 command validates its configuration, runs the experiment, and writes
 one deterministic table (CSV or JSON) to --out or stdout.  Exit codes:
 0 success, 1 experiment-level failure (a theorem deviation above
-threshold or a failed sweep cell), 2 usage error.
+threshold, a failed sweep cell or a failed numerical check), 2 usage
+error.
 
 Flags override an optional JSON --config file; the effective
 scientific configuration is echoed into the output metadata.  The
@@ -515,6 +516,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _diag("error: %s" % exc)
         return 2
+    except RuntimeError as exc:
+        # A numerical check failed (lost unitarity, an eigenvalue off
+        # the unit circle, an imaginary residue) or a worker process died
+        # (BrokenProcessPool is a RuntimeError).
+        _diag("error: %s" % exc)
+        return 1
 
 
 if __name__ == "__main__":

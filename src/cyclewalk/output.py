@@ -15,8 +15,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from . import __version__ as TOOL_VERSION
+
 TOOL_NAME = "cyclewalk"
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass

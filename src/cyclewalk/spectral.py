@@ -2,8 +2,11 @@
 
 A translation-invariant walk on the d-cycle block-diagonalizes under
 the discrete Fourier transform of the position register into d unitary
-4x4 blocks, one per momentum k.  For the recycled-coin walk the block
-is M_k(theta); for the memory walk it is N_k.  With a walker starting
+4x4 blocks, one per momentum k.  Each walk is described once, by its
+one-step rule out[n] = A+ a[n+1] + A- a[n-1] in the kernels module;
+the block is M_k = x A+ + conj(x) A- with x = e^{2 pi i k/d}, with
+(A+, A-) read off that rule.  build_Mk gives the recycled-coin block at
+angle theta, build_Nk the memory-walk block.  With a walker starting
 localized at position 0 with coin vector psi, and writing lam_j(k),
 phi_j(k) for the block eigensystems and alpha_j(k) = <phi_j(k)|psi>,
 the exact probability is a quadruple sum over (k, j), (m, l) with time
@@ -31,7 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import CoinConfig, Distribution, InitialState, _as_coin4
+from . import _kernels
+from .walk import (CoinConfig, Distribution, InitialState, MODEL_MEMORY,
+                   MODEL_RECYCLED, _as_coin4, _walk_spec, _WalkSpec)
 
 #: Two eigenvalues are treated as equal when their phases differ by
 #: less than this (radians, after unwrapping across the branch cut).
@@ -39,7 +44,6 @@ PHASE_TOL = 1e-9
 
 _UNITARITY_TOL = 1e-10
 _IMAG_TOL = 1e-8
-_SQ2 = 1.0 / np.sqrt(2.0)
 
 
 class DegenerateClusterWarning(UserWarning):
@@ -55,86 +59,32 @@ def _check_k(k: int, d: int):
 
 @dataclass(frozen=True)
 class FourierBlock:
-    """4x4 momentum block of the recycled-coin walk."""
+    """4x4 momentum block of a walk; theta is None for the memory walk."""
 
     k: int
     d: int
-    theta: float
+    theta: float | None
     matrix: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class MemoryFourierBlock:
-    """4x4 momentum block of the memory walk."""
-
-    k: int
-    d: int
-    matrix: np.ndarray = field(repr=False)
+def _block_stack(spec: _WalkSpec, d: int) -> np.ndarray:
+    return _kernels._fourier_blocks(d, spec.step, *spec.coin)
 
 
-def _mk_matrix(x: complex, theta: float) -> np.ndarray:
-    y = np.conj(x)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([
-        [x * _SQ2, x * _SQ2, 0.0, 0.0],
-        [0.0, 0.0, x * c, x * s],
-        [y * _SQ2, -y * _SQ2, 0.0, 0.0],
-        [0.0, 0.0, y * s, -y * c],
-    ], dtype=np.complex128)
-
-
-def _nk_matrix(x: complex) -> np.ndarray:
-    y = np.conj(x)
-    return np.array([
-        [x, 0.0, x, 0.0],
-        [0.0, y, 0.0, y],
-        [0.0, x, 0.0, -x],
-        [y, 0.0, -y, 0.0],
-    ], dtype=np.complex128) * _SQ2
+def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
+    _check_k(k, d)
+    return FourierBlock(k=k, d=d, theta=spec.theta,
+                        matrix=_block_stack(spec, d)[k])
 
 
 def build_Mk(k: int, d: int, cfg: CoinConfig) -> FourierBlock:
     """Recycled-coin block at momentum k with second-coin angle from cfg."""
-    _check_k(k, d)
-    x = np.exp(2j * np.pi * k / d)
-    return FourierBlock(k=k, d=d, theta=cfg.theta,
-                        matrix=_mk_matrix(x, cfg.theta))
+    return _build_block(_walk_spec(MODEL_RECYCLED, cfg), k, d)
 
 
-def build_Nk(k: int, d: int) -> MemoryFourierBlock:
+def build_Nk(k: int, d: int) -> FourierBlock:
     """Memory-walk block at momentum k."""
-    _check_k(k, d)
-    x = np.exp(2j * np.pi * k / d)
-    return MemoryFourierBlock(k=k, d=d, matrix=_nk_matrix(x))
-
-
-def _block_stack_recycled(d: int, theta: float) -> np.ndarray:
-    xs = np.exp(2j * np.pi * np.arange(d) / d)
-    mats = np.zeros((d, 4, 4), dtype=np.complex128)
-    c, s = np.cos(theta), np.sin(theta)
-    mats[:, 0, 0] = xs * _SQ2
-    mats[:, 0, 1] = xs * _SQ2
-    mats[:, 1, 2] = xs * c
-    mats[:, 1, 3] = xs * s
-    mats[:, 2, 0] = xs.conj() * _SQ2
-    mats[:, 2, 1] = -xs.conj() * _SQ2
-    mats[:, 3, 2] = xs.conj() * s
-    mats[:, 3, 3] = -xs.conj() * c
-    return mats
-
-
-def _block_stack_memory(d: int) -> np.ndarray:
-    xs = np.exp(2j * np.pi * np.arange(d) / d)
-    mats = np.zeros((d, 4, 4), dtype=np.complex128)
-    mats[:, 0, 0] = xs
-    mats[:, 0, 2] = xs
-    mats[:, 1, 1] = xs.conj()
-    mats[:, 1, 3] = xs.conj()
-    mats[:, 2, 1] = xs
-    mats[:, 2, 3] = -xs
-    mats[:, 3, 0] = xs.conj()
-    mats[:, 3, 2] = -xs.conj()
-    return mats * _SQ2
+    return _build_block(_walk_spec(MODEL_MEMORY), k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +162,11 @@ class EigenSystem:
 def eigensystem(block, tol: float = PHASE_TOL) -> EigenSystem:
     """Diagonalize one 4x4 unitary block.
 
-    Accepts a FourierBlock, a MemoryFourierBlock or a plain unitary
-    (4, 4) array.  Degenerate eigenvector groups come back orthonormal.
+    Accepts a FourierBlock or a plain unitary (4, 4) array.  Degenerate
+    eigenvector groups come back orthonormal.
     """
     if isinstance(block, FourierBlock):
         k, d, theta, mat = block.k, block.d, block.theta, block.matrix
-    elif isinstance(block, MemoryFourierBlock):
-        k, d, theta, mat = block.k, block.d, None, block.matrix
     else:
         mat = np.asarray(block, dtype=np.complex128)
         if mat.shape != (4, 4):
@@ -263,8 +211,12 @@ def _coin4_or_initial(psi) -> np.ndarray:
     return _as_coin4(psi)
 
 
-def _build_cache(d: int, theta: float | None, mats: np.ndarray,
-                 psi0: np.ndarray, tol: float) -> SpectralCache:
+def _spectral_cache(spec: _WalkSpec, d: int, psi,
+                    tol: float) -> SpectralCache:
+    if d < 2:
+        raise ValueError("cycle length d must be >= 2, got %d" % d)
+    psi0 = _coin4_or_initial(psi)
+    mats = _block_stack(spec, d)
     utu = np.einsum("kji,kjl->kil", mats.conj(), mats)
     dev = np.abs(utu - np.eye(4)).max()
     if dev > _UNITARITY_TOL:
@@ -274,27 +226,20 @@ def _build_cache(d: int, theta: float | None, mats: np.ndarray,
         ambiguous = _orthonormalize_degenerate(lams[k], vecs[k], tol)
         _warn_ambiguous(ambiguous, tol, "block k=%d" % k)
     alphas = np.einsum("kij,i->kj", vecs.conj(), psi0)
-    return SpectralCache(d=d, theta=theta, coin4=psi0.copy(),
+    return SpectralCache(d=d, theta=spec.theta, coin4=psi0.copy(),
                          eigenvalues=lams, eigenvectors=vecs, alphas=alphas)
 
 
 def spectral_cache(d: int, cfg: CoinConfig, psi,
                    tol: float = PHASE_TOL) -> SpectralCache:
     """Diagonalize all recycled-coin blocks for one (d, phi, start) cell."""
-    if d < 2:
-        raise ValueError("cycle length d must be >= 2, got %d" % d)
-    psi0 = _coin4_or_initial(psi)
-    return _build_cache(d, cfg.theta, _block_stack_recycled(d, cfg.theta),
-                        psi0, tol)
+    return _spectral_cache(_walk_spec(MODEL_RECYCLED, cfg), d, psi, tol)
 
 
 def spectral_cache_memory(d: int, psi,
                           tol: float = PHASE_TOL) -> SpectralCache:
     """Memory-walk analogue of spectral_cache."""
-    if d < 2:
-        raise ValueError("cycle length d must be >= 2, got %d" % d)
-    psi0 = _coin4_or_initial(psi)
-    return _build_cache(d, None, _block_stack_memory(d), psi0, tol)
+    return _spectral_cache(_walk_spec(MODEL_MEMORY), d, psi, tol)
 
 
 def cache_with_state(cache: SpectralCache, psi) -> SpectralCache:
@@ -395,6 +340,12 @@ def _limiting_probs(cache: SpectralCache, tol: float) -> np.ndarray:
     return _probs_from_z(z, d)
 
 
+def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache,
+              tol: float) -> Distribution:
+    _cache_matches(cache, d, spec.theta, _coin4_or_initial(psi))
+    return Distribution(d=d, probs=_limiting_probs(cache, tol))
+
+
 def limiting_distribution(cfg: CoinConfig, d: int, psi,
                           cache: SpectralCache | None = None,
                           tol: float = PHASE_TOL) -> Distribution:
@@ -403,24 +354,18 @@ def limiting_distribution(cfg: CoinConfig, d: int, psi,
     Keeps exactly the pairs with equal eigenvalues, as decided by phase
     clustering at tol.  Start must be localized at position 0.
     """
-    psi0 = _coin4_or_initial(psi)
     if cache is None:
-        cache = spectral_cache(d, cfg, psi0, tol)
-    else:
-        _cache_matches(cache, d, cfg.theta, psi0)
-    return Distribution(d=d, probs=_limiting_probs(cache, tol))
+        cache = spectral_cache(d, cfg, psi, tol)
+    return _limiting(_walk_spec(MODEL_RECYCLED, cfg), d, psi, cache, tol)
 
 
 def limiting_distribution_memory(d: int, psi,
                                  cache: SpectralCache | None = None,
                                  tol: float = PHASE_TOL) -> Distribution:
     """Time-averaged distribution of the memory walk."""
-    psi0 = _coin4_or_initial(psi)
     if cache is None:
-        cache = spectral_cache_memory(d, psi0, tol)
-    else:
-        _cache_matches(cache, d, None, psi0)
-    return Distribution(d=d, probs=_limiting_probs(cache, tol))
+        cache = spectral_cache_memory(d, psi, tol)
+    return _limiting(_walk_spec(MODEL_MEMORY), d, psi, cache, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +393,8 @@ def memory_spectrum_mismatch(d: int) -> float:
     The memory-walk block is unitarily equivalent to the recycled-coin
     block at phi = 2, so this should vanish to rounding error.
     """
-    ms = _block_stack_recycled(d, CoinConfig(2.0).theta)
-    ns = _block_stack_memory(d)
+    ms = _block_stack(_walk_spec(MODEL_RECYCLED, CoinConfig(2.0)), d)
+    ns = _block_stack(_walk_spec(MODEL_MEMORY), d)
     lam_m = np.linalg.eigvals(ms)
     lam_n = np.linalg.eigvals(ns)
     return max(eigenvalue_multiset_distance(lam_n[k], lam_m[k])

@@ -23,6 +23,7 @@ gives the Hadamard.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,6 +198,29 @@ def _coin_cs(cfg: CoinConfig) -> tuple[float, float]:
     return math.cos(cfg.theta), math.sin(cfg.theta)
 
 
+@dataclass(frozen=True)
+class _WalkSpec:
+    """One walk: its one-step rule and the rule's coin arguments.
+
+    Stepping, the norm scan and the Fourier blocks of the spectral
+    module are all derived from ``step(a, *coin)``.  theta is the
+    second-coin angle, None for the memory walk.
+    """
+
+    step: Callable
+    coin: tuple
+    theta: float | None
+
+
+def _walk_spec(model: str, cfg: CoinConfig | None = None) -> _WalkSpec:
+    """The spec of a model; the recycled-coin walk needs a CoinConfig."""
+    if model == MODEL_MEMORY:
+        return _WalkSpec(_kernels._step_memory, (), None)
+    if cfg is None:
+        raise ValueError("recycled-coin evolution requires a CoinConfig")
+    return _WalkSpec(_kernels._step_recycled, _coin_cs(cfg), cfg.theta)
+
+
 def evolve(state: WalkState, steps: int,
            cfg: CoinConfig | None = None) -> WalkState:
     """Apply the model's one-step unitary `steps` times.
@@ -207,13 +231,8 @@ def evolve(state: WalkState, steps: int,
     steps = _check_steps(steps)
     if steps == 0:
         return state
-    if state.model == MODEL_RECYCLED:
-        if cfg is None:
-            raise ValueError("recycled-coin evolution requires a CoinConfig")
-        c, s = _coin_cs(cfg)
-        amps = _kernels.evolve_recycled(state.amplitudes, steps, c, s)
-    else:
-        amps = _kernels.evolve_memory(state.amplitudes, steps)
+    spec = _walk_spec(state.model, cfg)
+    amps = _kernels.evolve(state.amplitudes, steps, spec.step, *spec.coin)
     return WalkState(d=state.d, model=state.model, amplitudes=amps)
 
 
@@ -238,14 +257,9 @@ def evolve_accumulate(state: WalkState, steps: int,
     steps = _check_steps(steps)
     if steps == 0:
         return state, np.zeros(state.d)
-    if state.model == MODEL_RECYCLED:
-        if cfg is None:
-            raise ValueError("recycled-coin evolution requires a CoinConfig")
-        c, s = _coin_cs(cfg)
-        amps, acc = _kernels.evolve_recycled_accumulate(
-            state.amplitudes, steps, c, s)
-    else:
-        amps, acc = _kernels.evolve_memory_accumulate(state.amplitudes, steps)
+    spec = _walk_spec(state.model, cfg)
+    amps, acc = _kernels.evolve_accumulate(state.amplitudes, steps,
+                                           spec.step, *spec.coin)
     return WalkState(d=state.d, model=state.model, amplitudes=amps), acc
 
 
@@ -256,24 +270,18 @@ def norm_drift_scan(state: WalkState, steps: int,
 
     Returns (final state, max per-step norm change, final norm).  No
     renormalization happens anywhere; the drift is a direct measure of
-    floating-point error.  On the numpy backend the states come from
-    products of 4x4 Fourier blocks built by doubling within chunks of
-    steps (see ``_kernels``), so the drift bounds the rounding of those
-    block products in each chunk, not of T sequential site steps.
+    floating-point error.  The states come from products of 4x4
+    Fourier blocks built by doubling within chunks of steps (see
+    ``_kernels``), so the drift bounds the rounding of those block
+    products in each chunk, not of T sequential site steps.
     """
     steps = _check_steps(steps)
     if steps == 0:
         n = state.norm()
         return state, 0.0, n
-    if state.model == MODEL_RECYCLED:
-        if cfg is None:
-            raise ValueError("recycled-coin evolution requires a CoinConfig")
-        c, s = _coin_cs(cfg)
-        amps, drift, norm = _kernels.evolve_recycled_normscan(
-            state.amplitudes, steps, c, s)
-    else:
-        amps, drift, norm = _kernels.evolve_memory_normscan(
-            state.amplitudes, steps)
+    spec = _walk_spec(state.model, cfg)
+    amps, drift, norm = _kernels.normscan(state.amplitudes, steps,
+                                          spec.step, *spec.coin)
     return (WalkState(d=state.d, model=state.model, amplitudes=amps),
             float(drift), float(norm))
 

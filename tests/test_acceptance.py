@@ -3,7 +3,7 @@
 Each test prints one `ACCEPTANCE Cnn ... PASS/FAIL` line directly to
 the terminal (bypassing capture) and then asserts, so a full run shows
 ten lines, one per criterion.  Criteria with a runtime budget time the
-computation after a warm-up pass has compiled the kernels.
+computation after a warm-up pass through every kernel.
 """
 
 import math
@@ -30,8 +30,8 @@ _JOBS = min(8, os.cpu_count() or 1)
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # First call of each jit kernel compiles it; keep that cost out of
-    # the timed sections below.
+    # Keep first-call costs (imports, FFT and BLAS set-up) out of the
+    # timed sections below.
     cfg = CoinConfig(0.0)
     for model in (MODEL_RECYCLED, MODEL_MEMORY):
         st = WalkState.localized(4, InitialState.named("psi_a"), model)

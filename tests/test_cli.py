@@ -6,10 +6,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclewalk
 from cyclewalk import cli, output
 from cyclewalk.cli import (UsageError, main, parse_d_range, parse_phi_grid,
                            parse_state)
@@ -136,6 +138,14 @@ class TestOutput:
         with pytest.raises(ValueError, match="format"):
             output.render(table, "yaml")
 
+    def test_version_single_source(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["version"] == cyclewalk.__version__
+        assert output.TOOL_VERSION == cyclewalk.__version__
+
 
 class TestEvolveCommand:
     def test_single_step_example(self):
@@ -231,6 +241,16 @@ class TestLimitingCommand:
         assert config["model"] == "memory"
         assert "phi" not in config
         assert sum(float(r[1]) for r in rows) == pytest.approx(1.0)
+
+    def test_failed_spectral_check_exits_one(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("momentum block lost unitarity (0.1)")
+
+        monkeypatch.setattr(cli.spectral, "limiting_distribution", broken)
+        code, out, err = run_cli("limiting", "--d", "5", "--phi", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err == "cyclewalk: error: momentum block lost unitarity (0.1)\n"
 
 
 class TestSweepCommand:

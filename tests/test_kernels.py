@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -14,97 +10,33 @@ def _random_state(rng, d):
     return v / np.sqrt(np.sum(np.abs(v) ** 2))
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba not installed")
-
-CS = (np.cos(3 * np.pi / 4), np.sin(3 * np.pi / 4))
-
-
-@needs_numba
-class TestBackendsAgree:
-    @pytest.mark.parametrize("d,steps", [(2, 50), (3, 40), (9, 33), (32, 21)])
-    def test_evolve_recycled(self, rng, d, steps):
-        a = _random_state(rng, d)
-        got_np = _kernels.get_impl("numpy")["evolve_recycled"](a, steps, *CS)
-        got_nb = _kernels.get_impl("numba")["evolve_recycled"](a, steps, *CS)
-        assert np.allclose(got_np, got_nb, atol=1e-13)
-
-    @pytest.mark.parametrize("d,steps", [(2, 50), (5, 40), (16, 27)])
-    def test_evolve_memory(self, rng, d, steps):
-        a = _random_state(rng, d)
-        got_np = _kernels.get_impl("numpy")["evolve_memory"](a, steps)
-        got_nb = _kernels.get_impl("numba")["evolve_memory"](a, steps)
-        assert np.allclose(got_np, got_nb, atol=1e-13)
-
-    def test_accumulate_kernels(self, rng):
-        a = _random_state(rng, 7)
-        for name, args in [("evolve_recycled_accumulate", (a, 25, *CS)),
-                           ("evolve_memory_accumulate", (a, 25))]:
-            out_np, acc_np = _kernels.get_impl("numpy")[name](*args)
-            out_nb, acc_nb = _kernels.get_impl("numba")[name](*args)
-            assert np.allclose(out_np, out_nb, atol=1e-13)
-            assert np.allclose(acc_np, acc_nb, atol=1e-12)
-
-    def test_normscan_kernels(self, rng):
-        a = _random_state(rng, 6)
-        o_np, d_np, n_np = _kernels.get_impl("numpy")[
-            "evolve_recycled_normscan"](a, 30, *CS)
-        o_nb, d_nb, n_nb = _kernels.get_impl("numba")[
-            "evolve_recycled_normscan"](a, 30, *CS)
-        assert np.allclose(o_np, o_nb, atol=1e-13)
-        assert abs(n_np - n_nb) < 1e-13
-        assert d_np < 1e-12 and d_nb < 1e-12
+RECYCLED = (_kernels._step_recycled, np.cos(3 * np.pi / 4),
+            np.sin(3 * np.pi / 4))
+MEMORY = (_kernels._step_memory,)
 
 
 class TestKernelSemantics:
     def test_accumulate_matches_stepwise(self, rng):
         a = _random_state(rng, 8)
-        impl = _kernels.get_impl("numpy")
-        _, acc = impl["evolve_recycled_accumulate"](a, 12, *CS)
+        _, acc = _kernels.evolve_accumulate(a, 12, *RECYCLED)
         manual = np.zeros(8)
         cur = a
         for _ in range(12):
-            cur = impl["evolve_recycled"](cur, 1, *CS)
+            cur = _kernels.evolve(cur, 1, *RECYCLED)
             manual += np.sum(np.abs(cur) ** 2, axis=1)
         assert np.allclose(acc, manual, atol=1e-13)
 
     def test_inputs_not_mutated(self, rng):
         a = _random_state(rng, 5)
         before = a.copy()
-        _kernels.evolve_recycled(a, 10, *CS)
-        _kernels.evolve_memory(a, 10)
-        _kernels.evolve_recycled_accumulate(a, 10, *CS)
+        _kernels.evolve(a, 10, *RECYCLED)
+        _kernels.evolve(a, 10, *MEMORY)
+        _kernels.evolve_accumulate(a, 10, *RECYCLED)
+        _kernels.normscan(a, 10, *MEMORY)
         assert np.array_equal(a, before)
 
     def test_normscan_tracks_norm(self, rng):
         a = _random_state(rng, 5)
-        impl = _kernels.get_impl("numpy")
-        _, drift, norm = impl["evolve_memory_normscan"](a, 20)
+        _, drift, norm = _kernels.normscan(a, 20, *MEMORY)
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= drift < 1e-13
-
-
-class TestBackendSelection:
-    def test_default_backend(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-        assert "numpy" in _kernels.available_backends()
-
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, CYCLEWALK_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from cyclewalk import _kernels; print(_kernels.BACKEND)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_rejects_unknown(self):
-        env = dict(os.environ, CYCLEWALK_BACKEND="fortran")
-        out = subprocess.run(
-            [sys.executable, "-c", "import cyclewalk._kernels"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode != 0
-        assert "CYCLEWALK_BACKEND" in out.stderr
-
-    def test_get_impl_unknown(self):
-        with pytest.raises(ValueError):
-            _kernels.get_impl("fortran")

@@ -8,7 +8,7 @@ from cyclewalk import (CoinConfig, InitialState, WalkState, MODEL_MEMORY,
                        coin_block, coin_operator, evolve, named_coin4,
                        norm_drift_scan, position_distribution, step_memory,
                        step_recycled)
-from cyclewalk import _kernels
+from cyclewalk import _kernels, walk
 
 import oracles
 
@@ -266,3 +266,45 @@ class TestTransforms:
         v = random_coin4()
         for out in (apply_Q(v), apply_P(v), apply_P_adjoint(v)):
             assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEquivalenceOnShiftBlocks:
+    """Results 1 and 2 on the (A+, A-) pairs read off the step rules.
+
+    Both results are conjugations of the one-step rule, so they must
+    hold entry by entry for A+ and A-, not only for the position
+    distributions; a changed coin or shift entry in either rule breaks
+    one of them or the unitarity of A+ + A-.
+    """
+
+    P = np.column_stack([apply_P(e) for e in np.eye(4)])
+    Q = np.column_stack([apply_Q(e) for e in np.eye(4)])
+
+    @staticmethod
+    def _blocks(model, cfg=None):
+        spec = walk._walk_spec(model, cfg)
+        return _kernels._shift_blocks(spec.step, *spec.coin)
+
+    def test_result2_memory_is_recycled_phi2_conjugated_by_P(self):
+        rec = self._blocks(MODEL_RECYCLED, CoinConfig(2.0))
+        mem = self._blocks(MODEL_MEMORY)
+        for a_rec, a_mem in zip(rec, mem):
+            assert np.abs(self.P.conj().T @ a_rec @ self.P - a_mem).max() \
+                < 1e-14
+
+    def test_result1_Q_maps_phi_to_minus_2_minus_phi(self):
+        phis = [0.1 * m for m in range(80)] \
+            + list(np.random.default_rng(3).uniform(-20.0, 20.0, 200))
+        for phi in phis:
+            lhs = self._blocks(MODEL_RECYCLED, CoinConfig(phi))
+            rhs = self._blocks(MODEL_RECYCLED, CoinConfig(-(2.0 + phi)))
+            for a_phi, a_reflected in zip(lhs, rhs):
+                assert np.abs(self.Q @ a_phi @ self.Q - a_reflected).max() \
+                    < 1e-14, phi
+
+    @pytest.mark.parametrize("model,cfg", [(MODEL_RECYCLED, CoinConfig(1.3)),
+                                           (MODEL_MEMORY, None)])
+    def test_coin_and_swap_is_unitary(self, model, cfg):
+        a_plus, a_minus = self._blocks(model, cfg)
+        g = a_plus + a_minus
+        assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-14
