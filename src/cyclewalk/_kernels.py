@@ -26,16 +26,25 @@ states hold (c1 c2) = (dd, du, ud, uu) and memory states hold
 cos(theta) and sin(theta) of the second coin block; the first block is
 always the Hadamard angle.  The memory rule takes no coin arguments.
 
-``evolve`` and ``evolve_accumulate`` apply the rule site by site.  The
-norm scan does not.  An orthonormal FFT over sites takes the table to
-momentum space, where one step is the block M_k at each frequency k.
-The steps are taken in chunks of at most ``_SCAN_CHUNK_AMPS``
-amplitudes, so memory does not grow with the step count.  Within a
-chunk the states t = 1..L come from log-depth doubling,
-X <- [X, M^|X| X], with the powers M^(2^m) from repeated squaring;
-their norms come by Parseval, the last state seeds the next chunk, and
-the final state is transformed back.  No eigendecomposition is
-involved.
+``evolve`` applies the rule site by site.  ``evolve_accumulate`` and
+``normscan`` are two reductions over one stream of states, ``_scan``.
+On cycles up to ``_FOURIER_SCAN_MAX_D`` sites the stream runs in
+momentum space: an orthonormal FFT over sites takes the table there,
+where one step is the block M_k at each frequency k.  The steps are
+taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
+does not grow with the step count.  Within a chunk the states
+t = 1..L come from log-depth doubling, X <- [X, M^|X| X], with the
+powers M^(2^m) from repeated squaring, and the last state seeds the
+next chunk.  On larger cycles an O(d) site step beats the block
+products and the O(d log d) inverse FFT each state would need, so the
+stream is the rule applied site by site, one state per chunk.
+
+The accumulation transforms each momentum chunk back in place, one
+inverse FFT along the site axis, and sums |a|^2 over components and
+steps.  The norm scan takes each state's norm where it stands (by
+Parseval in momentum space) and transforms only the final state back.
+No eigendecomposition is involved, so both stay independent of the
+spectral module.
 """
 
 import numpy as np
@@ -74,16 +83,6 @@ def evolve(amps, steps, step, *coin):
     return a
 
 
-def evolve_accumulate(amps, steps, step, *coin):
-    a = amps.copy()
-    acc = np.zeros(amps.shape[0], dtype=np.float64)
-    for _ in range(steps):
-        a = step(a, *coin)
-        acc += np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2 \
-            + np.abs(a[:, 2]) ** 2 + np.abs(a[:, 3]) ** 2
-    return a, acc
-
-
 def _shift_blocks(step, *coin):
     """Split a one-step rule into out[n] = A+ a[n+1] + A- a[n-1].
 
@@ -110,27 +109,42 @@ def _fourier_blocks(d, step, *coin):
     return x * a_plus + x.conj() * a_minus
 
 
-# Amplitudes held by one chunk of states in the Fourier norm scan; it
+# Amplitudes held by one chunk of states in the Fourier scan; it
 # bounds the scan's memory independently of the step count.
 _SCAN_CHUNK_AMPS = 1 << 14
 
+# Largest cycle the scan runs in momentum space.  Above it one O(d) site
+# step beats the block products (one small matmul per frequency) and the
+# O(d log d) inverse FFT that each state then needs.
+_FOURIER_SCAN_MAX_D = 352
+
 
 def _scan_chunk_len(d):
-    """Steps per chunk of the Fourier norm scan on a d-cycle."""
+    """Steps per chunk of the Fourier scan on a d-cycle."""
     return max(1, _SCAN_CHUNK_AMPS // (4 * d))
 
 
-def normscan(amps, steps, step, *coin):
-    """Evolve in momentum space, tracking the norm (module docstring)."""
+def _scan(amps, steps, step, *coin):
+    """Yield the states t = 1..steps in chunks (module docstring).
+
+    Each item is (fourier, chunk), chunk a (d, 4, n) array of n
+    consecutive states: in momentum space (orthonormal FFT over sites)
+    if fourier, else at the sites.  A chunk stays valid until the next
+    one is drawn; a momentum chunk may be overwritten in place.
+    """
     d = amps.shape[0]
-    prev = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
+    if d > _FOURIER_SCAN_MAX_D:
+        a = amps
+        for _ in range(steps):
+            a = step(a, *coin)
+            yield False, a[:, :, None]
+        return
     powers = [_fourier_blocks(d, step, *coin)]
     chunk = min(_scan_chunk_len(d), steps)
     while 1 << len(powers) < chunk:
         powers.append(powers[-1] @ powers[-1])
     state = np.fft.fft(amps, axis=0, norm="ortho")[:, :, None]
     buf = np.empty((d, 4, chunk), dtype=np.complex128)
-    drift = 0.0
     done = 0
     while done < steps:
         n = min(chunk, steps - done)
@@ -142,13 +156,38 @@ def normscan(amps, steps, step, *coin):
             take = min(h, n - h)
             np.matmul(powers[m], buf[:, :, :take], out=buf[:, :, h:h + take])
             h, m = h + take, m + 1
-        re, im = buf.real[:, :, :n], buf.imag[:, :, :n]
+        state = buf[:, :, n - 1:n].copy()
+        done += n
+        yield True, buf[:, :, :n]
+
+
+def evolve_accumulate(amps, steps, step, *coin):
+    acc = np.zeros(amps.shape[0], dtype=np.float64)
+    chunk = amps[:, :, None]
+    for fourier, chunk in _scan(amps, steps, step, *coin):
+        if fourier:
+            # In place (numpy >= 2.0), so no second chunk is ever held.
+            np.fft.ifft(chunk, axis=0, norm="ortho", out=chunk)
+        # Real and imaginary parts side by side: one pass per site.
+        parts = chunk.view(np.float64)
+        acc += np.einsum("nij,nij->n", parts, parts)
+    return chunk[:, :, -1].copy(), acc
+
+
+def normscan(amps, steps, step, *coin):
+    """Evolve while tracking the norm (module docstring)."""
+    prev = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
+    drift = 0.0
+    fourier, chunk = False, amps[:, :, None]
+    for fourier, chunk in _scan(amps, steps, step, *coin):
+        # By Parseval a momentum state has its site norm.
+        re, im = chunk.real, chunk.imag
         norms = np.sqrt(np.einsum("kit,kit->t", re, re)
                         + np.einsum("kit,kit->t", im, im))
         drift = max(drift, abs(float(norms[0]) - prev),
                     float(np.abs(np.diff(norms)).max(initial=0.0)))
         prev = float(norms[-1])
-        state = buf[:, :, n - 1:n].copy()
-        done += n
-    out = np.fft.ifft(state[:, :, 0], axis=0, norm="ortho")
-    return out, drift, prev
+    out = chunk[:, :, -1]
+    if fourier:
+        return np.fft.ifft(out, axis=0, norm="ortho"), drift, prev
+    return out.copy(), drift, prev

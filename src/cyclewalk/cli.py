@@ -16,6 +16,7 @@ and diagnostics never leak into the table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -504,9 +505,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: an argparse parser lives in reference
+    # cycles (each add_argument makes a HelpFormatter that points at
+    # itself), so a parser per call is garbage that only a full
+    # collection frees, and repeated in-process calls pile it up.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         _apply_config_file(ns)
         return _COMMANDS[ns.command](ns)

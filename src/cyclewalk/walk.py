@@ -253,7 +253,16 @@ def step_memory(state: WalkState) -> WalkState:
 def evolve_accumulate(state: WalkState, steps: int,
                       cfg: CoinConfig | None = None
                       ) -> tuple[WalkState, np.ndarray]:
-    """Evolve and return (final state, sum of p(., t) for t = 1..steps)."""
+    """Evolve and return (final state, sum of p(., t) for t = 1..steps).
+
+    This is direct evolution, with no eigendecomposition.  On cycles up
+    to ``_kernels._FOURIER_SCAN_MAX_D`` sites the states come in
+    chunks of 4x4 Fourier block products built by doubling, and each
+    chunk is transformed back to the sites before its probabilities
+    are summed; on larger cycles the states come from site steps (see
+    ``_kernels``).  Either way the sums match plain stepping to
+    rounding.
+    """
     steps = _check_steps(steps)
     if steps == 0:
         return state, np.zeros(state.d)
@@ -270,10 +279,12 @@ def norm_drift_scan(state: WalkState, steps: int,
 
     Returns (final state, max per-step norm change, final norm).  No
     renormalization happens anywhere; the drift is a direct measure of
-    floating-point error.  The states come from products of 4x4
-    Fourier blocks built by doubling within chunks of steps (see
-    ``_kernels``), so the drift bounds the rounding of those block
-    products in each chunk, not of T sequential site steps.
+    floating-point error.  On cycles up to
+    ``_kernels._FOURIER_SCAN_MAX_D`` sites the states come from
+    products of 4x4 Fourier blocks built by doubling within chunks of
+    steps (see ``_kernels``), so the drift bounds the rounding of those
+    block products in each chunk, not of T sequential site steps; on
+    larger cycles they come from site steps.
     """
     steps = _check_steps(steps)
     if steps == 0:

@@ -1,6 +1,7 @@
 """Command line interface and table serialization."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -297,6 +298,23 @@ class TestMixingCommand:
         assert horizons == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         assert sds[-1] < sds[0]
         assert sds[-1] < 0.05
+
+    def test_repeated_runs_leave_no_cyclic_garbage(self):
+        # In-process callers run main many times; whatever one call
+        # leaves in reference cycles stays until a full collection.
+        args = ("mixing", "--d", "5", "--phi", "0", "--state", "psi_a",
+                "--t-max", "64")
+        assert run_cli(*args)[0] == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run_cli(*args)[0] == 0
+            gc.collect()
+            left = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == 0
 
     def test_t_max_validation(self):
         code, _, err = run_cli("mixing", "--d", "5", "--phi", "0",

@@ -3,6 +3,8 @@ import pytest
 
 from cyclewalk import _kernels
 
+import oracles
+
 
 def _random_state(rng, d):
     v = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
@@ -17,14 +19,30 @@ MEMORY = (_kernels._step_memory,)
 
 class TestKernelSemantics:
     def test_accumulate_matches_stepwise(self, rng):
-        a = _random_state(rng, 8)
-        _, acc = _kernels.evolve_accumulate(a, 12, *RECYCLED)
-        manual = np.zeros(8)
-        cur = a
-        for _ in range(12):
-            cur = _kernels.evolve(cur, 1, *RECYCLED)
-            manual += np.sum(np.abs(cur) ** 2, axis=1)
-        assert np.allclose(acc, manual, atol=1e-13)
+        # Both walks, on both sides of the momentum/site crossover and
+        # across a chunk boundary, against plain stepping and against
+        # the dense operators of the oracles.
+        cross = _kernels._FOURIER_SCAN_MAX_D
+        for d in (8, cross, cross + 1):
+            walks = ((RECYCLED, oracles.dense_recycled_operator(d, 2.0)),
+                     (MEMORY, oracles.dense_memory_operator(d)))
+            for steps in (0, 1, 200, _kernels._scan_chunk_len(d) + 3):
+                for rule, op in walks:
+                    a = _random_state(rng, d)
+                    final, acc = _kernels.evolve_accumulate(a, steps, *rule)
+                    stepped = dense = a
+                    by_step, by_dense = np.zeros(d), np.zeros(d)
+                    for _ in range(steps):
+                        stepped = _kernels.evolve(stepped, 1, *rule)
+                        dense = oracles.dense_evolve(dense, op, 1)
+                        by_step += np.sum(np.abs(stepped) ** 2, axis=1)
+                        by_dense += oracles.dense_distribution(dense)
+                    # Compare running averages: sums grow with steps.
+                    scale = max(steps, 1)
+                    assert np.abs(acc - by_step).max() / scale < 1e-12
+                    assert np.abs(acc - by_dense).max() / scale < 1e-12
+                    assert np.abs(final - stepped).max() < 1e-12
+                    assert np.abs(final - dense).max() < 1e-12
 
     def test_inputs_not_mutated(self, rng):
         a = _random_state(rng, 5)

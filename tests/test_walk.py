@@ -175,11 +175,13 @@ class TestEvolve:
         assert drift < 1e-12
         assert abs(norm - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("d", [2, 3, 8, 17, 32])
+    @pytest.mark.parametrize("d", [2, 3, 8, 17, 32,
+                                   _kernels._FOURIER_SCAN_MAX_D + 1])
     def test_unitarity_both_models(self, d, rng, random_coin4):
         # The scan's final state must be the walk's, not just a unit
         # vector: pin it to the dense oracle and to plain stepping, at a
-        # short run and at one that crosses a chunk of the Fourier scan.
+        # short run and at one that crosses a chunk of the Fourier scan;
+        # the largest d runs the scan by site steps.
         cfg = CoinConfig(float(rng.uniform(0, 8)))
         cases = ((MODEL_RECYCLED, cfg,
                   oracles.dense_recycled_operator(d, cfg.phi)),
