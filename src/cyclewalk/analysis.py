@@ -45,16 +45,6 @@ def classify_uniform(dist: Distribution, epsilon: float) -> bool:
     return tv_from_uniform(dist) < epsilon
 
 
-def _coin4(psi) -> np.ndarray:
-    # Limiting-distribution helpers assume the walker starts at site 0.
-    if isinstance(psi, InitialState):
-        if psi.position != 0:
-            raise ValueError("limiting-distribution helpers need a "
-                             "position-0 start")
-        return psi.coin4
-    return np.asarray(psi, dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence checks
 #
@@ -136,7 +126,7 @@ PBAR_IDENTITY_PAIRS = ((0.0, 6.0), (2.0, 4.0), (1.0, 5.0))
 
 def verify_pbar_identities(d: int, psi) -> dict:
     """TV between pbar(phi; psi) and pbar(phi'; Q psi) for each pair."""
-    psi0 = _coin4(psi)
+    psi0 = spectral._coin4_or_initial(psi)
     qpsi = apply_Q(psi0)
     out = {}
     for phi_a, phi_b in PBAR_IDENTITY_PAIRS:
@@ -153,7 +143,7 @@ def residue_distance_curve(d_values, psi) -> list:
     it vanishes when 4 divides d, is largest on the d = 4r + 2 class,
     and for psi_a decays with d inside each residue class.
     """
-    psi0 = _coin4(psi)
+    psi0 = spectral._coin4_or_initial(psi)
     qpsi = apply_Q(psi0)
     cfg0, cfg2 = CoinConfig(0.0), CoinConfig(2.0)
     out = []

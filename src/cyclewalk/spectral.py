@@ -9,14 +9,18 @@ the block is M_k = x A+ + conj(x) A- with x = e^{2 pi i k/d}, with
 angle theta, build_Nk the memory-walk block.  With a walker starting
 localized at position 0 with coin vector psi, and writing lam_j(k),
 phi_j(k) for the block eigensystems and alpha_j(k) = <phi_j(k)|psi>,
-the exact probability is a quadruple sum over (k, j), (m, l) with time
-entering only through (lam_j(k)* lam_l(m))^t.
+the state at step t has momentum amplitudes
+sum_j lam_j(k)^t alpha_j(k) phi_j(k), one 4-vector per block.  One
+inverse FFT over k takes them to the sites, and p(n, t) is the squared
+norm of the coin vector at site n.
 
-Time-averaging kills every pair whose eigenvalues differ and keeps the
-rest, so the limiting (Cesaro) distribution is the same sum restricted
-to pairs with equal eigenvalues.  Equality is decided by clustering
-the 4d eigenvalue phases with an absolute tolerance; clusters whose
-internal or neighboring gaps sit near the tolerance are reported via
+Time-averaging kills every pair of eigenvectors whose eigenvalues
+differ and keeps the rest, so the limiting (Cesaro) distribution sums
+conj(alpha) alpha <phi|phi> over pairs with equal eigenvalues, in
+blocks k and m, into the Fourier coefficient z[m - k]; one inverse FFT
+of z gives the distribution.  Equality is decided by clustering the 4d
+eigenvalue phases with an absolute tolerance; clusters whose internal
+or neighboring gaps sit near the tolerance are reported via
 DegenerateClusterWarning because the pair selection is then ambiguous.
 
 Pair enumeration is organized per cluster.  The diagonal pairs (every
@@ -112,36 +116,43 @@ def _phase_clusters(phases: np.ndarray, tol: float):
     return clusters, sorted(all_gaps[band].tolist())
 
 
-def _warn_ambiguous(gaps, tol, context):
+def _warn_ambiguous(gaps, tol, context, stacklevel=3):
     if gaps:
         warnings.warn(
             "%s: %d eigenvalue phase gap(s) within a decade of the matching "
             "tolerance %g (smallest %.3g); equal-eigenvalue pairing may be "
             "ambiguous" % (context, len(gaps), tol, gaps[0]),
-            DegenerateClusterWarning, stacklevel=3)
+            DegenerateClusterWarning, stacklevel=stacklevel)
 
 
-def _check_unitary(mat: np.ndarray):
-    dev = np.abs(mat.conj().T @ mat - np.eye(4)).max()
-    if dev > _UNITARITY_TOL:
-        raise ValueError("block is not unitary (deviation %.3g)" % dev)
+def _unitarity_deviation(mats: np.ndarray) -> float:
+    """Largest entry of |U^dag U - 1| over a stack of 4x4 blocks."""
+    utu = np.einsum("...ji,...jl->...il", mats.conj(), mats)
+    return float(np.abs(utu - np.eye(4)).max())
 
 
-def _orthonormalize_degenerate(lams: np.ndarray, vecs: np.ndarray,
-                               tol: float) -> list:
-    """Replace eigenvectors inside each equal-phase group by a QR basis.
+def _diagonalize(mats: np.ndarray, tol: float, ks):
+    """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
 
-    vecs holds eigenvectors in columns and is modified in place.  eig
-    does not orthogonalize within degenerate subspaces, and the pair
-    sums assume <phi_j|phi_l> = delta_jl inside a block.  Returns the
-    ambiguous gap list for the caller to report.
+    vecs[b][:, j] belongs to lams[b, j]; ks labels the blocks in
+    warnings.  eig does not orthogonalize within degenerate subspaces,
+    and the pair sums assume <phi_j|phi_l> = delta_jl inside a block,
+    so each equal-phase group is replaced by a QR basis.  Raises
+    RuntimeError when an eigenvalue leaves the unit circle.
     """
-    clusters, ambiguous = _phase_clusters(np.angle(lams), tol)
-    for cl in clusters:
-        if cl.size > 1:
-            q, _ = np.linalg.qr(vecs[:, cl])
-            vecs[:, cl] = q
-    return ambiguous
+    lams, vecs = np.linalg.eig(mats)
+    for k, lam, vec in zip(ks, lams, vecs):
+        clusters, ambiguous = _phase_clusters(np.angle(lam), tol)
+        for cl in clusters:
+            if cl.size > 1:
+                vec[:, cl] = np.linalg.qr(vec[:, cl])[0]
+        # Skip _diagonalize and its caller: the warning points at the
+        # line that called eigensystem, or at the spectral_cache wrapper.
+        _warn_ambiguous(ambiguous, tol, "block k=%d" % k, stacklevel=4)
+    moddev = np.abs(np.abs(lams) - 1.0).max()
+    if moddev > _UNITARITY_TOL:
+        raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
+    return lams, vecs
 
 
 @dataclass(frozen=True)
@@ -172,15 +183,12 @@ def eigensystem(block, tol: float = PHASE_TOL) -> EigenSystem:
         if mat.shape != (4, 4):
             raise ValueError("expected a (4, 4) block, got %s" % (mat.shape,))
         k, d, theta = 0, 0, None
-    _check_unitary(mat)
-    lams, vecs = np.linalg.eig(mat)
-    ambiguous = _orthonormalize_degenerate(lams, vecs, tol)
-    _warn_ambiguous(ambiguous, tol, "block k=%d" % k)
-    moddev = np.abs(np.abs(lams) - 1.0).max()
-    if moddev > _UNITARITY_TOL:
-        raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
+    dev = _unitarity_deviation(mat)
+    if dev > _UNITARITY_TOL:
+        raise ValueError("block is not unitary (deviation %.3g)" % dev)
+    lams, vecs = _diagonalize(mat[None], tol, (k,))
     return EigenSystem(k=k, d=d, theta=theta,
-                       eigenvalues=lams, eigenvectors=vecs)
+                       eigenvalues=lams[0], eigenvectors=vecs[0])
 
 
 @dataclass(frozen=True)
@@ -217,14 +225,10 @@ def _spectral_cache(spec: _WalkSpec, d: int, psi,
         raise ValueError("cycle length d must be >= 2, got %d" % d)
     psi0 = _coin4_or_initial(psi)
     mats = _block_stack(spec, d)
-    utu = np.einsum("kji,kjl->kil", mats.conj(), mats)
-    dev = np.abs(utu - np.eye(4)).max()
+    dev = _unitarity_deviation(mats)
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
-    lams, vecs = np.linalg.eig(mats)
-    for k in range(d):
-        ambiguous = _orthonormalize_degenerate(lams[k], vecs[k], tol)
-        _warn_ambiguous(ambiguous, tol, "block k=%d" % k)
+    lams, vecs = _diagonalize(mats, tol, range(d))
     alphas = np.einsum("kij,i->kj", vecs.conj(), psi0)
     return SpectralCache(d=d, theta=spec.theta, coin4=psi0.copy(),
                          eigenvalues=lams, eigenvectors=vecs, alphas=alphas)
@@ -262,34 +266,14 @@ def _cache_matches(cache: SpectralCache, d: int, theta: float | None,
         raise ValueError("cache built for a different initial coin state")
 
 
-def _flatten(cache: SpectralCache):
-    d = cache.d
-    lam = cache.eigenvalues.reshape(-1)
-    # Row K = 4k + j is eigenvector j of block k.
-    vflat = cache.eigenvectors.transpose(0, 2, 1).reshape(-1, 4)
-    aflat = cache.alphas.reshape(-1)
-    kk = np.repeat(np.arange(d), 4)
-    return lam, vflat, aflat, kk
-
-
-def _probs_from_z(z: np.ndarray, d: int) -> np.ndarray:
-    # p(n) = (1/d^2) sum_c z[c] e^{2 pi i n c / d}, evaluated with the
-    # exact d-th roots so repeated runs are bit-identical.
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    vals = roots[np.outer(np.arange(d), np.arange(d)) % d] @ z / (d * d)
-    imag = np.abs(vals.imag).max()
-    if imag > _IMAG_TOL:
-        raise RuntimeError("probability reconstruction left the real axis "
-                           "by %.3g" % imag)
-    return np.clip(vals.real, 0.0, None)
-
-
 def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
                              cache: SpectralCache | None = None) -> Distribution:
-    """Exact position distribution at step t from the Fourier sum.
+    """Exact position distribution at step t from the block eigensystems.
 
-    Pass d, or a cache from spectral_cache to amortize diagonalization
-    over many t.  The start must be localized at position 0.
+    Each block's momentum amplitude is V_k diag(lam_k^t) alpha_k; one
+    inverse FFT over k gives the site amplitudes.  Pass d, or a cache
+    from spectral_cache to amortize diagonalization over many t.  The
+    start must be localized at position 0.
     """
     if t < 0:
         raise ValueError("time step must be >= 0, got %d" % t)
@@ -300,20 +284,16 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
         cache = spectral_cache(d, cfg, psi0)
     else:
         _cache_matches(cache, cache.d if d is None else d, cfg.theta, psi0)
-    d = cache.d
-    lam, vflat, aflat, kk = _flatten(cache)
-    gram = vflat.conj() @ vflat.T
-    tpow = (lam.conj()[:, None] * lam[None, :]) ** t
-    w = (aflat.conj()[:, None] * aflat[None, :]) * gram * tpow
-    z = np.zeros(d, dtype=np.complex128)
-    np.add.at(z, (kk[None, :] - kk[:, None]) % d, w)
-    return Distribution(d=d, probs=_probs_from_z(z, d))
+    amps = np.einsum("kij,kj->ki", cache.eigenvectors,
+                     cache.eigenvalues ** t * cache.alphas)
+    sites = np.fft.ifft(amps, axis=0)
+    return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 
 
 def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
                             d: int | None = None,
                             cache: SpectralCache | None = None) -> float:
-    """p(n, t) from the Fourier sum; see closed_form_distribution."""
+    """p(n, t) from the block eigensystems; see closed_form_distribution."""
     dist = closed_form_distribution(t, cfg, psi, d=d, cache=cache)
     if not 0 <= n < dist.d:
         raise ValueError("position %d outside cycle of length %d" % (n, dist.d))
@@ -322,22 +302,30 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
 
 def _limiting_probs(cache: SpectralCache, tol: float) -> np.ndarray:
     d = cache.d
-    lam, vflat, aflat, kk = _flatten(cache)
     z = np.zeros(d, dtype=np.complex128)
     # Every eigenvalue matches itself; these diagonal pairs sum to the
     # uniform distribution (sum_K |alpha_K|^2 = d by completeness).
-    z[0] = np.sum(np.abs(aflat) ** 2)
-    clusters, ambiguous = _phase_clusters(np.angle(lam), tol)
+    z[0] = np.sum(np.abs(cache.alphas) ** 2)
+    clusters, ambiguous = _phase_clusters(
+        np.angle(cache.eigenvalues.reshape(-1)), tol)
     _warn_ambiguous(ambiguous, tol, "d=%d limiting distribution" % d)
     for cl in clusters:
         if cl.size < 2:
             continue
-        v = vflat[cl]
-        a = aflat[cl]
+        # Flat index K = 4k + j is eigenvector j of block k.
+        k, j = divmod(cl, 4)
+        v = cache.eigenvectors[k, :, j]
+        a = cache.alphas[k, j]
         w = (a.conj()[:, None] * a[None, :]) * (v.conj() @ v.T)
         np.fill_diagonal(w, 0.0)
-        np.add.at(z, (kk[cl][None, :] - kk[cl][:, None]) % d, w)
-    return _probs_from_z(z, d)
+        np.add.at(z, (k[None, :] - k[:, None]) % d, w)
+    # p(n) = (1/d^2) sum_c z[c] e^{2 pi i n c / d}
+    vals = np.fft.ifft(z) / d
+    imag = np.abs(vals.imag).max()
+    if imag > _IMAG_TOL:
+        raise RuntimeError("probability reconstruction left the real axis "
+                           "by %.3g" % imag)
+    return np.clip(vals.real, 0.0, None)
 
 
 def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache,

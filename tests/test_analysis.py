@@ -146,7 +146,7 @@ class TestPbarIdentities:
         assert max(out.values()) < 1e-8
 
     def test_rejects_off_origin_start(self):
-        with pytest.raises(ValueError, match="position-0"):
+        with pytest.raises(ValueError, match="position 0"):
             verify_pbar_identities(9, InitialState.named("psi_d", position=2))
 
 

@@ -459,6 +459,11 @@ class TestEntryPoint:
         full_env = dict(os.environ)
         if env:
             full_env.update(env)
+        # The child must import the same cyclewalk as this test run, also
+        # from a checkout that is not installed.
+        src = str(Path(cyclewalk.__file__).resolve().parent.parent)
+        full_env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, full_env.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "cyclewalk", *args],
                               capture_output=True, text=True, env=full_env,
                               timeout=120)

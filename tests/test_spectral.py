@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from cyclewalk import (CoinConfig, InitialState, WalkState,
                        DegenerateClusterWarning, MODEL_MEMORY,
-                       apply_P_adjoint, build_Mk, build_Nk, cache_with_state,
+                       apply_P_adjoint, apply_Q, build_Mk, build_Nk,
+                       cache_with_state,
                        closed_form_distribution, closed_form_probability,
                        eigensystem, eigenvalue_multiset_distance, evolve,
                        limiting_distribution, limiting_distribution_memory,
@@ -158,6 +160,18 @@ class TestSpectralCache:
             closed_form_distribution(3, cfg, named_coin4("psi_b"),
                                      cache=cache)
 
+    def test_eigenvalue_off_unit_circle_rejected(self, monkeypatch):
+        eig = np.linalg.eig
+
+        def one_eigenvalue_shrunk(mats):
+            lams, vecs = eig(mats)
+            lams[0, 0] *= 0.5
+            return lams, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", one_eigenvalue_shrunk)
+        with pytest.raises(RuntimeError, match="unit circle"):
+            spectral_cache(8, CoinConfig(1.0), named_coin4("psi_a"))
+
 
 class TestClosedForm:
     def test_t0_point_mass(self):
@@ -175,13 +189,14 @@ class TestClosedForm:
         assert closed_form_probability(0, 1, cfg, named_coin4("psi_a"),
                                        d=4) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_stepping_d11(self):
-        d, cfg = 11, CoinConfig(1.3)
+    @pytest.mark.parametrize("d,T", [(11, 200), (1024, 300)])
+    def test_matches_stepping(self, d, T):
+        cfg = CoinConfig(1.3)
         init = InitialState.named("psi_b")
         cache = spectral_cache(d, cfg, init.coin4)
         state = WalkState.localized(d, init)
         worst = 0.0
-        for t in range(201):
+        for t in range(T + 1):
             stepped = position_distribution(state).probs
             closed = closed_form_distribution(t, cfg, init.coin4,
                                               cache=cache).probs
@@ -252,6 +267,24 @@ class TestLimiting:
         psi = random_coin4()
         dist = limiting_distribution(CoinConfig(2.719), 9, psi)
         assert total_variation(dist.probs, np.full(9, 1 / 9)) < 1e-6
+
+    def test_large_d_peak_memory(self):
+        # phi = 0.5 has no flat band, so every equal-phase cluster is
+        # small and nothing may grow as d^2: one complex (d x d) matrix
+        # at d = 10^4 alone would take 1.6 GB.
+        d, phi, psi = 10_000, 0.5, named_coin4("psi_b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            tracemalloc.start()
+            try:
+                got = limiting_distribution(CoinConfig(phi), d, psi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            partner = limiting_distribution(CoinConfig(-(2.0 + phi)), d,
+                                            apply_Q(psi))
+        assert peak < 64 * 2 ** 20
+        assert np.abs(got.probs - partner.probs).max() < 1e-10
 
     def test_no_warning_on_clean_spectrum(self):
         with warnings.catch_warnings():
