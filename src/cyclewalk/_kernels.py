@@ -26,24 +26,26 @@ states hold (c1 c2) = (dd, du, ud, uu) and memory states hold
 cos(theta) and sin(theta) of the second coin block; the first block is
 always the Hadamard angle.  The memory rule takes no coin arguments.
 
-``evolve`` applies the rule site by site.  ``evolve_accumulate`` and
-``normscan`` are two reductions over one stream of states, ``_scan``.
-On cycles up to ``_FOURIER_SCAN_MAX_D`` sites the stream runs in
-momentum space: an orthonormal FFT over sites takes the table there,
-where one step is the block M_k at each frequency k.  The steps are
-taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
-does not grow with the step count.  Within a chunk the states
-t = 1..L come from log-depth doubling, X <- [X, M^|X| X], with the
-powers M^(2^m) from repeated squaring, and the last state seeds the
-next chunk.  On larger cycles an O(d) site step beats the block
-products and the O(d log d) inverse FFT each state would need, so the
-stream is the rule applied site by site, one state per chunk.
+``evolve`` applies the rule site by site: the position-space reference.
+The other kernels read one stream of states, ``_scan``.  On cycles up
+to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space: an
+orthonormal FFT over sites takes the table there, where one step is
+the block M_k at each frequency k.  The steps are taken in chunks of
+at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory does not grow with
+the step count.  Within a chunk the states t = 1..L come from
+log-depth doubling, X <- [X, M^|X| X], with the powers M^(2^m) from
+repeated squaring, and the last state seeds the next chunk.  On larger
+cycles an O(d) site step beats the block products and the O(d log d)
+inverse FFT each state would need, so the stream is the rule applied
+site by site, its states copied into chunks.
 
-The accumulation transforms each momentum chunk back in place, one
-inverse FFT along the site axis, and sums |a|^2 over components and
-steps.  The norm scan takes each state's norm where it stands (by
-Parseval in momentum space) and transforms only the final state back.
-No eigendecomposition is involved, so both stay independent of the
+The scan takes each momentum chunk back in place (one inverse FFT
+along the site axis) and ``_probs`` reduces a chunk to p(n, t) or its
+sums: the stream of probabilities behind ``evolve_accumulate`` and the
+analysis module's theorem checks, mixing curves and crosscheck.  The
+norm scan stays in momentum space, takes each state's norm there (by
+Parseval) and transforms only the final state back.  No
+eigendecomposition is involved, so all stay independent of the
 spectral module.
 """
 
@@ -109,8 +111,8 @@ def _fourier_blocks(d, step, *coin):
     return x * a_plus + x.conj() * a_minus
 
 
-# Amplitudes held by one chunk of states in the Fourier scan; it
-# bounds the scan's memory independently of the step count.
+# Amplitudes held by one chunk of states in the scan; it bounds
+# the scan's memory independently of the step count.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site
@@ -120,74 +122,80 @@ _FOURIER_SCAN_MAX_D = 352
 
 
 def _scan_chunk_len(d):
-    """Steps per chunk of the Fourier scan on a d-cycle."""
+    """Steps per chunk of the scan on a d-cycle."""
     return max(1, _SCAN_CHUNK_AMPS // (4 * d))
 
 
-def _scan(amps, steps, step, *coin):
-    """Yield the states t = 1..steps in chunks (module docstring).
+def _scan(amps, steps, step, *coin, sites=True):
+    """Yield the states t = 1..steps in (d, n, 4) chunks (module docstring).
 
-    Each item is (fourier, chunk), chunk a (d, 4, n) array of n
-    consecutive states: in momentum space (orthonormal FFT over sites)
-    if fourier, else at the sites.  A chunk stays valid until the next
-    one is drawn; a momentum chunk may be overwritten in place.
+    The states are at the sites; with sites=False, momentum chunks stay
+    in momentum space (orthonormal FFT over sites).  A chunk is valid
+    until the next one is drawn; the input is never touched.
     """
     d = amps.shape[0]
-    if d > _FOURIER_SCAN_MAX_D:
-        a = amps
-        for _ in range(steps):
-            a = step(a, *coin)
-            yield False, a[:, :, None]
-        return
-    powers = [_fourier_blocks(d, step, *coin)]
-    chunk = min(_scan_chunk_len(d), steps)
-    while 1 << len(powers) < chunk:
-        powers.append(powers[-1] @ powers[-1])
-    state = np.fft.fft(amps, axis=0, norm="ortho")[:, :, None]
-    buf = np.empty((d, 4, chunk), dtype=np.complex128)
-    done = 0
-    while done < steps:
+    fourier = d <= _FOURIER_SCAN_MAX_D
+    chunk = min(_scan_chunk_len(d), max(steps, 1))
+    buf = np.empty((d, chunk, 4), dtype=np.complex128)
+    state = amps
+    if fourier:
+        # A state is a row at each k, so a step multiplies by M_k^T.
+        powers = [_fourier_blocks(d, step, *coin).swapaxes(1, 2).copy()]
+        while 1 << len(powers) < chunk:
+            powers.append(powers[-1] @ powers[-1])
+        state = np.fft.fft(amps, axis=0, norm="ortho")[:, None, :]
+    for done in range(0, steps, chunk):
         n = min(chunk, steps - done)
-        # Doubling: buf[..., :h] holds steps 1..h of this chunk, and
-        # M^h advances them to steps h+1..2h.
-        np.matmul(powers[0], state, out=buf[:, :, :1])
-        h, m = 1, 0
-        while h < n:
-            take = min(h, n - h)
-            np.matmul(powers[m], buf[:, :, :take], out=buf[:, :, h:h + take])
-            h, m = h + take, m + 1
-        state = buf[:, :, n - 1:n].copy()
-        done += n
-        yield True, buf[:, :, :n]
+        out = buf[:, :n]
+        if fourier:
+            # Doubling: buf[:, :h] holds steps 1..h of this chunk, and
+            # M^h advances them to steps h+1..2h.
+            np.matmul(state, powers[0], out=buf[:, :1])
+            h, m = 1, 0
+            while h < n:
+                take = min(h, n - h)
+                np.matmul(buf[:, :take], powers[m], out=buf[:, h:h + take])
+                h, m = h + take, m + 1
+            state = buf[:, n - 1:n].copy()
+            if sites:
+                # In place (numpy >= 2.0), so no second chunk is held.
+                np.fft.ifft(out, axis=0, norm="ortho", out=out)
+        else:
+            for i in range(n):
+                state = step(state, *coin)
+                buf[:, i] = state
+        yield out
+
+
+def _probs(chunk, keep="nt"):
+    """Sums of |a|^2 over a (d, n, 4) chunk; keep names the axes kept.
+
+    "nt" gives p(., t) per state, "n" its sum over states, "t" norms^2.
+    """
+    # Real and imaginary parts side by side: one pass per state.
+    parts = chunk.view(np.float64)
+    return np.einsum("ntj,ntj->" + keep, parts, parts)
 
 
 def evolve_accumulate(amps, steps, step, *coin):
     acc = np.zeros(amps.shape[0], dtype=np.float64)
-    chunk = amps[:, :, None]
-    for fourier, chunk in _scan(amps, steps, step, *coin):
-        if fourier:
-            # In place (numpy >= 2.0), so no second chunk is ever held.
-            np.fft.ifft(chunk, axis=0, norm="ortho", out=chunk)
-        # Real and imaginary parts side by side: one pass per site.
-        parts = chunk.view(np.float64)
-        acc += np.einsum("nij,nij->n", parts, parts)
-    return chunk[:, :, -1].copy(), acc
+    sites = amps[:, None, :]
+    for sites in _scan(amps, steps, step, *coin):
+        acc += _probs(sites, "n")
+    return sites[:, -1].copy(), acc
 
 
 def normscan(amps, steps, step, *coin):
     """Evolve while tracking the norm (module docstring)."""
     prev = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
-    drift = 0.0
-    fourier, chunk = False, amps[:, :, None]
-    for fourier, chunk in _scan(amps, steps, step, *coin):
+    drift, chunk = 0.0, amps[:, None, :]
+    for chunk in _scan(amps, steps, step, *coin, sites=False):
         # By Parseval a momentum state has its site norm.
-        re, im = chunk.real, chunk.imag
-        norms = np.sqrt(np.einsum("kit,kit->t", re, re)
-                        + np.einsum("kit,kit->t", im, im))
+        norms = np.sqrt(_probs(chunk, "t"))
         drift = max(drift, abs(float(norms[0]) - prev),
                     float(np.abs(np.diff(norms)).max(initial=0.0)))
         prev = float(norms[-1])
-    out = chunk[:, :, -1]
-    if fourier:
+    out = chunk[:, -1]
+    if steps and amps.shape[0] <= _FOURIER_SCAN_MAX_D:
         return np.fft.ifft(out, axis=0, norm="ortho"), drift, prev
     return out.copy(), drift, prev

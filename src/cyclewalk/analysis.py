@@ -1,15 +1,17 @@
 """Distances, equivalence checks, parameter sweeps and mixing curves.
 
-Everything here reduces to two primitives: exact unitary stepping from
-the walk module and limiting distributions from the spectral module.
-The two equivalence results are checked by running both sides and
-measuring the worst pointwise probability gap, never by assuming the
-algebra; the sweep classifies limiting distributions against the
-uniform one in total variation.
+Everything here reduces to two primitives: exact unitary evolution,
+read as one chunked stream of probabilities per walk, and limiting
+distributions from the spectral module.  The two equivalence results
+are checked by running both sides and measuring the worst pointwise
+probability gap, never by assuming the algebra; the sweep classifies
+limiting distributions against the uniform one in total variation.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
+from . import _kernels, spectral
 from .walk import (CoinConfig, Distribution, InitialState, WalkState,
-                   MODEL_MEMORY, MODEL_RECYCLED, apply_P_adjoint, apply_Q,
-                   evolve, evolve_accumulate, named_coin4,
-                   position_distribution)
+                   MODEL_MEMORY, MODEL_RECYCLED, _walk_spec, apply_P_adjoint,
+                   apply_Q, evolve, position_distribution)
 
 
 def total_variation(p, q) -> float:
@@ -56,67 +57,66 @@ def classify_uniform(dist: Distribution, epsilon: float) -> bool:
 # invariance makes the position choice immaterial and the tests use
 # that as an extra probe.
 
-def _theorem1_states(d, phi, psi, position):
+def _site_states(spec, state, steps):
+    """The states t = 0..steps of a walk, in (d, n, 4) chunks at the sites."""
+    amps = state.amplitudes
+    return itertools.chain([amps[:, None, :]], _kernels._scan(
+        amps, steps, spec.step, *spec.coin))
+
+
+def _gap_at(sides, t):
+    pl, pr = (position_distribution(evolve(s, t, cfg)).probs
+              for s, cfg in sides)
+    return float(np.abs(pl - pr).max())
+
+
+def _max_gap(sides, t_max):
+    """Worst pointwise gap between two walks' p(., t) over t = 0..t_max."""
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0, got %d" % t_max)
+    lhs, rhs = (_site_states(_walk_spec(s.model, cfg), s, t_max)
+                for s, cfg in sides)
+    return max(float(np.abs(_kernels._probs(a) - _kernels._probs(b)).max())
+               for a, b in zip(lhs, rhs))
+
+
+def _start(d, position, coin4, model=MODEL_RECYCLED):
+    return WalkState.localized(d, InitialState(position, coin4), model)
+
+
+def _theorem1_sides(d, phi, psi, position):
     psi0 = np.asarray(psi, dtype=np.complex128)
-    init_l = InitialState(position=position, coin4=psi0)
-    init_r = InitialState(position=position, coin4=apply_Q(psi0))
-    lhs = WalkState.localized(d, init_l, MODEL_RECYCLED)
-    rhs = WalkState.localized(d, init_r, MODEL_RECYCLED)
-    return lhs, CoinConfig(phi), rhs, CoinConfig(-(2.0 + phi))
+    return ((_start(d, position, psi0), CoinConfig(phi)),
+            (_start(d, position, apply_Q(psi0)), CoinConfig(-(2.0 + phi))))
 
 
 def verify_theorem1(d: int, t: int, phi: float, psi,
                     position: int = 0) -> float:
     """Max pointwise gap between the two sides of result 1 at step t."""
-    lhs, cfg_l, rhs, cfg_r = _theorem1_states(d, phi, psi, position)
-    pl = position_distribution(evolve(lhs, t, cfg_l))
-    pr = position_distribution(evolve(rhs, t, cfg_r))
-    return float(np.abs(pl.probs - pr.probs).max())
+    return _gap_at(_theorem1_sides(d, phi, psi, position), t)
 
 
 def theorem1_max_deviation(d: int, t_max: int, phi: float, psi,
                            position: int = 0) -> float:
-    """Worst verify_theorem1 value over t = 0..t_max, stepped once."""
-    lhs, cfg_l, rhs, cfg_r = _theorem1_states(d, phi, psi, position)
-    worst = 0.0
-    for _ in range(t_max + 1):
-        pl = position_distribution(lhs)
-        pr = position_distribution(rhs)
-        worst = max(worst, float(np.abs(pl.probs - pr.probs).max()))
-        lhs = evolve(lhs, 1, cfg_l)
-        rhs = evolve(rhs, 1, cfg_r)
-    return worst
+    """Worst verify_theorem1 value over t = 0..t_max, in one stream."""
+    return _max_gap(_theorem1_sides(d, phi, psi, position), t_max)
 
 
-def _theorem2_states(d, psi, position):
+def _theorem2_sides(d, psi, position):
     psi0 = np.asarray(psi, dtype=np.complex128)
-    init_r = InitialState(position=position, coin4=psi0)
-    init_m = InitialState(position=position, coin4=apply_P_adjoint(psi0))
-    rec = WalkState.localized(d, init_r, MODEL_RECYCLED)
-    mem = WalkState.localized(d, init_m, MODEL_MEMORY)
-    return rec, CoinConfig(2.0), mem
+    return ((_start(d, position, psi0), CoinConfig(2.0)),
+            (_start(d, position, apply_P_adjoint(psi0), MODEL_MEMORY), None))
 
 
 def verify_theorem2(d: int, t: int, psi, position: int = 0) -> float:
     """Max pointwise gap between the two sides of result 2 at step t."""
-    rec, cfg, mem = _theorem2_states(d, psi, position)
-    pr = position_distribution(evolve(rec, t, cfg))
-    pm = position_distribution(evolve(mem, t))
-    return float(np.abs(pr.probs - pm.probs).max())
+    return _gap_at(_theorem2_sides(d, psi, position), t)
 
 
 def theorem2_max_deviation(d: int, t_max: int, psi,
                            position: int = 0) -> float:
-    """Worst verify_theorem2 value over t = 0..t_max, stepped once."""
-    rec, cfg, mem = _theorem2_states(d, psi, position)
-    worst = 0.0
-    for _ in range(t_max + 1):
-        pr = position_distribution(rec)
-        pm = position_distribution(mem)
-        worst = max(worst, float(np.abs(pr.probs - pm.probs).max()))
-        rec = evolve(rec, 1, cfg)
-        mem = evolve(mem, 1)
-    return worst
+    """Worst verify_theorem2 value over t = 0..t_max, in one stream."""
+    return _max_gap(_theorem2_sides(d, psi, position), t_max)
 
 
 #: The three phi pairs whose limiting distributions coincide once the
@@ -323,7 +323,7 @@ def default_horizons(t_max: int) -> tuple:
 def mixing_curve(d: int, phi: float | None, psi, t_max: int,
                  horizons=None, model: str = MODEL_RECYCLED,
                  label: str | None = None) -> MixingCurve:
-    """Sample SD(T) at increasing horizons with one continuous evolution.
+    """Sample SD(T) at increasing horizons from one stream of states.
 
     psi may be an InitialState, a coin 4-vector (start at position 0),
     or a full WalkState for non-localized starts.
@@ -332,10 +332,11 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
         if psi.d != d:
             raise ValueError("state lives on a %d-cycle, asked for d=%d"
                              % (psi.d, d))
-        start, model, name = psi, psi.model, label or "custom"
+        state, model, name = psi, psi.model, label or "custom"
     else:
         init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
-        start, name = None, label or (init.name or "custom")
+        state = WalkState.localized(d, init, model)
+        name = label or (init.name or "custom")
     if horizons is None:
         horizons = default_horizons(t_max)
     else:
@@ -344,25 +345,26 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
             raise ValueError("horizons must be strictly increasing and >= 1")
         if horizons[-1] > t_max:
             raise ValueError("largest horizon exceeds t_max")
-    cfg = CoinConfig(phi) if model == MODEL_RECYCLED else None
-    state = start if start is not None else WalkState.localized(d, init, model)
-    uniform = np.full(d, 1.0 / d)
-    p0 = position_distribution(state).probs
-    acc = np.zeros(d)
-    steps_done = 0
-    sds = []
-    for horizon in horizons:
-        # The average over t = 0..T-1 needs sums of post-step
-        # distributions through step T-1.
-        delta = (horizon - 1) - steps_done
-        if delta > 0:
-            state, part = evolve_accumulate(state, delta, cfg)
-            acc += part
-            steps_done += delta
-        avg = (p0 + acc) / horizon
-        sds.append(0.5 * float(np.abs(avg - uniform).sum()))
+    cfg = None if phi is None else CoinConfig(phi)
+    spec = _walk_spec(model, cfg)
+    position_distribution(state)  # rejects a start that is not normalized
+    # The average over t = 0..T-1 needs p(., t) through t = T-1; acc
+    # holds the sum over the `done` states drawn so far.
+    acc, done, sds = np.zeros(d), 0, []
+    for chunk in _site_states(spec, state, horizons[-1] - 1):
+        first, done = done, done + chunk.shape[1]
+        inside = horizons[len(sds):bisect.bisect_right(horizons, done)]
+        if not inside:
+            acc += _kernels._probs(chunk, "n")
+            continue
+        # Per-state sums only where a horizon falls in the chunk.
+        sums = acc[:, None] + np.cumsum(_kernels._probs(chunk), axis=1)
+        acc = sums[:, -1]
+        for h in inside:
+            avg = sums[:, h - first - 1] / h
+            sds.append(0.5 * float(np.abs(avg - 1.0 / d).sum()))
     return MixingCurve(d=d, model=model,
-                       phi=None if model == MODEL_MEMORY else CoinConfig(phi).phi,
+                       phi=None if spec.theta is None else cfg.phi,
                        state=name, horizons=tuple(horizons), sd=tuple(sds))
 
 
@@ -370,24 +372,22 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
                         model: str = MODEL_RECYCLED) -> float:
     """TV between the spectral limiting distribution and a long average.
 
-    The running average is (1/T) sum_{t=1}^{T} p(., t) from direct
-    evolution (``evolve_accumulate``): products of the 4x4 Fourier
+    Both sides come from one walk description.  The running average is
+    (1/T) sum_{t=1}^{T} p(., t), the sum over the kernels' stream of
+    probabilities (``evolve_accumulate``): products of the 4x4 Fourier
     blocks on small cycles, site steps on large ones, and no
     eigendecomposition on either, so it stays independent of the
-    spectral path.  It converges to the limiting distribution like
-    1/T, so at T = 10^6 the two should agree to well under 1e-2 in TV.
+    spectral path.  It converges to the limiting distribution like 1/T,
+    so at T = 10^6 the two should agree to well under 1e-2 in TV.
     """
     init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
     if init.position != 0:
         raise ValueError("crosscheck requires a position-0 start")
     if t_horizon < 1:
         raise ValueError("t_horizon must be >= 1, got %d" % t_horizon)
-    state = WalkState.localized(d, init, model)
-    if model == MODEL_RECYCLED:
-        cfg = CoinConfig(phi)
-        pbar = spectral.limiting_distribution(cfg, d, init.coin4)
-        _, acc = evolve_accumulate(state, t_horizon, cfg)
-    else:
-        pbar = spectral.limiting_distribution_memory(d, init.coin4)
-        _, acc = evolve_accumulate(state, t_horizon)
+    amps = WalkState.localized(d, init, model).amplitudes
+    spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
+    cache = spectral._spectral_cache(spec, d, init, spectral.PHASE_TOL)
+    pbar = spectral._limiting(spec, d, init, cache, spectral.PHASE_TOL)
+    _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec.step, *spec.coin)
     return total_variation(pbar.probs, acc / t_horizon)

@@ -281,21 +281,17 @@ def _d_values(ns) -> list:
     if ns.d_range is not None:
         return parse_d_range(str(ns.d_range))
     if ns.d is not None:
-        if ns.d < 2:
-            raise UsageError("cycle size must be >= 2, got %d" % ns.d)
-        return [int(ns.d)]
+        return [_check_d(ns.d)]
     raise UsageError("missing required flag --d or --d-range")
 
 
-def _phi_values(ns, default=None) -> list:
+def _phi_values(ns) -> list:
     if ns.phi_grid is not None and getattr(ns, "phi", None) is not None:
         raise UsageError("give either --phi or --phi-grid, not both")
     if ns.phi_grid is not None:
         return parse_phi_grid(str(ns.phi_grid))
     if getattr(ns, "phi", None) is not None:
         return [float(ns.phi)]
-    if default is not None:
-        return list(default)
     raise UsageError("missing required flag --phi or --phi-grid")
 
 
@@ -314,6 +310,15 @@ def _jobs(ns) -> int:
     return int(jobs)
 
 
+def _coin_config(ns, config) -> CoinConfig | None:
+    """--phi for config's model, echoed into config; None for memory."""
+    if config["model"] == MODEL_MEMORY:
+        return None
+    cfg = CoinConfig(_need(ns, "phi", "--phi"))
+    config["phi"] = cfg.phi
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -326,11 +331,7 @@ def cmd_evolve(ns) -> int:
     init = _single_state(ns)
     config = {"command": "evolve", "model": model, "d": d,
               "state": _state_config(init), "t": t}
-    if model == MODEL_RECYCLED:
-        cfg = CoinConfig(_need(ns, "phi", "--phi"))
-        config["phi"] = cfg.phi
-    else:
-        cfg = None
+    cfg = _coin_config(ns, config)
     state = evolve(WalkState.localized(d, init, model), t, cfg)
     dist = position_distribution(state)
     rows = [(n, float(p)) for n, p in enumerate(dist.probs)]
@@ -346,14 +347,13 @@ def cmd_limiting(ns) -> int:
     init = _single_state(ns)
     config = {"command": "limiting", "model": model, "d": d,
               "state": _state_config(init)}
+    cfg = _coin_config(ns, config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", spectral.DegenerateClusterWarning)
-        if model == MODEL_RECYCLED:
-            cfg = CoinConfig(_need(ns, "phi", "--phi"))
-            config["phi"] = cfg.phi
-            dist = spectral.limiting_distribution(cfg, d, init.coin4)
-        else:
+        if cfg is None:
             dist = spectral.limiting_distribution_memory(d, init.coin4)
+        else:
+            dist = spectral.limiting_distribution(cfg, d, init.coin4)
     warned = False
     for w in caught:
         if issubclass(w.category, spectral.DegenerateClusterWarning):
@@ -412,12 +412,9 @@ def cmd_mixing(ns) -> int:
     init = _single_state(ns)
     config = {"command": "mixing", "model": model, "d": d,
               "state": _state_config(init), "t_max": t_max}
-    if model == MODEL_RECYCLED:
-        phi = CoinConfig(_need(ns, "phi", "--phi")).phi
-        config["phi"] = phi
-    else:
-        phi = None
-    curve = analysis.mixing_curve(d, phi, init, t_max, model=model)
+    cfg = _coin_config(ns, config)
+    curve = analysis.mixing_curve(d, None if cfg is None else cfg.phi, init,
+                                  t_max, model=model)
     rows = list(zip(curve.horizons, curve.sd))
     write_table(Table(schema="mixing.v1", config=config,
                       columns=("T", "sd"), rows=rows),
@@ -426,13 +423,10 @@ def cmd_mixing(ns) -> int:
 
 
 def _verify_cell(task):
-    check, d, phi, label, coin4, t_max, position = task
-    psi = np.asarray(coin4, dtype=np.complex128)
+    check, d, phi, _, coin4, t_max, position = task
     if check == "theorem1":
-        dev = analysis.theorem1_max_deviation(d, t_max, phi, psi, position)
-    else:
-        dev = analysis.theorem2_max_deviation(d, t_max, psi, position)
-    return dev
+        return analysis.theorem1_max_deviation(d, t_max, phi, coin4, position)
+    return analysis.theorem2_max_deviation(d, t_max, coin4, position)
 
 
 def cmd_verify(ns) -> int:
@@ -519,10 +513,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(ns)
         return _COMMANDS[ns.command](ns)
-    except UsageError as exc:
-        _diag("error: %s" % exc)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         _diag("error: %s" % exc)
         return 2
     except RuntimeError as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclewalk import (CoinConfig, Distribution, InitialState, WalkState,
-                       analysis, named_coin4, spectral)
+                       _kernels, analysis, named_coin4, spectral)
 from cyclewalk.analysis import (SweepGrid, classify_uniform, crosscheck_limiting,
                                 default_horizons, mixing_curve,
                                 residue_distance_curve, sweep,
@@ -14,12 +14,51 @@ from cyclewalk.analysis import (SweepGrid, classify_uniform, crosscheck_limiting
                                 total_variation, tv_from_uniform,
                                 verify_pbar_identities, verify_theorem1,
                                 verify_theorem2)
-from cyclewalk.walk import position_distribution, evolve
+from cyclewalk.walk import (apply_P_adjoint, apply_Q, evolve,
+                            position_distribution)
 
 
 def _rand_dist(rng, d):
     w = rng.random(d)
     return w / w.sum()
+
+
+def _recycled_rule(phi):
+    theta = CoinConfig(phi).theta
+    return (_kernels._step_recycled, math.cos(theta), math.sin(theta))
+
+
+MEMORY_RULE = (_kernels._step_memory,)
+
+# Cycles on both sides of the momentum/site crossover of the kernel scan.
+CHUNKED_D = (11, _kernels._FOURIER_SCAN_MAX_D + 1)
+
+
+def _localized(d, coin4):
+    return WalkState.localized(d, InitialState(0, coin4)).amplitudes
+
+
+def _stepped_max_gap(t_max, lhs, rhs):
+    """Worst |p_l - p_r| over t = 0..t_max, one kernel step at a time.
+
+    lhs and rhs are (amplitudes, rule) pairs; rule is the one-step rule
+    followed by its coin arguments.
+    """
+    (a, rule_a), (b, rule_b) = lhs, rhs
+    worst = 0.0
+    for t in range(t_max + 1):
+        if t:
+            a = _kernels.evolve(a, 1, *rule_a)
+            b = _kernels.evolve(b, 1, *rule_b)
+        gap = np.abs(np.sum(np.abs(a) ** 2, axis=1)
+                     - np.sum(np.abs(b) ** 2, axis=1)).max()
+        worst = max(worst, float(gap))
+    return worst
+
+
+def _chunk_t_max(d):
+    # Three steps into the second chunk of the scan.
+    return _kernels._scan_chunk_len(d) + 3
 
 
 class TestTotalVariation:
@@ -104,6 +143,37 @@ class TestTheorem1:
             assert dev < 1e-10
             assert abs(dev - base) < 1e-12
 
+    def test_negative_t_max_rejected(self):
+        # An empty range of steps would check nothing and pass.
+        with pytest.raises(ValueError, match="t_max"):
+            theorem1_max_deviation(5, -1, 0.5, named_coin4("psi_b"))
+
+    @pytest.mark.parametrize("d", CHUNKED_D)
+    def test_across_chunk_boundary(self, d):
+        phi, psi = 0.7, named_coin4("psi_d")
+        t_max = _chunk_t_max(d)
+        ref = _stepped_max_gap(
+            t_max, (_localized(d, psi), _recycled_rule(phi)),
+            (_localized(d, apply_Q(psi)), _recycled_rule(-(2.0 + phi))))
+        dev = theorem1_max_deviation(d, t_max, phi, psi)
+        assert dev < 1e-10
+        assert abs(dev - ref) < 1e-12
+
+    @pytest.mark.parametrize("d", CHUNKED_D)
+    def test_detects_missing_q(self, d, monkeypatch):
+        # Without Q the two sides are different walks: the streamed gap
+        # must be large and equal the one-step reference, time by time
+        # aligned across the chunk boundary.
+        phi, psi = 0.7, named_coin4("psi_d")
+        t_max = _chunk_t_max(d)
+        ref = _stepped_max_gap(
+            t_max, (_localized(d, psi), _recycled_rule(phi)),
+            (_localized(d, psi), _recycled_rule(-(2.0 + phi))))
+        monkeypatch.setattr(analysis, "apply_Q", np.array)
+        dev = theorem1_max_deviation(d, t_max, phi, psi)
+        assert dev > 1e-3
+        assert abs(dev - ref) < 1e-12
+
 
 class TestTheorem2:
     def test_step_zero_is_exact(self):
@@ -123,6 +193,33 @@ class TestTheorem2:
         for s in (0, 1, 2):
             assert theorem2_max_deviation(8, 20, named_coin4("psi_c"),
                                           position=s) < 1e-10
+
+    def test_negative_t_max_rejected(self):
+        with pytest.raises(ValueError, match="t_max"):
+            theorem2_max_deviation(5, -3, named_coin4("psi_b"))
+
+    @pytest.mark.parametrize("d", CHUNKED_D)
+    def test_across_chunk_boundary(self, d):
+        psi = named_coin4("psi_d")
+        t_max = _chunk_t_max(d)
+        ref = _stepped_max_gap(
+            t_max, (_localized(d, psi), _recycled_rule(2.0)),
+            (_localized(d, apply_P_adjoint(psi)), MEMORY_RULE))
+        dev = theorem2_max_deviation(d, t_max, psi)
+        assert dev < 1e-10
+        assert abs(dev - ref) < 1e-12
+
+    @pytest.mark.parametrize("d", CHUNKED_D)
+    def test_detects_missing_p_adjoint(self, d, monkeypatch):
+        psi = named_coin4("psi_d")
+        t_max = _chunk_t_max(d)
+        ref = _stepped_max_gap(
+            t_max, (_localized(d, psi), _recycled_rule(2.0)),
+            (_localized(d, psi), MEMORY_RULE))
+        monkeypatch.setattr(analysis, "apply_P_adjoint", np.array)
+        dev = theorem2_max_deviation(d, t_max, psi)
+        assert dev > 1e-3
+        assert abs(dev - ref) < 1e-12
 
 
 class TestPbarIdentities:
@@ -321,6 +418,34 @@ class TestMixing:
         assert curve.phi is None
         assert curve.sd[-1] < curve.sd[0]
 
+    @pytest.mark.parametrize("d, model, phi", [
+        (8, "recycled", 0.5), (8, "memory", None),
+        (_kernels._FOURIER_SCAN_MAX_D + 1, "recycled", 1.3)])
+    def test_matches_stepping_across_chunks(self, d, model, phi):
+        # Horizon T averages the states t = 0..T-1; the stream's first
+        # chunk after the start holds t = 1..c, so T = c + 1 ends on a
+        # chunk boundary.
+        c = _kernels._scan_chunk_len(d)
+        horizons = (1, c, c + 1, c + 2, 2 * c + 2)
+        psi = InitialState.named("psi_b")
+        curve = mixing_curve(d, phi, psi, horizons[-1], horizons=horizons,
+                             model=model)
+        cfg = None if phi is None else CoinConfig(phi)
+        state = WalkState.localized(d, psi, model)
+        total = np.zeros(d)
+        ref = []
+        for t in range(horizons[-1]):
+            total += position_distribution(state).probs
+            if t + 1 in horizons:
+                ref.append(0.5 * np.abs(total / (t + 1) - 1.0 / d).sum())
+            state = evolve(state, 1, cfg)
+        assert curve.horizons == horizons
+        assert np.abs(np.array(curve.sd) - ref).max() < 1e-12
+
+    def test_recycled_needs_phi(self):
+        with pytest.raises(ValueError, match="CoinConfig"):
+            mixing_curve(5, None, InitialState.named("psi_a"), 8)
+
 
 class TestCrosscheck:
     def test_t_one_is_definitional(self):
@@ -351,3 +476,7 @@ class TestCrosscheck:
             crosscheck_limiting(5, 0.0, psi, 0)
         with pytest.raises(ValueError, match="position-0"):
             crosscheck_limiting(5, 0.0, InitialState.named("psi_a", position=1), 4)
+
+    def test_recycled_needs_phi(self):
+        with pytest.raises(ValueError, match="CoinConfig"):
+            crosscheck_limiting(5, None, InitialState.named("psi_a"), 8)

@@ -187,6 +187,16 @@ class TestEvolveCommand:
         assert code == 2
         assert "--phi" in err
 
+    @pytest.mark.parametrize("args", [("evolve", "--t", "3"), ("limiting",),
+                                      ("mixing", "--t-max", "8")])
+    def test_phi_needed_by_recycled_model_only(self, args):
+        # One model -> phi rule serves all three one-walk commands.
+        code, _, err = run_cli(*args, "--d", "4", "--model", "recycled")
+        assert code == 2
+        assert "--phi" in err
+        code, _, _ = run_cli(*args, "--d", "4", "--model", "memory")
+        assert code == 0
+
     def test_bad_d(self):
         code, _, err = run_cli("evolve", "--d", "1", "--phi", "0", "--t", "1")
         assert code == 2

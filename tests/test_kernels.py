@@ -51,6 +51,9 @@ class TestKernelSemantics:
         _kernels.evolve(a, 10, *MEMORY)
         _kernels.evolve_accumulate(a, 10, *RECYCLED)
         _kernels.normscan(a, 10, *MEMORY)
+        # The scan inverts its own buffer in place, never the input.
+        for chunk in _kernels._scan(a, 10, *RECYCLED):
+            assert not np.shares_memory(chunk, a)
         assert np.array_equal(a, before)
 
     def test_normscan_tracks_norm(self, rng):
