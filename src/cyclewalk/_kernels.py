@@ -111,8 +111,9 @@ def _fourier_blocks(d, step, *coin):
     return x * a_plus + x.conj() * a_minus
 
 
-# Amplitudes held by one chunk of states in the scan; it bounds
-# the scan's memory independently of the step count.
+# Amplitudes held by one chunk of states in the scan, and by one batch
+# of cluster transforms in the spectral limit; it bounds their memory
+# independently of the step count and of the number of clusters.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site

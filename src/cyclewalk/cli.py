@@ -518,8 +518,8 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         # A numerical check failed (lost unitarity, an eigenvalue off
-        # the unit circle, an imaginary residue) or a worker process died
-        # (BrokenProcessPool is a RuntimeError).
+        # the unit circle) or a worker process died (BrokenProcessPool
+        # is a RuntimeError).
         _diag("error: %s" % exc)
         return 1
 

@@ -15,20 +15,16 @@ inverse FFT over k takes them to the sites, and p(n, t) is the squared
 norm of the coin vector at site n.
 
 Time-averaging kills every pair of eigenvectors whose eigenvalues
-differ and keeps the rest, so the limiting (Cesaro) distribution sums
-conj(alpha) alpha <phi|phi> over pairs with equal eigenvalues, in
-blocks k and m, into the Fourier coefficient z[m - k]; one inverse FFT
-of z gives the distribution.  Equality is decided by clustering the 4d
-eigenvalue phases with an absolute tolerance; clusters whose internal
-or neighboring gaps sit near the tolerance are reported via
+differ and keeps the rest (the Cesaro limit of Aharonov, Ambainis,
+Kempe and Vazirani), so the limiting distribution is a sum over
+clusters C of equal eigenvalues of squared norms, with x as above,
+p(n) = (1/d^2) sum_C || sum_{(k,j) in C} alpha_j(k) phi_j(k) x^n ||^2.
+A lone eigenvalue adds the constant |alpha|^2 / d^2; a cluster of two
+or more takes one inverse FFT over k of its scattered amplitudes.
+Equality is decided by clustering the 4d eigenvalue phases with an
+absolute tolerance; gaps near the tolerance are reported via
 DegenerateClusterWarning because the pair selection is then ambiguous.
-
-Pair enumeration is organized per cluster.  The diagonal pairs (every
-eigenvalue matches itself) contribute exactly the uniform distribution,
-so they are accumulated in one vectorized pass and only clusters of
-size >= 2 are walked for cross terms.  A naive full double loop over
-all (4d)^2 pairs must produce identical results; the test suite holds
-the two routes together.
+The test suite holds this against a full double loop over all pairs.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .walk import (CoinConfig, Distribution, InitialState, MODEL_MEMORY,
 PHASE_TOL = 1e-9
 
 _UNITARITY_TOL = 1e-10
-_IMAG_TOL = 1e-8
 
 
 class DegenerateClusterWarning(UserWarning):
@@ -95,33 +90,35 @@ def build_Nk(k: int, d: int) -> FourierBlock:
 # Eigensystems
 
 def _phase_clusters(phases: np.ndarray, tol: float):
-    """Group indices whose phases agree within tol.
+    """Label the phases that agree within tol, along the last axis.
 
-    Phases live on (-pi, pi]; sorting plus gap splitting handles the
-    interior and the first/last clusters are merged when they meet
-    across the branch cut.  Returns (clusters, ambiguous_gaps) where
-    ambiguous_gaps lists gap sizes within a decade of tol on either
-    side; such gaps make the equal/not-equal call unreliable.
+    Phases live on (-pi, pi]: sort, split where a gap exceeds tol, and
+    give the last cluster the first one's label when the two meet
+    across the branch cut.  Returns (labels, gaps): labels[..., i] names
+    the cluster of phases[..., i]; gaps holds the gaps between sorted
+    neighbours, then the gap across the cut.
     """
-    order = np.argsort(phases, kind="stable")
-    sp = phases[order]
-    gaps = np.diff(sp)
-    clusters = np.split(order, np.nonzero(gaps > tol)[0] + 1)
-    wrap_gap = 2.0 * np.pi - (sp[-1] - sp[0]) if len(sp) > 1 else np.inf
-    if len(clusters) > 1 and wrap_gap <= tol:
-        clusters[0] = np.concatenate([clusters[-1], clusters[0]])
-        clusters.pop()
-    all_gaps = np.append(gaps, wrap_gap)
-    band = (all_gaps >= 0.1 * tol) & (all_gaps <= 10.0 * tol)
-    return clusters, sorted(all_gaps[band].tolist())
+    order = np.argsort(phases, axis=-1, kind="stable")
+    sp = np.take_along_axis(phases, order, axis=-1)
+    wrap = 2.0 * np.pi - (sp[..., -1:] - sp[..., :1])
+    gaps = np.concatenate([np.diff(sp, axis=-1), wrap], axis=-1)
+    split = gaps > tol
+    sorted_labels = np.cumsum(split, axis=-1) - split
+    last = sorted_labels[..., -1:]
+    sorted_labels[(wrap <= tol) & (sorted_labels == last)] = 0
+    labels = np.empty_like(sorted_labels)
+    np.put_along_axis(labels, order, sorted_labels, axis=-1)
+    return labels, gaps
 
 
 def _warn_ambiguous(gaps, tol, context, stacklevel=3):
-    if gaps:
+    # Gaps within a decade of tol make the equal/not-equal call unreliable.
+    near = gaps[(gaps >= 0.1 * tol) & (gaps <= 10.0 * tol)]
+    if near.size:
         warnings.warn(
             "%s: %d eigenvalue phase gap(s) within a decade of the matching "
             "tolerance %g (smallest %.3g); equal-eigenvalue pairing may be "
-            "ambiguous" % (context, len(gaps), tol, gaps[0]),
+            "ambiguous" % (context, near.size, tol, near.min()),
             DegenerateClusterWarning, stacklevel=stacklevel)
 
 
@@ -136,19 +133,20 @@ def _diagonalize(mats: np.ndarray, tol: float, ks):
 
     vecs[b][:, j] belongs to lams[b, j]; ks labels the blocks in
     warnings.  eig does not orthogonalize within degenerate subspaces,
-    and the pair sums assume <phi_j|phi_l> = delta_jl inside a block,
-    so each equal-phase group is replaced by a QR basis.  Raises
+    and the projections alpha_j phi_j assume <phi_j|phi_l> = delta_jl
+    inside a block, so each equal-phase group gets a QR basis.  Raises
     RuntimeError when an eigenvalue leaves the unit circle.
     """
     lams, vecs = np.linalg.eig(mats)
-    for k, lam, vec in zip(ks, lams, vecs):
-        clusters, ambiguous = _phase_clusters(np.angle(lam), tol)
-        for cl in clusters:
-            if cl.size > 1:
-                vec[:, cl] = np.linalg.qr(vec[:, cl])[0]
+    labels, gaps = _phase_clusters(np.angle(lams), tol)
+    # Only a block with a gap near or below tol has a cluster or warns.
+    for b in np.flatnonzero((gaps <= 10.0 * tol).any(axis=-1)):
+        for cl in (labels[b] == c for c in range(4)):
+            if cl.sum() > 1:
+                vecs[b][:, cl] = np.linalg.qr(vecs[b][:, cl])[0]
         # Skip _diagonalize and its caller: the warning points at the
         # line that called eigensystem, or at the spectral_cache wrapper.
-        _warn_ambiguous(ambiguous, tol, "block k=%d" % k, stacklevel=4)
+        _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel=4)
     moddev = np.abs(np.abs(lams) - 1.0).max()
     if moddev > _UNITARITY_TOL:
         raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
@@ -302,30 +300,31 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
 
 def _limiting_probs(cache: SpectralCache, tol: float) -> np.ndarray:
     d = cache.d
-    z = np.zeros(d, dtype=np.complex128)
-    # Every eigenvalue matches itself; these diagonal pairs sum to the
-    # uniform distribution (sum_K |alpha_K|^2 = d by completeness).
-    z[0] = np.sum(np.abs(cache.alphas) ** 2)
-    clusters, ambiguous = _phase_clusters(
-        np.angle(cache.eigenvalues.reshape(-1)), tol)
-    _warn_ambiguous(ambiguous, tol, "d=%d limiting distribution" % d)
-    for cl in clusters:
-        if cl.size < 2:
-            continue
-        # Flat index K = 4k + j is eigenvector j of block k.
-        k, j = divmod(cl, 4)
-        v = cache.eigenvectors[k, :, j]
-        a = cache.alphas[k, j]
-        w = (a.conj()[:, None] * a[None, :]) * (v.conj() @ v.T)
-        np.fill_diagonal(w, 0.0)
-        np.add.at(z, (k[None, :] - k[:, None]) % d, w)
-    # p(n) = (1/d^2) sum_c z[c] e^{2 pi i n c / d}
-    vals = np.fft.ifft(z) / d
-    imag = np.abs(vals.imag).max()
-    if imag > _IMAG_TOL:
-        raise RuntimeError("probability reconstruction left the real axis "
-                           "by %.3g" % imag)
-    return np.clip(vals.real, 0.0, None)
+    labels, gaps = _phase_clusters(np.angle(cache.eigenvalues.reshape(-1)),
+                                   tol)
+    _warn_ambiguous(gaps, tol, "d=%d limiting distribution" % d)
+    alphas = cache.alphas.reshape(-1)
+    shared = np.bincount(labels)[labels] > 1
+    # A lone eigenvalue adds the constant |alpha|^2 / d^2.
+    probs = np.full(d, np.sum(np.abs(alphas[~shared]) ** 2) / d ** 2)
+    # Flat index K = 4k + j is eigenvector j of block k; the members of
+    # each shared cluster are numbered cid = 0, 1, ... in turn.
+    members = np.flatnonzero(shared)
+    members = members[np.argsort(labels[members], kind="stable")]
+    clusters, cid = np.unique(labels[members], return_inverse=True)
+    k, j = divmod(members, 4)
+    amps = cache.eigenvectors[k, :, j] * alphas[members, None]
+    per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
+    for lo in range(0, clusters.size, per):
+        a, b = np.searchsorted(cid, (lo, lo + per))
+        # Column c sums a cluster's alpha phi over its blocks k; one
+        # inverse FFT over k gives p_C(n) = |ifft|^2 summed over coins.
+        buf = np.zeros((d, min(per, clusters.size - lo), 4),
+                       dtype=np.complex128)
+        np.add.at(buf, (k[a:b], cid[a:b] - lo), amps[a:b])
+        np.fft.ifft(buf, axis=0, out=buf)
+        probs += _kernels._probs(buf, "n")
+    return probs
 
 
 def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache,

@@ -7,7 +7,7 @@ import pytest
 
 from cyclewalk import (CoinConfig, InitialState, WalkState,
                        DegenerateClusterWarning, MODEL_MEMORY,
-                       apply_P_adjoint, apply_Q, build_Mk, build_Nk,
+                       apply_P, apply_P_adjoint, apply_Q, build_Mk, build_Nk,
                        cache_with_state,
                        closed_form_distribution, closed_form_probability,
                        eigensystem, eigenvalue_multiset_distance, evolve,
@@ -15,6 +15,9 @@ from cyclewalk import (CoinConfig, InitialState, WalkState,
                        memory_spectrum_mismatch, named_coin4,
                        position_distribution, spectral_cache,
                        spectral_cache_memory, total_variation)
+
+from cyclewalk import spectral
+from cyclewalk.spectral import PHASE_TOL
 
 import oracles
 
@@ -115,6 +118,25 @@ class TestEigensystem:
         with pytest.warns(DegenerateClusterWarning):
             eigensystem(mat)
 
+    def test_warning_points_at_caller(self):
+        mat = np.diag([1.0, np.exp(5e-10j), 1j, -1j])
+        with pytest.warns(DegenerateClusterWarning) as rec:
+            eigensystem(mat)
+        assert [w.filename for w in rec] == [__file__]
+
+    def test_stack_warns_for_its_one_ambiguous_block(self):
+        phases = np.array([[0.0, 1.0, 2.0, 3.0]] * 5)
+        phases[2, 1] = 5e-10
+        mats = np.stack([np.diag(np.exp(1j * row)) for row in phases])
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            lams, vecs = spectral._diagonalize(mats, PHASE_TOL, range(5))
+        assert len(rec) == 1
+        assert rec[0].category is DegenerateClusterWarning
+        assert "block k=2" in str(rec[0].message)
+        gram = vecs.conj().swapaxes(1, 2) @ vecs
+        assert np.abs(gram - np.eye(4)).max() < 1e-12
+
     @pytest.mark.parametrize("d,phi", [(5, 0.0), (9, 1.0), (12, 2.0),
                                        (11, 3.3)])
     def test_q_symmetry_of_spectra(self, d, phi):
@@ -127,6 +149,34 @@ class TestEigensystem:
             lam_a = np.linalg.eigvals(build_Mk(k, d, cfg).matrix)
             lam_b = np.linalg.eigvals(build_Mk(k, d, cfg_neg).matrix)
             assert eigenvalue_multiset_distance(lam_a, lam_b) < 1e-9
+
+
+class TestPhaseClusters:
+    CUT = [np.pi - 2e-10, 0.5, -np.pi + 2e-10, -1.0]
+
+    def test_merge_across_branch_cut(self):
+        labels, _ = spectral._phase_clusters(np.array(self.CUT), PHASE_TOL)
+        assert labels[0] == labels[2]
+        assert len({labels[0], labels[1], labels[3]}) == 3
+
+    def test_stack_rows_cluster_independently(self):
+        rows = np.array([[0.1, 0.2, 0.3, 0.4], self.CUT,
+                         [1.0, -2.0, 1.0 + 5e-10, 2.0]])
+        labels, gaps = spectral._phase_clusters(rows, PHASE_TOL)
+        assert labels.shape == gaps.shape == (3, 4)
+        assert len(set(labels[0])) == 4
+        assert labels[1, 0] == labels[1, 2]
+        assert len(set(labels[1])) == 3
+        assert labels[2, 0] == labels[2, 2]
+        assert len(set(labels[2])) == 3
+        for row, want in zip(rows, labels):
+            assert np.array_equal(spectral._phase_clusters(row, PHASE_TOL)[0],
+                                  want)
+
+    def test_row_within_tol_is_one_cluster(self):
+        row = 0.3 + np.array([0.0, 2e-10, -3e-10, 5e-10])
+        labels, _ = spectral._phase_clusters(row, PHASE_TOL)
+        assert len(set(labels)) == 1
 
 
 class TestSpectralCache:
@@ -247,8 +297,10 @@ class TestLimiting:
         with pytest.raises(ValueError, match="position 0"):
             limiting_distribution(CoinConfig(0.0), 5, init)
 
+    # At d = 16, phi = 3 a cluster holds two eigenvectors of one block.
     @pytest.mark.parametrize("d,phi", [(5, 0.5), (5, 0.0), (8, 2.0),
-                                       (12, 1.0), (7, 3.3), (12, 6.0)])
+                                       (12, 1.0), (7, 3.3), (12, 6.0),
+                                       (16, 3.0)])
     @pytest.mark.parametrize("name", ["psi_a", "psi_c"])
     def test_matches_naive_double_loop(self, d, phi, name):
         psi = named_coin4(name)
@@ -268,21 +320,31 @@ class TestLimiting:
         dist = limiting_distribution(CoinConfig(2.719), 9, psi)
         assert total_variation(dist.probs, np.full(9, 1 / 9)) < 1e-6
 
-    def test_large_d_peak_memory(self):
-        # phi = 0.5 has no flat band, so every equal-phase cluster is
-        # small and nothing may grow as d^2: one complex (d x d) matrix
-        # at d = 10^4 alone would take 1.6 GB.
-        d, phi, psi = 10_000, 0.5, named_coin4("psi_b")
+    @pytest.mark.parametrize("d,phi", [(10_000, 0.5), (4096, 0.0),
+                                       (4096, None)])
+    def test_large_d_peak_memory(self, d, phi):
+        # Nothing may grow as d^2: one complex (d x d) matrix at d = 10^4
+        # alone would take 1.6 GB.  phi = 0.5 has only small equal-phase
+        # clusters; phi = 0 and the memory walk (phi = None) have flat
+        # bands, two clusters of d eigenvectors each.
+        psi = named_coin4("psi_b")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateClusterWarning)
             tracemalloc.start()
             try:
-                got = limiting_distribution(CoinConfig(phi), d, psi)
+                if phi is None:
+                    got = limiting_distribution_memory(d, psi)
+                else:
+                    got = limiting_distribution(CoinConfig(phi), d, psi)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            partner = limiting_distribution(CoinConfig(-(2.0 + phi)), d,
-                                            apply_Q(psi))
+            if phi is None:
+                partner = limiting_distribution(CoinConfig(2.0), d,
+                                                apply_P(psi))
+            else:
+                partner = limiting_distribution(CoinConfig(-(2.0 + phi)), d,
+                                                apply_Q(psi))
         assert peak < 64 * 2 ** 20
         assert np.abs(got.probs - partner.probs).max() < 1e-10
 
