@@ -15,7 +15,7 @@ from .walk import (CoinConfig, Distribution, InitialState, WalkState,
                    position_distribution, step_memory, step_recycled)
 from .spectral import (DegenerateClusterWarning, EigenSystem, FourierBlock,
                        SpectralCache, build_Mk, build_Nk,
-                       cache_with_state, closed_form_distribution,
+                       closed_form_distribution,
                        closed_form_probability, eigensystem,
                        eigenvalue_multiset_distance, limiting_distribution,
                        limiting_distribution_memory, memory_spectrum_mismatch,
@@ -35,8 +35,7 @@ __all__ = [
     "named_coin4", "norm_drift_scan", "position_distribution",
     "step_memory", "step_recycled",
     "DegenerateClusterWarning", "EigenSystem", "FourierBlock",
-    "SpectralCache", "build_Mk", "build_Nk",
-    "cache_with_state", "closed_form_distribution",
+    "SpectralCache", "build_Mk", "build_Nk", "closed_form_distribution",
     "closed_form_probability", "eigensystem",
     "eigenvalue_multiset_distance", "limiting_distribution",
     "limiting_distribution_memory", "memory_spectrum_mismatch",

@@ -229,18 +229,15 @@ def _sweep_cell_group(task):
     d, phi, state_items, epsilon, tol, keep_probs = task
     cfg = CoinConfig(phi)
     rows = []
-    base_cache = None
+    cache = None
     for label, coin4 in state_items:
         psi0 = np.asarray(coin4, dtype=np.complex128)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always",
                                       spectral.DegenerateClusterWarning)
-                if base_cache is None:
-                    base_cache = spectral.spectral_cache(d, cfg, psi0, tol)
-                    cache = base_cache
-                else:
-                    cache = spectral.cache_with_state(base_cache, psi0)
+                if cache is None:
+                    cache = spectral.spectral_cache(d, cfg, tol=tol)
                 dist = spectral.limiting_distribution(cfg, d, psi0,
                                                       cache=cache, tol=tol)
             warned = any(issubclass(w.category,
@@ -387,7 +384,6 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
         raise ValueError("t_horizon must be >= 1, got %d" % t_horizon)
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
-    cache = spectral._spectral_cache(spec, d, init, spectral.PHASE_TOL)
-    pbar = spectral._limiting(spec, d, init, cache, spectral.PHASE_TOL)
+    pbar = spectral._limiting(spec, d, init, None, spectral.PHASE_TOL)
     _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec.step, *spec.coin)
     return total_variation(pbar.probs, acc / t_horizon)

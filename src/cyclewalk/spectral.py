@@ -25,6 +25,11 @@ Equality is decided by clustering the 4d eigenvalue phases with an
 absolute tolerance; gaps near the tolerance are reported via
 DegenerateClusterWarning because the pair selection is then ambiguous.
 The test suite holds this against a full double loop over all pairs.
+
+A SpectralCache holds what depends only on the walk, the cycle and the
+tolerance: the block eigensystems and the clustering of their phases.
+The start state enters only through alpha, so one cache serves every
+state and every time step.
 """
 
 from __future__ import annotations
@@ -122,10 +127,11 @@ def _warn_ambiguous(gaps, tol, context, stacklevel=3):
             DegenerateClusterWarning, stacklevel=stacklevel)
 
 
-def _unitarity_deviation(mats: np.ndarray) -> float:
-    """Largest entry of |U^dag U - 1| over a stack of 4x4 blocks."""
+def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
+    """Largest entry of |U^dag U - 1| per 4x4 block of a stack."""
     utu = np.einsum("...ji,...jl->...il", mats.conj(), mats)
-    return float(np.abs(utu - np.eye(4)).max())
+    utu -= np.eye(4)
+    return np.abs(utu).max(axis=(-2, -1))
 
 
 def _diagonalize(mats: np.ndarray, tol: float, ks):
@@ -133,19 +139,21 @@ def _diagonalize(mats: np.ndarray, tol: float, ks):
 
     vecs[b][:, j] belongs to lams[b, j]; ks labels the blocks in
     warnings.  eig does not orthogonalize within degenerate subspaces,
-    and the projections alpha_j phi_j assume <phi_j|phi_l> = delta_jl
-    inside a block, so each equal-phase group gets a QR basis.  Raises
+    and returns nearly parallel vectors for phases just apart, while
+    the projections alpha_j phi_j assume <phi_j|phi_l> = delta_jl
+    inside a block.  So every block whose eigenvectors are not
+    orthonormal gets a QR basis, in one batched call.  Raises
     RuntimeError when an eigenvalue leaves the unit circle.
     """
     lams, vecs = np.linalg.eig(mats)
-    labels, gaps = _phase_clusters(np.angle(lams), tol)
-    # Only a block with a gap near or below tol has a cluster or warns.
+    skew = _unitarity_deviation(vecs) > _UNITARITY_TOL
+    if skew.any():
+        vecs[skew] = np.linalg.qr(vecs[skew])[0]
+    gaps = _phase_clusters(np.angle(lams), tol)[1]
     for b in np.flatnonzero((gaps <= 10.0 * tol).any(axis=-1)):
-        for cl in (labels[b] == c for c in range(4)):
-            if cl.sum() > 1:
-                vecs[b][:, cl] = np.linalg.qr(vecs[b][:, cl])[0]
         # Skip _diagonalize and its caller: the warning points at the
-        # line that called eigensystem, or at the spectral_cache wrapper.
+        # line that called eigensystem, or at the function that asked
+        # for the cache.
         _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel=4)
     moddev = np.abs(np.abs(lams) - 1.0).max()
     if moddev > _UNITARITY_TOL:
@@ -191,19 +199,22 @@ def eigensystem(block, tol: float = PHASE_TOL) -> EigenSystem:
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Eigensystems of all d blocks plus overlaps with one start state.
+    """Spectrum of one walk on one d-cycle, clustered at one tolerance.
 
     eigenvalues has shape (d, 4); eigenvectors (d, 4, 4) with vectors
-    in columns; alphas[k, j] = <phi_j(k)|psi>.  theta is None for the
-    memory walk.
+    in columns.  labels and gaps are the equal-phase clustering of the
+    4d eigenphases at tol, flattened as K = 4k + j (see
+    _phase_clusters).  theta is None for the memory walk.  The cache
+    holds no start state: every consumer takes one.
     """
 
     d: int
     theta: float | None
-    coin4: np.ndarray = field(repr=False)
+    tol: float
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    alphas: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+    gaps: np.ndarray = field(repr=False)
 
 
 def _coin4_or_initial(psi) -> np.ndarray:
@@ -217,51 +228,42 @@ def _coin4_or_initial(psi) -> np.ndarray:
     return _as_coin4(psi)
 
 
-def _spectral_cache(spec: _WalkSpec, d: int, psi,
-                    tol: float) -> SpectralCache:
+def _alphas(cache: SpectralCache, psi) -> np.ndarray:
+    """Overlaps alphas[k, j] = <phi_j(k)|psi> of a position-0 start."""
+    return np.einsum("kij,i->kj", cache.eigenvectors.conj(),
+                     _coin4_or_initial(psi))
+
+
+def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
     if d < 2:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
-    psi0 = _coin4_or_initial(psi)
     mats = _block_stack(spec, d)
-    dev = _unitarity_deviation(mats)
+    dev = _unitarity_deviation(mats).max()
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
     lams, vecs = _diagonalize(mats, tol, range(d))
-    alphas = np.einsum("kij,i->kj", vecs.conj(), psi0)
-    return SpectralCache(d=d, theta=spec.theta, coin4=psi0.copy(),
-                         eigenvalues=lams, eigenvectors=vecs, alphas=alphas)
+    labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), tol)
+    return SpectralCache(d=d, theta=spec.theta, tol=tol, eigenvalues=lams,
+                         eigenvectors=vecs, labels=labels, gaps=gaps)
 
 
-def spectral_cache(d: int, cfg: CoinConfig, psi,
+def spectral_cache(d: int, cfg: CoinConfig, *,
                    tol: float = PHASE_TOL) -> SpectralCache:
-    """Diagonalize all recycled-coin blocks for one (d, phi, start) cell."""
-    return _spectral_cache(_walk_spec(MODEL_RECYCLED, cfg), d, psi, tol)
+    """Diagonalize all recycled-coin blocks for one (d, phi) cell."""
+    return _spectral_cache(_walk_spec(MODEL_RECYCLED, cfg), d, tol)
 
 
-def spectral_cache_memory(d: int, psi,
-                          tol: float = PHASE_TOL) -> SpectralCache:
+def spectral_cache_memory(d: int, *, tol: float = PHASE_TOL) -> SpectralCache:
     """Memory-walk analogue of spectral_cache."""
-    return _spectral_cache(_walk_spec(MODEL_MEMORY), d, psi, tol)
+    return _spectral_cache(_walk_spec(MODEL_MEMORY), d, tol)
 
 
-def cache_with_state(cache: SpectralCache, psi) -> SpectralCache:
-    """Rebind a cache to a new start coin, reusing the diagonalization."""
-    psi0 = _coin4_or_initial(psi)
-    alphas = np.einsum("kij,i->kj", cache.eigenvectors.conj(), psi0)
-    return SpectralCache(d=cache.d, theta=cache.theta, coin4=psi0.copy(),
-                         eigenvalues=cache.eigenvalues,
-                         eigenvectors=cache.eigenvectors, alphas=alphas)
-
-
-def _cache_matches(cache: SpectralCache, d: int, theta: float | None,
-                   psi0: np.ndarray):
+def _cache_matches(cache: SpectralCache, d: int, theta: float | None):
     if cache.d != d:
         raise ValueError("cache built for d=%d, asked for d=%d" % (cache.d, d))
     if (cache.theta is None) != (theta is None) or (
             theta is not None and abs(cache.theta - theta) > 1e-15):
         raise ValueError("cache built for a different coin angle")
-    if not np.allclose(cache.coin4, psi0, atol=1e-12, rtol=0.0):
-        raise ValueError("cache built for a different initial coin state")
 
 
 def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
@@ -270,20 +272,19 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
 
     Each block's momentum amplitude is V_k diag(lam_k^t) alpha_k; one
     inverse FFT over k gives the site amplitudes.  Pass d, or a cache
-    from spectral_cache to amortize diagonalization over many t.  The
-    start must be localized at position 0.
+    from spectral_cache to amortize diagonalization over many t and
+    states.  The start must be localized at position 0.
     """
     if t < 0:
         raise ValueError("time step must be >= 0, got %d" % t)
-    psi0 = _coin4_or_initial(psi)
     if cache is None:
         if d is None:
             raise ValueError("need either d or a SpectralCache")
-        cache = spectral_cache(d, cfg, psi0)
+        cache = spectral_cache(d, cfg)
     else:
-        _cache_matches(cache, cache.d if d is None else d, cfg.theta, psi0)
+        _cache_matches(cache, cache.d if d is None else d, cfg.theta)
     amps = np.einsum("kij,kj->ki", cache.eigenvectors,
-                     cache.eigenvalues ** t * cache.alphas)
+                     cache.eigenvalues ** t * _alphas(cache, psi))
     sites = np.fft.ifft(amps, axis=0)
     return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 
@@ -298,12 +299,10 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
     return float(dist.probs[n])
 
 
-def _limiting_probs(cache: SpectralCache, tol: float) -> np.ndarray:
-    d = cache.d
-    labels, gaps = _phase_clusters(np.angle(cache.eigenvalues.reshape(-1)),
-                                   tol)
-    _warn_ambiguous(gaps, tol, "d=%d limiting distribution" % d)
-    alphas = cache.alphas.reshape(-1)
+def _limiting_probs(cache: SpectralCache, psi) -> np.ndarray:
+    d, labels = cache.d, cache.labels
+    alphas = _alphas(cache, psi).reshape(-1)
+    _warn_ambiguous(cache.gaps, cache.tol, "d=%d limiting distribution" % d)
     shared = np.bincount(labels)[labels] > 1
     # A lone eigenvalue adds the constant |alpha|^2 / d^2.
     probs = np.full(d, np.sum(np.abs(alphas[~shared]) ** 2) / d ** 2)
@@ -327,10 +326,16 @@ def _limiting_probs(cache: SpectralCache, tol: float) -> np.ndarray:
     return probs
 
 
-def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache,
+def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache | None,
               tol: float) -> Distribution:
-    _cache_matches(cache, d, spec.theta, _coin4_or_initial(psi))
-    return Distribution(d=d, probs=_limiting_probs(cache, tol))
+    if cache is None:
+        cache = _spectral_cache(spec, d, tol)
+    else:
+        _cache_matches(cache, d, spec.theta)
+        if cache.tol != tol:
+            raise ValueError("cache clustered at tol=%g, asked for tol=%g"
+                             % (cache.tol, tol))
+    return Distribution(d=d, probs=_limiting_probs(cache, psi))
 
 
 def limiting_distribution(cfg: CoinConfig, d: int, psi,
@@ -339,10 +344,9 @@ def limiting_distribution(cfg: CoinConfig, d: int, psi,
     """Time-averaged (Cesaro) distribution of the recycled-coin walk.
 
     Keeps exactly the pairs with equal eigenvalues, as decided by phase
-    clustering at tol.  Start must be localized at position 0.
+    clustering at tol; a given cache must have been built at the same
+    tol.  Start must be localized at position 0.
     """
-    if cache is None:
-        cache = spectral_cache(d, cfg, psi, tol)
     return _limiting(_walk_spec(MODEL_RECYCLED, cfg), d, psi, cache, tol)
 
 
@@ -350,8 +354,6 @@ def limiting_distribution_memory(d: int, psi,
                                  cache: SpectralCache | None = None,
                                  tol: float = PHASE_TOL) -> Distribution:
     """Time-averaged distribution of the memory walk."""
-    if cache is None:
-        cache = spectral_cache_memory(d, psi, tol)
     return _limiting(_walk_spec(MODEL_MEMORY), d, psi, cache, tol)
 
 

@@ -86,7 +86,7 @@ def test_c02_closed_form_matches_stepping(report):
             cfg = CoinConfig(phi)
             for name in STATE_NAMES:
                 psi = named_coin4(name)
-                cache = spectral.spectral_cache(d, cfg, psi)
+                cache = spectral.spectral_cache(d, cfg)
                 state = WalkState.localized(d, InitialState(0, psi))
                 for t in range(101):
                     if t:

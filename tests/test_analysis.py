@@ -345,10 +345,10 @@ class TestSweep:
     def test_cell_errors_are_isolated(self, monkeypatch):
         real = spectral.spectral_cache
 
-        def flaky(d, cfg, psi, tol=spectral.PHASE_TOL):
+        def flaky(d, cfg, *, tol=spectral.PHASE_TOL):
             if d == 7:
                 raise RuntimeError("injected failure")
-            return real(d, cfg, psi, tol)
+            return real(d, cfg, tol=tol)
 
         monkeypatch.setattr(analysis.spectral, "spectral_cache", flaky)
         grid = SweepGrid.named((6, 7, 8), (0.5,), ("psi_a",))

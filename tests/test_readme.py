@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs, in a fresh namespace."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                    flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_block_runs(index):
+    exec(compile(BLOCKS[index], "README.md block %d" % index, "exec"), {})

@@ -7,9 +7,8 @@ import pytest
 
 from cyclewalk import (CoinConfig, InitialState, WalkState,
                        DegenerateClusterWarning, MODEL_MEMORY,
-                       apply_P, apply_P_adjoint, apply_Q, build_Mk, build_Nk,
-                       cache_with_state,
-                       closed_form_distribution, closed_form_probability,
+                       STATE_NAMES, apply_P, apply_P_adjoint, apply_Q,
+                       build_Mk, build_Nk, closed_form_distribution, closed_form_probability,
                        eigensystem, eigenvalue_multiset_distance, evolve,
                        limiting_distribution, limiting_distribution_memory,
                        memory_spectrum_mismatch, named_coin4,
@@ -182,33 +181,43 @@ class TestPhaseClusters:
 class TestSpectralCache:
     def test_completeness_and_alpha_recompute(self, random_coin4):
         psi = random_coin4()
-        cache = spectral_cache(9, CoinConfig(0.7), psi)
-        weights = np.sum(np.abs(cache.alphas) ** 2, axis=1)
+        cache = spectral_cache(9, CoinConfig(0.7))
+        alphas = spectral._alphas(cache, psi)
+        weights = np.sum(np.abs(alphas) ** 2, axis=1)
         assert np.allclose(weights, 1.0, atol=1e-12)
         for k in (0, 4, 8):
             for j in range(4):
                 alpha = cache.eigenvectors[k][:, j].conj() @ psi
-                assert abs(alpha - cache.alphas[k, j]) < 1e-12
+                assert abs(alpha - alphas[k, j]) < 1e-12
 
-    def test_cache_with_state_matches_fresh(self):
-        cfg = CoinConfig(1.0)
-        base = spectral_cache(8, cfg, named_coin4("psi_a"))
-        rebound = cache_with_state(base, named_coin4("psi_c"))
-        fresh = spectral_cache(8, cfg, named_coin4("psi_c"))
-        assert np.allclose(rebound.alphas, fresh.alphas, atol=1e-12)
+    def test_shared_cache_matches_fresh(self):
+        # phi = 0 has flat bands, phi = 1 only small clusters.
+        for cfg in (CoinConfig(1.0), CoinConfig(0.0)):
+            cache = spectral_cache(8, cfg)
+            for name in STATE_NAMES:
+                psi = named_coin4(name)
+                assert np.array_equal(
+                    limiting_distribution(cfg, 8, psi, cache=cache).probs,
+                    limiting_distribution(cfg, 8, psi).probs)
+                assert np.array_equal(
+                    closed_form_distribution(5, cfg, psi, cache=cache).probs,
+                    closed_form_distribution(5, cfg, psi, d=8).probs)
 
     def test_cache_mismatch_rejected(self):
         cfg = CoinConfig(1.0)
-        cache = spectral_cache(8, cfg, named_coin4("psi_a"))
+        psi = named_coin4("psi_a")
+        cache = spectral_cache(8, cfg)
         with pytest.raises(ValueError, match="cache"):
-            closed_form_distribution(3, cfg, named_coin4("psi_a"), d=9,
-                                     cache=cache)
+            closed_form_distribution(3, cfg, psi, d=9, cache=cache)
         with pytest.raises(ValueError, match="coin angle"):
-            closed_form_distribution(3, CoinConfig(2.0),
-                                     named_coin4("psi_a"), cache=cache)
-        with pytest.raises(ValueError, match="initial coin"):
-            closed_form_distribution(3, cfg, named_coin4("psi_b"),
-                                     cache=cache)
+            closed_form_distribution(3, CoinConfig(2.0), psi, cache=cache)
+        with pytest.raises(ValueError, match="tol"):
+            limiting_distribution(cfg, 8, psi, cache=cache, tol=1e-8)
+        with pytest.raises(ValueError, match="coin angle"):
+            limiting_distribution(cfg, 8, psi,
+                                  cache=spectral_cache_memory(8))
+        with pytest.raises(TypeError):
+            spectral_cache(8, cfg, psi)
 
     def test_eigenvalue_off_unit_circle_rejected(self, monkeypatch):
         eig = np.linalg.eig
@@ -220,7 +229,7 @@ class TestSpectralCache:
 
         monkeypatch.setattr(np.linalg, "eig", one_eigenvalue_shrunk)
         with pytest.raises(RuntimeError, match="unit circle"):
-            spectral_cache(8, CoinConfig(1.0), named_coin4("psi_a"))
+            spectral_cache(8, CoinConfig(1.0))
 
 
 class TestClosedForm:
@@ -243,7 +252,7 @@ class TestClosedForm:
     def test_matches_stepping(self, d, T):
         cfg = CoinConfig(1.3)
         init = InitialState.named("psi_b")
-        cache = spectral_cache(d, cfg, init.coin4)
+        cache = spectral_cache(d, cfg)
         state = WalkState.localized(d, init)
         worst = 0.0
         for t in range(T + 1):
@@ -353,3 +362,34 @@ class TestLimiting:
             warnings.simplefilter("error", DegenerateClusterWarning)
             limiting_distribution(CoinConfig(0.0), 12, named_coin4("psi_a"))
             limiting_distribution_memory(12, named_coin4("psi_c"))
+
+
+class TestNearDegenerate:
+    # At d = 16 near phi = 3 and 7 one block holds two phases just
+    # outside PHASE_TOL, where eig returns nearly parallel eigenvectors.
+    PHIS = [3 + 2e-9, 3 - 2e-9, 7 + 2e-9, 3 + 3e-8, 7 + 2e-8]
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_limit_matches_naive_double_loop(self, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            for name in STATE_NAMES:
+                psi = named_coin4(name)
+                got = limiting_distribution(CoinConfig(phi), 16, psi)
+                want = oracles.naive_limiting(16, psi, phi=phi)
+                assert np.abs(got.probs - want).max() < 1e-8
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_closed_form_matches_stepping(self, phi):
+        cfg = CoinConfig(phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            cache = spectral_cache(16, cfg)
+        for name in STATE_NAMES:
+            init = InitialState.named(name)
+            state = WalkState.localized(16, init)
+            for t in range(201):
+                closed = closed_form_distribution(t, cfg, init, cache=cache)
+                stepped = position_distribution(state).probs
+                assert np.abs(closed.probs - stepped).max() < 1e-8
+                state = evolve(state, 1, cfg)
