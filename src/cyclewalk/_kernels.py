@@ -100,20 +100,23 @@ def _shift_blocks(step, *coin):
     return out[2], out[1]
 
 
-def _fourier_blocks(d, step, *coin):
-    """The d momentum blocks M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}.
+def _fourier_blocks(d, a_plus, a_minus, stop=None):
+    """The momentum blocks M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}.
 
-    np.fft.fft takes a[n+1] to x times the transform of a, so M_k is
-    one step of the rule at frequency k.
+    One block for each k < stop, all d by default.  np.fft.fft takes
+    a[n+1] to x times the transform of a, so M_k is one step of the
+    rule at frequency k.
     """
-    a_plus, a_minus = _shift_blocks(step, *coin)
-    x = np.exp(2j * np.pi * np.arange(d) / d)[:, None, None]
+    x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
+    x = x[:, None, None]
     return x * a_plus + x.conj() * a_minus
 
 
 # Amplitudes held by one chunk of states in the scan, and by one batch
-# of cluster transforms in the spectral limit; it bounds their memory
-# independently of the step count and of the number of clusters.
+# of cluster transforms in the spectral limit (only clusters of more
+# than sqrt(d) eigenvalues take one; the limit sums smaller ones as
+# pairs); it bounds their memory independently of the step count and of
+# the number of clusters.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site
@@ -141,7 +144,8 @@ def _scan(amps, steps, step, *coin, sites=True):
     state = amps
     if fourier:
         # A state is a row at each k, so a step multiplies by M_k^T.
-        powers = [_fourier_blocks(d, step, *coin).swapaxes(1, 2).copy()]
+        blocks = _fourier_blocks(d, *_shift_blocks(step, *coin))
+        powers = [blocks.swapaxes(1, 2).copy()]
         while 1 << len(powers) < chunk:
             powers.append(powers[-1] @ powers[-1])
         state = np.fft.fft(amps, axis=0, norm="ortho")[:, None, :]

@@ -19,17 +19,32 @@ differ and keeps the rest (the Cesaro limit of Aharonov, Ambainis,
 Kempe and Vazirani), so the limiting distribution is a sum over
 clusters C of equal eigenvalues of squared norms, with x as above,
 p(n) = (1/d^2) sum_C || sum_{(k,j) in C} alpha_j(k) phi_j(k) x^n ||^2.
-A lone eigenvalue adds the constant |alpha|^2 / d^2; a cluster of two
-or more takes one inverse FFT over k of its scattered amplitudes.
-Equality is decided by clustering the 4d eigenvalue phases with an
-absolute tolerance; gaps near the tolerance are reported via
+Writing v_i = alpha_i phi_i for the members i = (k_i, j_i) of C, the
+squared norm is sum_{i,l} <v_i|v_l> e^{2 pi i (k_l - k_i) n/d}: each
+pair adds one Fourier coefficient at frequency k_l - k_i mod d.  A
+cluster of s members costs s^2 pair terms this way, or one length-d
+inverse FFT of its scattered amplitudes, so the limit takes two
+routes.  The pair route serves every cluster with s^2 <= d: a lone
+eigenvalue adds |alpha|^2 at frequency 0, every other cluster its
+diagonal there and each pair i < l twice the real part of its term,
+and one inverse FFT of the d summed coefficients gives them all.  The
+larger clusters (the flat bands, d members each) take the transform
+route, one inverse FFT over k each, in batches.  Outside the flat
+bands a cluster holds a handful of members (a band meets a given phase
+a bounded number of times), so a limit costs O(d log d).  Equality is
+decided by clustering the 4d eigenvalue phases with an absolute
+tolerance; gaps near the tolerance are reported via
 DegenerateClusterWarning because the pair selection is then ambiguous.
 The test suite holds this against a full double loop over all pairs.
 
 A SpectralCache holds what depends only on the walk, the cycle and the
 tolerance: the block eigensystems and the clustering of their phases.
 The start state enters only through alpha, so one cache serves every
-state and every time step.
+state and every time step.  A+ and A- are real for both walks, so
+M_{d-k} = conj(M_k): only the blocks k <= d/2 are diagonalized, and
+block d - k takes the conjugate eigenvalues and eigenvectors, with
+exactly negated phases.  The per-block warnings are then issued for all
+d blocks in ascending k.
 """
 
 from __future__ import annotations
@@ -72,7 +87,8 @@ class FourierBlock:
 
 
 def _block_stack(spec: _WalkSpec, d: int) -> np.ndarray:
-    return _kernels._fourier_blocks(d, spec.step, *spec.coin)
+    return _kernels._fourier_blocks(
+        d, *_kernels._shift_blocks(spec.step, *spec.coin))
 
 
 def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
@@ -134,30 +150,43 @@ def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
     return np.abs(utu).max(axis=(-2, -1))
 
 
-def _diagonalize(mats: np.ndarray, tol: float, ks):
+def _eig(mats: np.ndarray):
     """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
 
-    vecs[b][:, j] belongs to lams[b, j]; ks labels the blocks in
-    warnings.  eig does not orthogonalize within degenerate subspaces,
-    and returns nearly parallel vectors for phases just apart, while
-    the projections alpha_j phi_j assume <phi_j|phi_l> = delta_jl
-    inside a block.  So every block whose eigenvectors are not
-    orthonormal gets a QR basis, in one batched call.  Raises
-    RuntimeError when an eigenvalue leaves the unit circle.
+    vecs[b][:, j] belongs to lams[b, j].  eig does not orthogonalize
+    within degenerate subspaces, and returns nearly parallel vectors
+    for phases just apart, while the projections alpha_j phi_j assume
+    <phi_j|phi_l> = delta_jl inside a block.  So every block whose
+    eigenvectors are not orthonormal gets a QR basis, in one batched
+    call.
     """
     lams, vecs = np.linalg.eig(mats)
     skew = _unitarity_deviation(vecs) > _UNITARITY_TOL
     if skew.any():
         vecs[skew] = np.linalg.qr(vecs[skew])[0]
+    return lams, vecs
+
+
+def _screen_blocks(lams: np.ndarray, tol: float, ks, stacklevel: int):
+    """Warn of each block's phase gaps near tol, in order; check |lam| = 1.
+
+    ks labels the blocks in the warnings, and stacklevel counts the
+    frames from _warn_ambiguous up to the line they point at.  Raises
+    RuntimeError when an eigenvalue leaves the unit circle.
+    """
     gaps = _phase_clusters(np.angle(lams), tol)[1]
     for b in np.flatnonzero((gaps <= 10.0 * tol).any(axis=-1)):
-        # Skip _diagonalize and its caller: the warning points at the
-        # line that called eigensystem, or at the function that asked
-        # for the cache.
-        _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel=4)
+        _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel)
     moddev = np.abs(np.abs(lams) - 1.0).max()
     if moddev > _UNITARITY_TOL:
         raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
+
+
+def _diagonalize(mats: np.ndarray, tol: float, ks):
+    """_eig of a stack, screened by _screen_blocks with labels ks."""
+    lams, vecs = _eig(mats)
+    # The warnings point at the line that called eigensystem.
+    _screen_blocks(lams, tol, ks, stacklevel=5)
     return lams, vecs
 
 
@@ -202,10 +231,13 @@ class SpectralCache:
     """Spectrum of one walk on one d-cycle, clustered at one tolerance.
 
     eigenvalues has shape (d, 4); eigenvectors (d, 4, 4) with vectors
-    in columns.  labels and gaps are the equal-phase clustering of the
-    4d eigenphases at tol, flattened as K = 4k + j (see
-    _phase_clusters).  theta is None for the memory walk.  The cache
-    holds no start state: every consumer takes one.
+    in columns.  The blocks k > d/2 hold the complex conjugates of the
+    eigensystems of blocks d - k (module docstring).  labels and gaps
+    are the equal-phase clustering of the 4d eigenphases at tol,
+    flattened as K = 4k + j (see _phase_clusters); the limit sums
+    clusters of s members with s^2 <= d as pairs and transforms the
+    larger ones.  theta is None for the memory walk.  The cache holds no
+    start state: every consumer takes one.
     """
 
     d: int
@@ -237,11 +269,24 @@ def _alphas(cache: SpectralCache, psi) -> np.ndarray:
 def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
     if d < 2:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
-    mats = _block_stack(spec, d)
+    a_plus, a_minus = _kernels._shift_blocks(spec.step, *spec.coin)
+    if a_plus.imag.any() or a_minus.imag.any():
+        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
+                         "blocks A+ and A-; this walk's are complex")
+    # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
+    # conjugate of block d - k, and so is its eigensystem.
+    half = d // 2 + 1
+    mats = _kernels._fourier_blocks(d, a_plus, a_minus, half)
     dev = _unitarity_deviation(mats).max()
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
-    lams, vecs = _diagonalize(mats, tol, range(d))
+    lams = np.empty((d, 4), dtype=np.complex128)
+    vecs = np.empty((d, 4, 4), dtype=np.complex128)
+    lams[:half], vecs[:half] = _eig(mats)
+    np.conjugate(lams[d - half:0:-1], out=lams[half:])
+    np.conjugate(vecs[d - half:0:-1], out=vecs[half:])
+    # The warnings point at the function that asked for the cache.
+    _screen_blocks(lams, tol, range(d), stacklevel=4)
     labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), tol)
     return SpectralCache(d=d, theta=spec.theta, tol=tol, eigenvalues=lams,
                          eigenvectors=vecs, labels=labels, gaps=gaps)
@@ -303,23 +348,54 @@ def _limiting_probs(cache: SpectralCache, psi) -> np.ndarray:
     d, labels = cache.d, cache.labels
     alphas = _alphas(cache, psi).reshape(-1)
     _warn_ambiguous(cache.gaps, cache.tol, "d=%d limiting distribution" % d)
-    shared = np.bincount(labels)[labels] > 1
-    # A lone eigenvalue adds the constant |alpha|^2 / d^2.
-    probs = np.full(d, np.sum(np.abs(alphas[~shared]) ** 2) / d ** 2)
-    # Flat index K = 4k + j is eigenvector j of block k; the members of
-    # each shared cluster are numbered cid = 0, 1, ... in turn.
-    members = np.flatnonzero(shared)
-    members = members[np.argsort(labels[members], kind="stable")]
-    clusters, cid = np.unique(labels[members], return_inverse=True)
+    counts = np.bincount(labels)
+    # A cluster of s takes s^2 pair terms on the pair route, or one
+    # length-d transform: the larger ones take the transform.
+    wide = counts * counts > d
+    big = wide[labels]
+    # Flat index K = 4k + j is eigenvector j of block k.  Only members
+    # of clusters of two or more need amplitudes v = alpha phi.  Sorted
+    # by route, then by cluster, the pair route's members come first and
+    # each cluster's members sit side by side.
+    members = np.flatnonzero(counts[labels] > 1)
+    key = labels[members] + big[members] * labels.size
+    order = np.argsort(key, kind="stable")
+    members, key = members[order], key[order]
+    split = np.searchsorted(key, labels.size)
     k, j = divmod(members, 4)
-    amps = cache.eigenvectors[k, :, j] * alphas[members, None]
+    amps = cache.eigenvectors[k, :, j]
+    amps *= alphas[members, None]
+
+    # Pair route: each eigenvalue outside the big clusters adds |alpha|^2
+    # at frequency 0, each pair a < b of a small cluster 2 <v_a|v_b> at
+    # frequency k_b - k_a; one inverse FFT sums them all.  The member at
+    # a has later[a] partners after it, up to the end of its cluster:
+    # its pairs are numbered on from cumsum(later)[a] - later[a], and
+    # the first takes b = a + 1.
+    sk, sv, sl = k[:split], amps[:split], key[:split]
+    end = np.searchsorted(sl, sl, side="right")
+    later = end - 1 - np.arange(split)
+    a = np.repeat(np.arange(split), later)
+    b = np.arange(a.size) + (end - np.cumsum(later))[a]
+    w = 2.0 * np.einsum("pc,pc->p", sv[a].conj(), sv[b])
+    f = (sk[b] - sk[a]) % d
+    z = np.zeros(d, dtype=np.complex128)
+    np.add.at(z, f, w)
+    rest = alphas[~big]
+    z[0] += np.vdot(rest, rest).real
+    probs = np.fft.ifft(z).real / d
+
+    # Transform route: the big clusters are numbered cid = 0, 1, ... in
+    # turn.
+    k, amps = k[split:], amps[split:]
+    cid = np.cumsum(wide)[labels[members[split:]]] - 1
+    nbig = np.count_nonzero(wide)
     per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
-    for lo in range(0, clusters.size, per):
+    for lo in range(0, nbig, per):
         a, b = np.searchsorted(cid, (lo, lo + per))
         # Column c sums a cluster's alpha phi over its blocks k; one
         # inverse FFT over k gives p_C(n) = |ifft|^2 summed over coins.
-        buf = np.zeros((d, min(per, clusters.size - lo), 4),
-                       dtype=np.complex128)
+        buf = np.zeros((d, min(per, nbig - lo), 4), dtype=np.complex128)
         np.add.at(buf, (k[a:b], cid[a:b] - lo), amps[a:b])
         np.fft.ifft(buf, axis=0, out=buf)
         probs += _kernels._probs(buf, "n")

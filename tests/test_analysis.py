@@ -272,6 +272,15 @@ class TestResidueCurve:
         assert pts[-1] > 0.3
         assert pts[-1] > pts[0]
 
+    def test_large_d_classes(self):
+        # d = 4096..4099: one flat-band limit pair per d.
+        pts = residue_distance_curve((4096, 4097, 4098, 4099),
+                                     named_coin4("psi_a"))
+        assert [m for _, m, _ in pts] == [0, 1, 2, 3]
+        tvs = [tv for _, _, tv in pts]
+        assert tvs[0] < 1e-12
+        assert tvs[2] == max(tvs)
+
     def test_mod_column(self):
         pts = residue_distance_curve((5, 6, 7, 8), named_coin4("psi_b"))
         assert [m for _, m, _ in pts] == [1, 2, 3, 0]

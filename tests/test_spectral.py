@@ -7,7 +7,8 @@ import pytest
 
 from cyclewalk import (CoinConfig, InitialState, WalkState,
                        DegenerateClusterWarning, MODEL_MEMORY,
-                       STATE_NAMES, apply_P, apply_P_adjoint, apply_Q,
+                       MODEL_RECYCLED, STATE_NAMES, apply_P,
+                       apply_P_adjoint, apply_Q,
                        build_Mk, build_Nk, closed_form_distribution, closed_form_probability,
                        eigensystem, eigenvalue_multiset_distance, evolve,
                        limiting_distribution, limiting_distribution_memory,
@@ -15,7 +16,7 @@ from cyclewalk import (CoinConfig, InitialState, WalkState,
                        position_distribution, spectral_cache,
                        spectral_cache_memory, total_variation)
 
-from cyclewalk import spectral
+from cyclewalk import _kernels, spectral, walk
 from cyclewalk.spectral import PHASE_TOL
 
 import oracles
@@ -219,6 +220,40 @@ class TestSpectralCache:
         with pytest.raises(TypeError):
             spectral_cache(8, cfg, psi)
 
+    # Blocks k > d/2 are the conjugates of blocks d - k; these hold every
+    # block, mirrored or not, to its own eigen-equation.
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 101])
+    @pytest.mark.parametrize("model", [MODEL_RECYCLED, MODEL_MEMORY])
+    def test_every_block_satisfies_its_eigen_equation(self, d, model):
+        spec = walk._walk_spec(model, CoinConfig(1.3))
+        cache = spectral._spectral_cache(spec, d, PHASE_TOL)
+        vecs = cache.eigenvectors
+        res = (spectral._block_stack(spec, d) @ vecs
+               - vecs * cache.eigenvalues[:, None, :])
+        assert np.abs(res).max() < 1e-13
+
+    def test_complex_shift_blocks_rejected(self):
+        # A coin with a complex phase makes A+ and A- complex, and then
+        # M_{d-k} is no longer conj(M_k).
+        phase = np.exp(0.3j)
+        spec = walk._WalkSpec(_kernels._step_recycled,
+                              (phase * math.cos(1.0), phase * math.sin(1.0)),
+                              1.0)
+        with pytest.raises(ValueError, match="real shift blocks"):
+            spectral._spectral_cache(spec, 8, PHASE_TOL)
+
+    def test_mirrored_blocks_keep_their_warnings(self):
+        # Blocks 9 and 15 mirror blocks 7 and 1, and warn in turn.
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            cache = spectral_cache(16, CoinConfig(3 + 2e-9))
+            limiting_distribution(CoinConfig(3 + 2e-9), 16,
+                                  named_coin4("psi_a"), cache=cache)
+        assert all(w.category is DegenerateClusterWarning for w in rec)
+        assert [str(w.message).split(":")[0] for w in rec] == [
+            "block k=1", "block k=7", "block k=9", "block k=15",
+            "d=16 limiting distribution"]
+
     def test_eigenvalue_off_unit_circle_rejected(self, monkeypatch):
         eig = np.linalg.eig
 
@@ -307,9 +342,11 @@ class TestLimiting:
             limiting_distribution(CoinConfig(0.0), 5, init)
 
     # At d = 16, phi = 3 a cluster holds two eigenvectors of one block.
+    # (9, 2.0) and (16, 0.0) take both routes in one call (see
+    # test_oracle_cells_take_both_routes).
     @pytest.mark.parametrize("d,phi", [(5, 0.5), (5, 0.0), (8, 2.0),
                                        (12, 1.0), (7, 3.3), (12, 6.0),
-                                       (16, 3.0)])
+                                       (16, 3.0), (9, 2.0), (16, 0.0)])
     @pytest.mark.parametrize("name", ["psi_a", "psi_c"])
     def test_matches_naive_double_loop(self, d, phi, name):
         psi = named_coin4(name)
@@ -317,12 +354,25 @@ class TestLimiting:
         want = oracles.naive_limiting(d, psi, phi=phi)
         assert np.allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [5, 8])
+    @pytest.mark.parametrize("d", [5, 8, 9, 16])
     def test_memory_matches_naive_double_loop(self, d, random_coin4):
         psi = random_coin4()
         got = limiting_distribution_memory(d, psi).probs
         want = oracles.naive_limiting(d, psi, phi=None)
         assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("d,phi", [(9, 2.0), (16, 0.0), (9, None),
+                                       (16, None)])
+    def test_oracle_cells_take_both_routes(self, d, phi):
+        # Lone eigenvalues, clusters of s >= 2 with s^2 <= d (summed as
+        # pairs) and the two flat clusters of d (one transform each).
+        cache = (spectral_cache_memory(d) if phi is None
+                 else spectral_cache(d, CoinConfig(phi)))
+        sizes = np.bincount(cache.labels)
+        sizes = sizes[sizes > 0]
+        assert np.any(sizes == 1)
+        assert np.any((sizes > 1) & (sizes * sizes <= d))
+        assert np.count_nonzero(sizes * sizes > d) == 2
 
     def test_random_state_generic_phi_uniform(self, random_coin4):
         psi = random_coin4()
@@ -355,6 +405,23 @@ class TestLimiting:
                 partner = limiting_distribution(CoinConfig(-(2.0 + phi)), d,
                                                 apply_Q(psi))
         assert peak < 64 * 2 ** 20
+        assert np.abs(got.probs - partner.probs).max() < 1e-10
+
+    def test_flat_band_at_1e5(self):
+        # Flat bands at d = 10^5: about d clusters of two are summed as
+        # pairs into one inverse FFT, the two flat clusters take one each.
+        psi = named_coin4("psi_b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            tracemalloc.start()
+            try:
+                got = limiting_distribution(CoinConfig(0.0), 100_000, psi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            partner = limiting_distribution(CoinConfig(6.0), 100_000,
+                                            apply_Q(psi))
+        assert peak < 200 * 2 ** 20
         assert np.abs(got.probs - partner.probs).max() < 1e-10
 
     def test_no_warning_on_clean_spectrum(self):
