@@ -49,6 +49,8 @@ eigendecomposition is involved, so all stay independent of the
 spectral module.
 """
 
+import functools
+
 import numpy as np
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -85,6 +87,7 @@ def evolve(amps, steps, step, *coin):
     return a
 
 
+@functools.lru_cache(maxsize=256)
 def _shift_blocks(step, *coin):
     """Split a one-step rule into out[n] = A+ a[n+1] + A- a[n-1].
 
@@ -92,11 +95,13 @@ def _shift_blocks(step, *coin):
     0: site 2 then receives only what arrives from its n+1 neighbour
     (A+) and site 1 only what arrives from n-1 (A-).  A+ + A- is the
     coin-and-swap matrix; the nonzero rows of A+ are the rows that
-    arrive from n+1.
+    arrive from n+1.  The probe runs once per (rule, coin); the blocks
+    are memoized and come back read-only.
     """
     probe = np.zeros((3, 4, 4), dtype=np.complex128)
     probe[0] = np.eye(4)
     out = step(probe, *coin)
+    out.setflags(write=False)
     return out[2], out[1]
 
 
@@ -113,10 +118,10 @@ def _fourier_blocks(d, a_plus, a_minus, stop=None):
 
 
 # Amplitudes held by one chunk of states in the scan, and by one batch
-# of cluster transforms in the spectral limit (only clusters of more
-# than sqrt(d) eigenvalues take one; the limit sums smaller ones as
-# pairs); it bounds their memory independently of the step count and of
-# the number of clusters.
+# of cluster transforms in the spectral limit (one per start state and
+# cluster of more than sqrt(d) eigenvalues; the limit sums smaller ones
+# as pairs); it bounds their memory independently of the step count and
+# of the numbers of clusters and states.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site

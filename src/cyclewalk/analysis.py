@@ -36,7 +36,8 @@ def total_variation(p, q) -> float:
 
 
 def tv_from_uniform(dist: Distribution) -> float:
-    return total_variation(dist, Distribution.uniform(dist.d))
+    """Total variation distance to the uniform distribution on the cycle."""
+    return 0.5 * float(np.abs(dist.probs - 1.0 / dist.d).sum())
 
 
 def classify_uniform(dist: Distribution, epsilon: float) -> bool:
@@ -224,32 +225,40 @@ class SweepRecord:
 def _state_label(st: InitialState) -> str:
     return st.name if st.name is not None else "custom"
 
+
+def _failed_row(label, exc):
+    return (label, math.nan, None, False, False, str(exc), None)
+
+
 def _sweep_cell_group(task):
-    """All states of one (d, phi) cell; runs in worker processes."""
+    """All states of one (d, phi) cell; runs in worker processes.
+
+    One cache and one batched limit serve every state.  An error there
+    fails every row of the group, an invalid distribution only its own;
+    a DegenerateClusterWarning from either marks every row warned.
+    """
     d, phi, state_items, epsilon, tol, keep_probs = task
-    cfg = CoinConfig(phi)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", spectral.DegenerateClusterWarning)
+            cache = spectral.spectral_cache(d, CoinConfig(phi), tol=tol)
+            batch = spectral._limiting_probs(cache, np.array(
+                [coin4 for _, coin4 in state_items], dtype=np.complex128))
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+        return [_failed_row(label, exc) for label, _ in state_items]
+    warned = any(issubclass(w.category, spectral.DegenerateClusterWarning)
+                 for w in caught)
     rows = []
-    cache = None
-    for label, coin4 in state_items:
-        psi0 = np.asarray(coin4, dtype=np.complex128)
+    for (label, _), probs in zip(state_items, batch):
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always",
-                                      spectral.DegenerateClusterWarning)
-                if cache is None:
-                    cache = spectral.spectral_cache(d, cfg, tol=tol)
-                dist = spectral.limiting_distribution(cfg, d, psi0,
-                                                      cache=cache, tol=tol)
-            warned = any(issubclass(w.category,
-                                    spectral.DegenerateClusterWarning)
-                         for w in caught)
-            tv = tv_from_uniform(dist)
-            rows.append((label, tv, bool(tv < epsilon),
-                         bool(epsilon / 10.0 <= tv <= epsilon * 10.0),
-                         warned, None,
-                         dist.probs.copy() if keep_probs else None))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            rows.append((label, math.nan, None, False, False, str(exc), None))
+            dist = Distribution(d=d, probs=probs)
+        except ValueError as exc:
+            rows.append(_failed_row(label, exc))
+            continue
+        tv = tv_from_uniform(dist)
+        rows.append((label, tv, bool(tv < epsilon),
+                     bool(epsilon / 10.0 <= tv <= epsilon * 10.0),
+                     warned, None, dist.probs.copy() if keep_probs else None))
     return rows
 
 
@@ -259,8 +268,11 @@ def sweep(grid: SweepGrid, jobs: int = 1, tol: float = spectral.PHASE_TOL,
 
     Cells are processed in deterministic (d, phi, state) order and the
     result order never depends on jobs.  With jobs > 1 the (d, phi)
-    groups are distributed over processes; each group shares one
-    diagonalization across its states.
+    groups are distributed over processes.  Each group is one
+    diagonalization and one batched limit for all of its states, so
+    an error there, or a DegenerateClusterWarning, applies to every
+    row of the group; a row whose distribution fails validation fails
+    alone.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)

@@ -40,7 +40,13 @@ The test suite holds this against a full double loop over all pairs.
 A SpectralCache holds what depends only on the walk, the cycle and the
 tolerance: the block eigensystems and the clustering of their phases.
 The start state enters only through alpha, so one cache serves every
-state and every time step.  A+ and A- are real for both walks, so
+state and every time step.  The limit takes a stack of S start states:
+their alphas come from one einsum, the cluster bookkeeping (sizes,
+routes, members, pair indices and frequencies) is built once for all
+of them, the pair route takes one inverse FFT per state along the last
+axis of an (S, d) array, and each transform batch holds columns of
+every state.  A sweep group is one such call; limiting_distribution
+passes a stack of one.  A+ and A- are real for both walks, so
 M_{d-k} = conj(M_k): only the blocks k <= d/2 are diagonalized, and
 block d - k takes the conjugate eigenvalues and eigenvectors, with
 exactly negated phases.  The per-block warnings are then issued for all
@@ -110,23 +116,30 @@ def build_Nk(k: int, d: int) -> FourierBlock:
 # ---------------------------------------------------------------------------
 # Eigensystems
 
+def _sorted_gaps(sp: np.ndarray) -> np.ndarray:
+    """Gaps between neighbours of phases sorted along the last axis.
+
+    Phases live on (-pi, pi]; the last gap is the one across the branch
+    cut, from the largest phase round to the smallest.
+    """
+    wrap = 2.0 * np.pi - (sp[..., -1:] - sp[..., :1])
+    return np.concatenate([np.diff(sp, axis=-1), wrap], axis=-1)
+
+
 def _phase_clusters(phases: np.ndarray, tol: float):
     """Label the phases that agree within tol, along the last axis.
 
-    Phases live on (-pi, pi]: sort, split where a gap exceeds tol, and
-    give the last cluster the first one's label when the two meet
-    across the branch cut.  Returns (labels, gaps): labels[..., i] names
-    the cluster of phases[..., i]; gaps holds the gaps between sorted
-    neighbours, then the gap across the cut.
+    Sort, split where a gap (_sorted_gaps) exceeds tol, and give the
+    last cluster the first one's label when the two meet across the
+    branch cut.  Returns (labels, gaps): labels[..., i] names the
+    cluster of phases[..., i]; gaps are the _sorted_gaps.
     """
     order = np.argsort(phases, axis=-1, kind="stable")
-    sp = np.take_along_axis(phases, order, axis=-1)
-    wrap = 2.0 * np.pi - (sp[..., -1:] - sp[..., :1])
-    gaps = np.concatenate([np.diff(sp, axis=-1), wrap], axis=-1)
+    gaps = _sorted_gaps(np.take_along_axis(phases, order, axis=-1))
     split = gaps > tol
     sorted_labels = np.cumsum(split, axis=-1) - split
     last = sorted_labels[..., -1:]
-    sorted_labels[(wrap <= tol) & (sorted_labels == last)] = 0
+    sorted_labels[(gaps[..., -1:] <= tol) & (sorted_labels == last)] = 0
     labels = np.empty_like(sorted_labels)
     np.put_along_axis(labels, order, sorted_labels, axis=-1)
     return labels, gaps
@@ -174,7 +187,7 @@ def _screen_blocks(lams: np.ndarray, tol: float, ks, stacklevel: int):
     frames from _warn_ambiguous up to the line they point at.  Raises
     RuntimeError when an eigenvalue leaves the unit circle.
     """
-    gaps = _phase_clusters(np.angle(lams), tol)[1]
+    gaps = _sorted_gaps(np.sort(np.angle(lams), axis=-1))
     for b in np.flatnonzero((gaps <= 10.0 * tol).any(axis=-1)):
         _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel)
     moddev = np.abs(np.abs(lams) - 1.0).max()
@@ -237,7 +250,8 @@ class SpectralCache:
     flattened as K = 4k + j (see _phase_clusters); the limit sums
     clusters of s members with s^2 <= d as pairs and transforms the
     larger ones.  theta is None for the memory walk.  The cache holds no
-    start state: every consumer takes one.
+    start state: every consumer takes one, and the limit a stack of
+    them, so a sweep group's states share one cache and one batch.
     """
 
     d: int
@@ -260,10 +274,12 @@ def _coin4_or_initial(psi) -> np.ndarray:
     return _as_coin4(psi)
 
 
-def _alphas(cache: SpectralCache, psi) -> np.ndarray:
-    """Overlaps alphas[k, j] = <phi_j(k)|psi> of a position-0 start."""
-    return np.einsum("kij,i->kj", cache.eigenvectors.conj(),
-                     _coin4_or_initial(psi))
+def _alphas(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
+    """Overlaps alphas[..., k, j] = <phi_j(k)|psi> of position-0 starts.
+
+    psis is one coin 4-vector or a stack (S, 4) of them.
+    """
+    return np.einsum("kij,...i->...kj", cache.eigenvectors.conj(), psis)
 
 
 def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
@@ -329,7 +345,8 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
     else:
         _cache_matches(cache, cache.d if d is None else d, cfg.theta)
     amps = np.einsum("kij,kj->ki", cache.eigenvectors,
-                     cache.eigenvalues ** t * _alphas(cache, psi))
+                     cache.eigenvalues ** t
+                     * _alphas(cache, _coin4_or_initial(psi)))
     sites = np.fft.ifft(amps, axis=0)
     return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 
@@ -344,9 +361,15 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
     return float(dist.probs[n])
 
 
-def _limiting_probs(cache: SpectralCache, psi) -> np.ndarray:
+def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
+    """Limiting distributions (S, d) of the position-0 starts psis (S, 4).
+
+    The cluster bookkeeping depends only on the cache, so it is built
+    once and serves every state of the stack.
+    """
     d, labels = cache.d, cache.labels
-    alphas = _alphas(cache, psi).reshape(-1)
+    ns = len(psis)
+    alphas = _alphas(cache, psis).reshape(ns, -1)
     _warn_ambiguous(cache.gaps, cache.tol, "d=%d limiting distribution" % d)
     counts = np.bincount(labels)
     # A cluster of s takes s^2 pair terms on the pair route, or one
@@ -363,42 +386,52 @@ def _limiting_probs(cache: SpectralCache, psi) -> np.ndarray:
     members, key = members[order], key[order]
     split = np.searchsorted(key, labels.size)
     k, j = divmod(members, 4)
-    amps = cache.eigenvectors[k, :, j]
-    amps *= alphas[members, None]
+    amps = cache.eigenvectors[k, :, j] * alphas[:, members, None]
 
     # Pair route: each eigenvalue outside the big clusters adds |alpha|^2
     # at frequency 0, each pair a < b of a small cluster 2 <v_a|v_b> at
-    # frequency k_b - k_a; one inverse FFT sums them all.  The member at
-    # a has later[a] partners after it, up to the end of its cluster:
-    # its pairs are numbered on from cumsum(later)[a] - later[a], and
-    # the first takes b = a + 1.
-    sk, sv, sl = k[:split], amps[:split], key[:split]
+    # frequency k_b - k_a; one inverse FFT per state sums them all.  The
+    # member at a has later[a] partners after it, up to the end of its
+    # cluster: its pairs are numbered on from cumsum(later)[a] - later[a],
+    # and the first takes b = a + 1.
+    sk, sv, sl = k[:split], amps[:, :split], key[:split]
     end = np.searchsorted(sl, sl, side="right")
     later = end - 1 - np.arange(split)
     a = np.repeat(np.arange(split), later)
     b = np.arange(a.size) + (end - np.cumsum(later))[a]
-    w = 2.0 * np.einsum("pc,pc->p", sv[a].conj(), sv[b])
+    w = 2.0 * np.einsum("spc,spc->sp", sv[:, a].conj(), sv[:, b])
     f = (sk[b] - sk[a]) % d
-    z = np.zeros(d, dtype=np.complex128)
-    np.add.at(z, f, w)
-    rest = alphas[~big]
-    z[0] += np.vdot(rest, rest).real
-    probs = np.fft.ifft(z).real / d
+    z = np.zeros((ns, d), dtype=np.complex128)
+    np.add.at(z, (slice(None), f), w)
+    for zs, alpha in zip(z, alphas):
+        # One contiguous row per state: vdot sums a strided one in a
+        # different order.
+        rest = alpha[~big]
+        zs[0] += np.vdot(rest, rest).real
+    probs = np.fft.ifft(z, axis=-1).real / d
 
     # Transform route: the big clusters are numbered cid = 0, 1, ... in
-    # turn.
-    k, amps = k[split:], amps[split:]
+    # turn.  A batch holds at most `per` columns, one per (state,
+    # cluster): nst states of ncl clusters.
+    k, amps = k[split:], amps[:, split:]
     cid = np.cumsum(wide)[labels[members[split:]]] - 1
     nbig = np.count_nonzero(wide)
     per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
-    for lo in range(0, nbig, per):
-        a, b = np.searchsorted(cid, (lo, lo + per))
-        # Column c sums a cluster's alpha phi over its blocks k; one
-        # inverse FFT over k gives p_C(n) = |ifft|^2 summed over coins.
-        buf = np.zeros((d, min(per, nbig - lo), 4), dtype=np.complex128)
-        np.add.at(buf, (k[a:b], cid[a:b] - lo), amps[a:b])
-        np.fft.ifft(buf, axis=0, out=buf)
-        probs += _kernels._probs(buf, "n")
+    nst = min(ns, per)
+    ncl = per // nst
+    for lo in range(0, nbig, ncl):
+        a, b = np.searchsorted(cid, (lo, lo + ncl))
+        for s in range(0, ns, nst):
+            # Column (s, c) sums cluster c's alpha phi for state s over
+            # its blocks k; one inverse FFT over k gives p_C(n) =
+            # |ifft|^2 summed over coins.
+            cols = amps[s:s + nst, a:b].swapaxes(0, 1)
+            buf = np.zeros((d, cols.shape[1], min(ncl, nbig - lo), 4),
+                           dtype=np.complex128)
+            np.add.at(buf, (k[a:b], slice(None), cid[a:b] - lo), cols)
+            np.fft.ifft(buf, axis=0, out=buf)
+            parts = buf.view(np.float64)
+            probs[s:s + nst] += np.einsum("nscj,nscj->sn", parts, parts)
     return probs
 
 
@@ -411,7 +444,8 @@ def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache | None,
         if cache.tol != tol:
             raise ValueError("cache clustered at tol=%g, asked for tol=%g"
                              % (cache.tol, tol))
-    return Distribution(d=d, probs=_limiting_probs(cache, psi))
+    psis = _coin4_or_initial(psi)[None]
+    return Distribution(d=d, probs=_limiting_probs(cache, psis)[0])
 
 
 def limiting_distribution(cfg: CoinConfig, d: int, psi,

@@ -1,12 +1,13 @@
 """Distances, equivalence checks, sweeps and time averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cyclewalk import (CoinConfig, Distribution, InitialState, WalkState,
-                       _kernels, analysis, named_coin4, spectral)
+from cyclewalk import (STATE_NAMES, CoinConfig, Distribution, InitialState,
+                       WalkState, _kernels, analysis, named_coin4, spectral)
 from cyclewalk.analysis import (SweepGrid, classify_uniform, crosscheck_limiting,
                                 default_horizons, mixing_curve,
                                 residue_distance_curve, sweep,
@@ -90,6 +91,12 @@ class TestTotalVariation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different cycles"):
             total_variation([0.5, 0.5], [1.0, 0.0, 0.0])
+
+    def test_from_uniform_matches_total_variation(self, rng):
+        for d in (2, 3, 7, 50):
+            p = Distribution(d, _rand_dist(rng, d))
+            assert tv_from_uniform(p) == total_variation(
+                p, Distribution.uniform(d))
 
 
 class TestClassifyUniform:
@@ -370,6 +377,65 @@ class TestSweep:
         assert bad[0].classified_uniform is None
         assert all(r.error is None for r in good)
         assert all(r.classified_uniform for r in good)
+
+    def test_invalid_distribution_fails_only_its_row(self, monkeypatch):
+        real = spectral._limiting_probs
+
+        def second_row_doubled(cache, psis):
+            probs = real(cache, psis)
+            probs[1] *= 2.0
+            return probs
+
+        monkeypatch.setattr(analysis.spectral, "_limiting_probs",
+                            second_row_doubled)
+        grid = SweepGrid.named((6,), (0.5,), ("psi_a", "psi_b", "psi_c"))
+        records = sweep(grid, jobs=1)
+        assert [r.error is None for r in records] == [True, False, True]
+        assert "sum to" in records[1].error
+        assert math.isnan(records[1].tv_from_uniform)
+        assert records[0].classified_uniform and records[2].classified_uniform
+
+    def test_group_warning_marks_every_row(self):
+        # d = 16, phi near 3 has phase gaps just outside the tolerance.
+        grid = SweepGrid.named((16,), (3 + 2e-9, 0.5), STATE_NAMES)
+        records = sweep(grid, jobs=1)
+        assert [r.warned for r in records] == [True] * 4 + [False] * 4
+        assert all(r.error is None for r in records)
+
+    def test_one_limit_and_one_probe_per_sweep(self, monkeypatch):
+        # Structural guard, no timing: one batched limit per (d, phi)
+        # group, and the step rule's (A+, A-) read once for the sweep.
+        calls = {"limit": 0, "probe": 0}
+        real_limit, real_step = spectral._limiting_probs, _kernels._step_recycled
+
+        def counting_limit(cache, psis):
+            calls["limit"] += 1
+            return real_limit(cache, psis)
+
+        def counting_step(a, c, s):
+            calls["probe"] += a.shape == (3, 4, 4)
+            return real_step(a, c, s)
+
+        monkeypatch.setattr(spectral, "_limiting_probs", counting_limit)
+        monkeypatch.setattr(_kernels, "_step_recycled", counting_step)
+        records = sweep(SweepGrid.named(range(2, 13), (0.5,), STATE_NAMES))
+        assert len(records) == 11 * len(STATE_NAMES)
+        assert calls == {"limit": 11, "probe": 1}
+
+    def test_four_state_group_peak_memory(self):
+        # A flat-band group at d = 4096: the transform batches stay
+        # bounded, so the whole group fits the single-limit budget.
+        items = tuple((n, tuple(named_coin4(n))) for n in STATE_NAMES)
+        tracemalloc.start()
+        try:
+            rows = analysis._sweep_cell_group(
+                (4096, 0.0, items, 1e-6, spectral.PHASE_TOL, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert [row[0] for row in rows] == list(STATE_NAMES)
+        assert all(row[5] is None and row[6].shape == (4096,) for row in rows)
 
 
 class TestMixing:

@@ -61,3 +61,26 @@ class TestKernelSemantics:
         _, drift, norm = _kernels.normscan(a, 20, *MEMORY)
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= drift < 1e-13
+
+
+class TestShiftBlocks:
+    def test_memoized_blocks_are_read_only(self):
+        blocks = _kernels._shift_blocks(*RECYCLED)
+        again = _kernels._shift_blocks(*RECYCLED)
+        for block, same in zip(blocks, again):
+            assert block is same
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
+
+    def test_coins_one_bit_apart_get_their_own_blocks(self):
+        step, c, s = RECYCLED
+        near = np.nextafter(c, 0.0)
+        assert near != c
+        a_plus, a_minus = _kernels._shift_blocks(step, c, s)
+        b_plus, b_minus = _kernels._shift_blocks(step, near, s)
+        # c sits in row 1 of A+ and row 3 of A- (see _step_recycled).
+        assert a_plus[1, 2] == c and b_plus[1, 2] == near
+        assert a_minus[3, 3] == -c and b_minus[3, 3] == -near

@@ -431,6 +431,56 @@ class TestLimiting:
             limiting_distribution_memory(12, named_coin4("psi_c"))
 
 
+class TestBatchedLimit:
+    # phi = 0, 2 and 6 have flat bands; at (16, 3.0) a cluster holds two
+    # eigenvectors of one block.  phi = None is the memory walk.
+    @pytest.mark.parametrize("d", [2, 3, 4, 9, 16, 101])
+    @pytest.mark.parametrize("phi", [0.0, 2.0, 3.0, 6.0, 0.7, None])
+    def test_batch_equals_single_states(self, d, phi, random_coin4):
+        psis = np.array([named_coin4(n) for n in STATE_NAMES]
+                        + [random_coin4()])
+        if phi is None:
+            cache = spectral_cache_memory(d)
+            singles = [limiting_distribution_memory(d, psi, cache=cache)
+                       for psi in psis]
+        else:
+            cache = spectral_cache(d, CoinConfig(phi))
+            singles = [limiting_distribution(CoinConfig(phi), d, psi,
+                                             cache=cache) for psi in psis]
+        batch = spectral._limiting_probs(cache, psis)
+        assert batch.shape == (len(psis), d)
+        for got, single in zip(batch, singles):
+            assert np.abs(got - single.probs).max() < 1e-15
+        # The oracle's double loop is slow on flat bands at d = 101.
+        if d <= 16 or phi in (0.0, None):
+            want = oracles.naive_limiting(d, psis[-1], phi=phi)
+            assert np.abs(batch[-1] - want).max() < 1e-12
+
+    def test_transform_batches_split_states(self, monkeypatch, rng):
+        # With room for three columns per batch, two flat clusters of
+        # five states take batches of three and two states.
+        d = 16
+        psis = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        cache = spectral_cache(d, CoinConfig(0.0))
+        want = spectral._limiting_probs(cache, psis)
+        monkeypatch.setattr(_kernels, "_SCAN_CHUNK_AMPS", 3 * 4 * d)
+        got = spectral._limiting_probs(cache, psis)
+        assert np.abs(got - want).max() < 1e-15
+
+    def test_one_warning_per_batch(self):
+        cfg = CoinConfig(3 + 2e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            cache = spectral_cache(16, cfg)
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            spectral._limiting_probs(cache, psis)
+        assert [str(w.message).split(":")[0] for w in rec] == [
+            "d=16 limiting distribution"]
+
+
 class TestNearDegenerate:
     # At d = 16 near phi = 3 and 7 one block holds two phases just
     # outside PHASE_TOL, where eig returns nearly parallel eigenvectors.
