@@ -26,7 +26,22 @@ states hold (c1 c2) = (dd, du, ud, uu) and memory states hold
 cos(theta) and sin(theta) of the second coin block; the first block is
 always the Hadamard angle.  The memory rule takes no coin arguments.
 
-``evolve`` applies the rule site by site: the position-space reference.
+``evolve`` takes one of two routes, by a fixed rule on (d, steps): it
+applies the rule site by site below ``_power_min_steps(d)`` steps, the
+measured break-even (3 to 32 steps, growing with d), and otherwise
+takes all the steps as one power of the blocks in O(d log t) time and
+O(d) memory.  A+ and A- are real, so
+the rule steps the real and imaginary parts of the table apart and
+M_{d-k} = conj(M_k): a real FFT (k <= d/2) takes the two parts to
+momentum space, M_k^t comes from right-to-left binary exponentiation
+(square the power, multiply the state in for each set bit of t) on
+the blocks k <= d/2 only, in their real 8x8 form, and one inverse
+real FFT returns.  ``_squarings`` is the one squaring ladder; from
+level ``_POLISH_LEVEL`` on it polishes each square back onto the
+unitary group, so the norm holds to about 1e-13 at t = 10^6.  The
+independent reference for both routes is the dense operator of
+tests/oracles.py.
+
 The other kernels read one stream of states, ``_scan``.  On cycles up
 to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space: an
 orthonormal FFT over sites takes the table there, where one step is
@@ -34,7 +49,7 @@ the block M_k at each frequency k.  The steps are taken in chunks of
 at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory does not grow with
 the step count.  Within a chunk the states t = 1..L come from
 log-depth doubling, X <- [X, M^|X| X], with the powers M^(2^m) from
-repeated squaring, and the last state seeds the next chunk.  On larger
+the same ladder, and the last state seeds the next chunk.  On larger
 cycles an O(d) site step beats the block products and the O(d log d)
 inverse FFT each state would need, so the stream is the rule applied
 site by site, its states copied into chunks.
@@ -50,6 +65,7 @@ spectral module.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -80,13 +96,6 @@ def _step_memory(a):
     return out
 
 
-def evolve(amps, steps, step, *coin):
-    a = amps.copy()
-    for _ in range(steps):
-        a = step(a, *coin)
-    return a
-
-
 @functools.lru_cache(maxsize=256)
 def _shift_blocks(step, *coin):
     """Split a one-step rule into out[n] = A+ a[n+1] + A- a[n-1].
@@ -115,6 +124,114 @@ def _fourier_blocks(d, a_plus, a_minus, stop=None):
     x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
     x = x[:, None, None]
     return x * a_plus + x.conj() * a_minus
+
+
+def _real_shift_blocks(step, *coin):
+    """_shift_blocks of a rule whose A+ and A- must be real.
+
+    Then the rule maps real tables to real tables, and M_{d-k} =
+    conj(M_k): the blocks k <= d/2 determine the rest.  The spectral
+    cache and the power route of evolve rest on this.
+    """
+    a_plus, a_minus = _shift_blocks(step, *coin)
+    if a_plus.imag.any() or a_minus.imag.any():
+        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
+                         "blocks A+ and A-; this walk's are complex")
+    return a_plus, a_minus
+
+
+def _mirrored(x, d):
+    """All d entries from the entries k <= d/2 of blocks or spectra.
+
+    x holds entries k = 0..d // 2 along its first axis; entry k > d/2
+    is conj(x[d - k]), as for the blocks of a real rule.
+    """
+    return np.concatenate((x, x[d - len(x):0:-1].conj()))
+
+
+def _real_half_blocks(d, step, *coin):
+    """The blocks M_k, k <= d/2, as real 8x8 matrices (n, 8, 8).
+
+    [[Re M, -Im M], [Im M, Re M]] acts on [Re v; Im v] as M acts on v.
+    With x = e^{i w}, w = 2 pi k/d, and A+ and A- real, that is
+    cos(w) [[S, 0], [0, S]] + sin(w) [[0, -D], [D, 0]] for S = A+ + A-
+    and D = A+ - A-: one product of the (n, 2) table of cos and sin
+    with the two flattened 8x8 terms.
+    """
+    a_plus, a_minus = (a.real for a in _real_shift_blocks(step, *coin))
+    terms = np.zeros((2, 8, 8))
+    terms[0, :4, :4] = terms[0, 4:, 4:] = a_plus + a_minus
+    terms[1, 4:, :4] = a_plus - a_minus
+    terms[1, :4, 4:] = a_minus - a_plus
+    w = 2.0 * np.pi * np.arange(d // 2 + 1) / d
+    trig = np.stack((np.cos(w), np.sin(w)), axis=-1)
+    return (trig @ terms.reshape(2, 64)).reshape(-1, 8, 8)
+
+
+# Squaring doubles a power's distance from the unitary group and adds
+# rounding, so M^(2^m) sits about 2^m ulps off it; from this level on
+# each square is polished back (_polish), which holds the distance at
+# about 2^_POLISH_LEVEL ulps however long the power.
+_POLISH_LEVEL = 10
+
+
+def _polish(p):
+    """One Newton-Schulz step p (3 - p^H p) / 2 towards the unitary group.
+
+    For a stack p within a few thousand ulps of unitary this is the
+    nearest unitary (the polar factor of p) to rounding; the phase
+    error, which squaring also doubles, is left as it is.
+    """
+    g = np.matmul(p.conj().swapaxes(-1, -2), p)
+    g *= -0.5
+    diag = range(p.shape[-1])
+    g[..., diag, diag] += 1.5
+    return p @ g
+
+
+def _squarings(power):
+    """Yield power, power^2, power^4, ... of a stack of square blocks."""
+    for level in itertools.count(1):
+        yield power
+        power = power @ power
+        if level >= _POLISH_LEVEL:
+            power = _polish(power)
+
+
+def _power_min_steps(d):
+    """Fewest steps that evolve takes as a power of the blocks.
+
+    The break-even measured with numpy on 2 vCPUs: 3 steps up to
+    d = 128, about d/64 steps up to d = 1024 and 24 to 32 steps from
+    d = 2048 on, where a site step and a squaring both cost O(d).
+    """
+    return min(32, max(3, d // 64))
+
+
+def evolve(amps, steps, step, *coin):
+    """The state after `steps` steps of the rule (module docstring)."""
+    d = amps.shape[0]
+    if steps < _power_min_steps(d):
+        a = amps.copy()
+        for _ in range(steps):
+            a = step(a, *coin)
+        return a
+    # The rule is real, so it steps the real and imaginary parts of the
+    # table apart: two real columns, whose transforms are fixed by
+    # k <= d/2 (rfft).  There the state [Re; Im] (8 rows per column)
+    # takes the real form of M^(2^m) for each set bit m of steps.
+    parts = np.fft.rfft(np.stack((amps.real, amps.imag), axis=-1),
+                        axis=0, norm="ortho")
+    state = np.concatenate((parts.real, parts.imag), axis=1)
+    for power in _squarings(_real_half_blocks(d, step, *coin)):
+        if steps & 1:
+            state = power @ state
+        steps >>= 1
+        if not steps:
+            break
+    parts = np.fft.irfft(state[:, :4] + 1j * state[:, 4:], n=d, axis=0,
+                         norm="ortho")
+    return parts[..., 0] + 1j * parts[..., 1]
 
 
 # Amplitudes held by one chunk of states in the scan, and by one batch
@@ -148,11 +265,12 @@ def _scan(amps, steps, step, *coin, sites=True):
     buf = np.empty((d, chunk, 4), dtype=np.complex128)
     state = amps
     if fourier:
-        # A state is a row at each k, so a step multiplies by M_k^T.
+        # A state is a row at each k, so a step multiplies by M_k^T;
+        # the doubling below needs the powers up to M^(chunk/2).
         blocks = _fourier_blocks(d, *_shift_blocks(step, *coin))
-        powers = [blocks.swapaxes(1, 2).copy()]
-        while 1 << len(powers) < chunk:
-            powers.append(powers[-1] @ powers[-1])
+        ladder = _squarings(blocks.swapaxes(1, 2).copy())
+        powers = list(itertools.islice(ladder,
+                                       max(1, (chunk - 1).bit_length())))
         state = np.fft.fft(amps, axis=0, norm="ortho")[:, None, :]
     for done in range(0, steps, chunk):
         n = min(chunk, steps - done)

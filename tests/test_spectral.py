@@ -298,6 +298,14 @@ class TestClosedForm:
             state = evolve(state, 1, cfg)
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 2.0])
+    def test_norm_holds_at_a_million_steps(self, phi):
+        # Eigenvalues sit within ulps of the unit circle; raised to the
+        # t-th power as numbers they would drift off it linearly in t.
+        dist = closed_form_distribution(10 ** 6, CoinConfig(phi),
+                                        named_coin4("psi_c"), d=64)
+        assert abs(dist.probs.sum() - 1.0) < 1e-12
+
     def test_rejects_off_origin_start(self):
         init = InitialState.named("psi_a", position=2)
         with pytest.raises(ValueError, match="position 0"):

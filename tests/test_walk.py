@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from cyclewalk import (CoinConfig, InitialState, WalkState, MODEL_MEMORY,
                        coin_block, coin_operator, evolve, named_coin4,
                        norm_drift_scan, position_distribution, step_memory,
                        step_recycled)
-from cyclewalk import _kernels, walk
+from cyclewalk import _kernels, spectral, walk
 
 import oracles
 
@@ -211,6 +212,28 @@ class TestEvolve:
         st = WalkState(d=d, model=MODEL_RECYCLED, amplitudes=amps)
         assert np.allclose(position_distribution(st).probs, 1.0 / d,
                            atol=1e-15)
+
+
+class TestLongHorizon:
+    """evolve costs O(d log t): a million steps at d = 10^4 in seconds."""
+
+    @pytest.mark.parametrize("model,cfg", [(MODEL_RECYCLED, CoinConfig(0.5)),
+                                           (MODEL_MEMORY, None)])
+    def test_million_steps_at_d_10000(self, model, cfg):
+        st = WalkState.localized(10_000, InitialState.named("psi_c"), model)
+        start = time.perf_counter()
+        out = evolve(st, 10 ** 6, cfg)
+        # Site by site this would take minutes.
+        assert time.perf_counter() - start < 5.0
+        assert abs(out.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 2.0])
+    def test_million_steps_match_closed_form(self, phi):
+        cfg, init = CoinConfig(phi), InitialState.named("psi_c")
+        got = evolve(WalkState.localized(64, init), 10 ** 6, cfg)
+        want = spectral.closed_form_distribution(10 ** 6, cfg, init, d=64)
+        assert np.abs(position_distribution(got).probs
+                      - want.probs).max() < 1e-10
 
 
 class TestAgainstDenseOracle:
