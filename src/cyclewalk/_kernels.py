@@ -7,10 +7,13 @@ a (d, 4) complex128 amplitude table.  The rule has the form
 
 for two 4x4 matrices A+ and A-; ``_shift_blocks`` reads them off the
 rule, so the rule is the only place a walk's coefficients are written
-down.  Its Fourier block at momentum k is M_k = x A+ + conj(x) A- with
-x = e^{2 pi i k/d} (``_fourier_blocks``); the spectral module builds
-its blocks the same way.  The kernels take the rule and its coin
-arguments after the table and the step count:
+down, and checks once that they are real.  The Fourier block at
+momentum k is M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and
+``_real_blocks`` alone computes it, as the real 8x8 B_k that steps the
+float view of a row of 4 amplitudes: float(v) @ B_k = float(M_k v).
+Every kernel steps float views by B_k, and ``_fourier_blocks`` is the
+complex view that the spectral module diagonalizes.  The kernels take
+the rule and its coin arguments after the table and the step count:
 
     evolve(amps, steps, step, *coin)            -> amps
     evolve_accumulate(amps, steps, step, *coin) -> (amps, acc)
@@ -30,26 +33,26 @@ always the Hadamard angle.  The memory rule takes no coin arguments.
 applies the rule site by site below ``_power_min_steps(d)`` steps, the
 measured break-even (3 to 32 steps, growing with d), and otherwise
 takes all the steps as one power of the blocks in O(d log t) time and
-O(d) memory.  A+ and A- are real, so
-the rule steps the real and imaginary parts of the table apart and
-M_{d-k} = conj(M_k): a real FFT (k <= d/2) takes the two parts to
-momentum space, M_k^t comes from right-to-left binary exponentiation
-(square the power, multiply the state in for each set bit of t) on
-the blocks k <= d/2 only, in their real 8x8 form, and one inverse
-real FFT returns.  ``_squarings`` is the one squaring ladder; from
-level ``_POLISH_LEVEL`` on it polishes each square back onto the
-unitary group, so the norm holds to about 1e-13 at t = 10^6.  The
-independent reference for both routes is the dense operator of
-tests/oracles.py.
+O(d) memory.  A+ and A- are real, so the rule steps the real and
+imaginary parts of the table apart and M_{d-k} = conj(M_k): a real FFT
+(k <= d/2) takes the two parts to momentum space as two complex rows
+per k, their float views take B_k^t from right-to-left binary
+exponentiation (square the power, multiply the state in for each set
+bit of t) on the blocks k <= d/2 only, and one inverse real FFT
+returns.  ``_squarings`` is the one squaring ladder; from level
+``_POLISH_LEVEL`` on it polishes each square back onto the unitary
+group, so the norm holds to about 1e-13 at t = 10^6.  The independent
+reference for both routes is the dense operator of tests/oracles.py.
 
 The other kernels read one stream of states, ``_scan``.  On cycles up
 to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space: an
 orthonormal FFT over sites takes the table there, where one step is
-the block M_k at each frequency k.  The steps are taken in chunks of
-at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory does not grow with
-the step count.  Within a chunk the states t = 1..L come from
-log-depth doubling, X <- [X, M^|X| X], with the powers M^(2^m) from
-the same ladder, and the last state seeds the next chunk.  On larger
+B_k on the float view of the row at each frequency k.  The steps are
+taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
+does not grow with the step count.  Within a chunk the states
+t = 1..L come from log-depth doubling, X <- [X, X B^|X|], with the
+powers B^(2^m) from the same ladder, and the last state seeds the
+next chunk.  On larger
 cycles an O(d) site step beats the block products and the O(d log d)
 inverse FFT each state would need, so the stream is the rule applied
 site by site, its states copied into chunks.
@@ -104,40 +107,52 @@ def _shift_blocks(step, *coin):
     0: site 2 then receives only what arrives from its n+1 neighbour
     (A+) and site 1 only what arrives from n-1 (A-).  A+ + A- is the
     coin-and-swap matrix; the nonzero rows of A+ are the rows that
-    arrive from n+1.  The probe runs once per (rule, coin); the blocks
-    are memoized and come back read-only.
+    arrive from n+1.  Every kernel and the spectral cache rest on A+
+    and A- being real (module docstring), so a rule with complex ones
+    raises ValueError here.  The probe runs once per (rule, coin); the
+    real blocks are memoized and come back read-only.
     """
     probe = np.zeros((3, 4, 4), dtype=np.complex128)
     probe[0] = np.eye(4)
     out = step(probe, *coin)
+    if out.imag.any():
+        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
+                         "blocks A+ and A-; this walk's are complex")
+    out = out.real.copy()
     out.setflags(write=False)
     return out[2], out[1]
 
 
-def _fourier_blocks(d, a_plus, a_minus, stop=None):
-    """The momentum blocks M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}.
+def _real_blocks(d, step, *coin, stop=None):
+    """The momentum blocks M_k, k < stop (all d), as real 8x8 B_k.
 
-    One block for each k < stop, all d by default.  np.fft.fft takes
-    a[n+1] to x times the transform of a, so M_k is one step of the
-    rule at frequency k.
-    """
-    x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
-    x = x[:, None, None]
-    return x * a_plus + x.conj() * a_minus
-
-
-def _real_shift_blocks(step, *coin):
-    """_shift_blocks of a rule whose A+ and A- must be real.
-
-    Then the rule maps real tables to real tables, and M_{d-k} =
-    conj(M_k): the blocks k <= d/2 determine the rest.  The spectral
-    cache and the power route of evolve rest on this.
+    float(v) @ B_k = float(M_k v) for the float view of a row v (module
+    docstring).  M_k = Re(x) S + i Im(x) D for S = A+ + A- and
+    D = A+ - A-, so B_k is the (re, im) pair of x times two constant
+    terms.  A+ and A- share no nonzero row, so every entry is one exact
+    product and the even rows of B_k, as (re, im) pairs, are M_k^T bit
+    for bit.
     """
     a_plus, a_minus = _shift_blocks(step, *coin)
-    if a_plus.imag.any() or a_minus.imag.any():
-        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
-                         "blocks A+ and A-; this walk's are complex")
-    return a_plus, a_minus
+    # terms[t, j, p, i, q] is term t's entry B[2j + p, 2i + q].
+    terms = np.zeros((2, 4, 2, 4, 2))
+    terms[0, :, 0, :, 0] = terms[0, :, 1, :, 1] = (a_plus + a_minus).T
+    terms[1, :, 0, :, 1] = (a_plus - a_minus).T
+    terms[1, :, 1, :, 0] = (a_minus - a_plus).T
+    x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
+    pairs = x.view(np.float64).reshape(-1, 2)
+    return (pairs @ terms.reshape(2, 64)).reshape(-1, 8, 8)
+
+
+def _fourier_blocks(d, step, *coin, stop=None):
+    """The complex blocks M_k = x A+ + conj(x) A-, k < stop (all d).
+
+    The complex view of _real_blocks' even rows, transposed, as a
+    contiguous stack.  np.fft.fft takes a[n+1] to x times the transform
+    of a, so M_k is one step of the rule at frequency k.
+    """
+    rows = _real_blocks(d, step, *coin, stop=stop)[:, ::2]
+    return np.ascontiguousarray(rows.view(np.complex128).swapaxes(1, 2))
 
 
 def _mirrored(x, d):
@@ -147,25 +162,6 @@ def _mirrored(x, d):
     is conj(x[d - k]), as for the blocks of a real rule.
     """
     return np.concatenate((x, x[d - len(x):0:-1].conj()))
-
-
-def _real_half_blocks(d, step, *coin):
-    """The blocks M_k, k <= d/2, as real 8x8 matrices (n, 8, 8).
-
-    [[Re M, -Im M], [Im M, Re M]] acts on [Re v; Im v] as M acts on v.
-    With x = e^{i w}, w = 2 pi k/d, and A+ and A- real, that is
-    cos(w) [[S, 0], [0, S]] + sin(w) [[0, -D], [D, 0]] for S = A+ + A-
-    and D = A+ - A-: one product of the (n, 2) table of cos and sin
-    with the two flattened 8x8 terms.
-    """
-    a_plus, a_minus = (a.real for a in _real_shift_blocks(step, *coin))
-    terms = np.zeros((2, 8, 8))
-    terms[0, :4, :4] = terms[0, 4:, 4:] = a_plus + a_minus
-    terms[1, 4:, :4] = a_plus - a_minus
-    terms[1, :4, 4:] = a_minus - a_plus
-    w = 2.0 * np.pi * np.arange(d // 2 + 1) / d
-    trig = np.stack((np.cos(w), np.sin(w)), axis=-1)
-    return (trig @ terms.reshape(2, 64)).reshape(-1, 8, 8)
 
 
 # Squaring doubles a power's distance from the unitary group and adds
@@ -217,21 +213,21 @@ def evolve(amps, steps, step, *coin):
             a = step(a, *coin)
         return a
     # The rule is real, so it steps the real and imaginary parts of the
-    # table apart: two real columns, whose transforms are fixed by
-    # k <= d/2 (rfft).  There the state [Re; Im] (8 rows per column)
-    # takes the real form of M^(2^m) for each set bit m of steps.
-    parts = np.fft.rfft(np.stack((amps.real, amps.imag), axis=-1),
-                        axis=0, norm="ortho")
-    state = np.concatenate((parts.real, parts.imag), axis=1)
-    for power in _squarings(_real_half_blocks(d, step, *coin)):
+    # table apart: two real rows per site, whose transforms are fixed by
+    # k <= d/2 (rfft).  There each row, as 8 floats, takes B_k^(2^m) for
+    # each set bit m of steps.
+    parts = np.fft.rfft(np.stack((amps.real, amps.imag), axis=1), axis=0,
+                        norm="ortho")
+    state = parts.view(np.float64)
+    for power in _squarings(_real_blocks(d, step, *coin, stop=d // 2 + 1)):
         if steps & 1:
-            state = power @ state
+            state = state @ power
         steps >>= 1
         if not steps:
             break
-    parts = np.fft.irfft(state[:, :4] + 1j * state[:, 4:], n=d, axis=0,
+    parts = np.fft.irfft(state.view(np.complex128), n=d, axis=0,
                          norm="ortho")
-    return parts[..., 0] + 1j * parts[..., 1]
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 # Amplitudes held by one chunk of states in the scan, and by one batch
@@ -265,26 +261,28 @@ def _scan(amps, steps, step, *coin, sites=True):
     buf = np.empty((d, chunk, 4), dtype=np.complex128)
     state = amps
     if fourier:
-        # A state is a row at each k, so a step multiplies by M_k^T;
-        # the doubling below needs the powers up to M^(chunk/2).
-        blocks = _fourier_blocks(d, *_shift_blocks(step, *coin))
-        ladder = _squarings(blocks.swapaxes(1, 2).copy())
+        # A state is a row of 8 floats at each k, so a step is B_k; the
+        # doubling below needs the powers up to B^(chunk/2).
+        ladder = _squarings(_real_blocks(d, step, *coin))
         powers = list(itertools.islice(ladder,
                                        max(1, (chunk - 1).bit_length())))
         state = np.fft.fft(amps, axis=0, norm="ortho")[:, None, :]
+        state = state.view(np.float64)
+    floats = buf.view(np.float64)
     for done in range(0, steps, chunk):
         n = min(chunk, steps - done)
         out = buf[:, :n]
         if fourier:
             # Doubling: buf[:, :h] holds steps 1..h of this chunk, and
-            # M^h advances them to steps h+1..2h.
-            np.matmul(state, powers[0], out=buf[:, :1])
+            # B^h advances them to steps h+1..2h.
+            np.matmul(state, powers[0], out=floats[:, :1])
             h, m = 1, 0
             while h < n:
                 take = min(h, n - h)
-                np.matmul(buf[:, :take], powers[m], out=buf[:, h:h + take])
+                np.matmul(floats[:, :take], powers[m],
+                          out=floats[:, h:h + take])
                 h, m = h + take, m + 1
-            state = buf[:, n - 1:n].copy()
+            state = floats[:, n - 1:n].copy()
             if sites:
                 # In place (numpy >= 2.0), so no second chunk is held.
                 np.fft.ifft(out, axis=0, norm="ortho", out=out)

@@ -42,8 +42,9 @@ def tv_from_uniform(dist: Distribution) -> float:
 
 def classify_uniform(dist: Distribution, epsilon: float) -> bool:
     """True when the distribution is uniform up to epsilon in TV."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive, got %g" % epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite, got %g"
+                         % epsilon)
     return tv_from_uniform(dist) < epsilon
 
 
@@ -179,8 +180,8 @@ class SweepGrid:
             raise ValueError("all cycle lengths must be >= 2")
         if any(not 0.0 <= p < 8.0 for p in self.phi_values):
             raise ValueError("all phi values must lie in [0, 8)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         for st in self.states:
             if not isinstance(st, InitialState):
                 raise TypeError("grid states must be InitialState instances")
@@ -383,8 +384,8 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
 
     Both sides come from one walk description.  The running average is
     (1/T) sum_{t=1}^{T} p(., t), the sum over the kernels' stream of
-    probabilities (``evolve_accumulate``): products of the 4x4 Fourier
-    blocks on small cycles, site steps on large ones, and no
+    probabilities (``evolve_accumulate``): products of the real 8x8
+    momentum blocks on small cycles, site steps on large ones, and no
     eigendecomposition on either, so it stays independent of the
     spectral path.  It converges to the limiting distribution like 1/T,
     so at T = 10^6 the two should agree to well under 1e-2 in TV.

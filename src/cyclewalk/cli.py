@@ -114,6 +114,9 @@ def parse_state(text: str) -> InitialState:
         raise UsageError("bad complex literal in custom state %r" % body) \
             from None
     vec = np.array(comps, dtype=np.complex128)
+    if not np.isfinite(vec).all():
+        raise UsageError("custom state components must be finite, got %r"
+                         % body)
     norm = float(np.sqrt(np.sum(np.abs(vec) ** 2)))
     if norm == 0.0:
         raise UsageError("custom state must be nonzero")
@@ -439,8 +442,8 @@ def cmd_verify(ns) -> int:
     if t_max < 0:
         raise UsageError("--t-max must be >= 0")
     threshold = _fallback(ns.epsilon, THEOREM_TOL)
-    if threshold <= 0:
-        raise UsageError("--epsilon must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UsageError("--epsilon must be positive and finite")
     items = [(s.name or "custom", tuple(complex(c) for c in s.coin4))
              for s in states]
     tasks = [("theorem1", d, phi, label, coin4, t_max, 0)

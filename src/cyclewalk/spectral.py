@@ -93,8 +93,7 @@ class FourierBlock:
 
 
 def _block_stack(spec: _WalkSpec, d: int) -> np.ndarray:
-    return _kernels._fourier_blocks(
-        d, *_kernels._shift_blocks(spec.step, *spec.coin))
+    return _kernels._fourier_blocks(d, spec.step, *spec.coin)
 
 
 def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
@@ -287,8 +286,8 @@ def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
     # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
     # conjugate of block d - k, and so is its eigensystem.
-    mats = _kernels._fourier_blocks(
-        d, *_kernels._real_shift_blocks(spec.step, *spec.coin), d // 2 + 1)
+    mats = _kernels._fourier_blocks(d, spec.step, *spec.coin,
+                                    stop=d // 2 + 1)
     dev = _unitarity_deviation(mats).max()
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)

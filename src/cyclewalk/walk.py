@@ -108,6 +108,9 @@ class InitialState:
 
     def __post_init__(self):
         arr = _as_coin4(self.coin4).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError("initial coin state must be finite, got %s"
+                             % (arr,))
         norm = np.sqrt(np.sum(np.abs(arr) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("initial coin state must be normalized "
@@ -171,6 +174,11 @@ class Distribution:
             raise ValueError("negative probability %.3g" % arr.min())
         arr = np.clip(arr, 0.0, None)
         total = arr.sum()
+        # NaN passes every comparison above; a NaN or inf entry makes the
+        # sum NaN or inf.
+        if not math.isfinite(total):
+            raise ValueError("probabilities must be finite, sum to %r"
+                             % float(total))
         if abs(total - 1.0) > 1e-9:
             raise ValueError("probabilities sum to %.17g, expected 1" % total)
         arr = arr.copy()
@@ -229,7 +237,7 @@ def evolve(state: WalkState, steps: int,
     free parameter and ignores cfg.  Below a crossover of 3 to 32
     steps, growing with d (``_kernels._power_min_steps``), the rule is
     applied site by site, O(d) per step.  From it on, the steps are
-    one power of the 4x4 momentum blocks k <= d/2, by repeated
+    one power of the real 8x8 momentum blocks k <= d/2, by repeated
     squaring, in O(d log t) time and O(d) memory: a million steps at
     d = 10^4 take well under a second.  Both routes match the dense
     operator of the test oracles to 1e-12, and the power route holds
@@ -264,7 +272,8 @@ def evolve_accumulate(state: WalkState, steps: int,
 
     This is direct evolution, with no eigendecomposition.  On cycles up
     to ``_kernels._FOURIER_SCAN_MAX_D`` sites the states come in
-    chunks of 4x4 Fourier block products built by doubling, and each
+    chunks of products of the real 8x8 momentum blocks, applied to the
+    float views of the Fourier rows and built by doubling, and each
     chunk is transformed back to the sites before its probabilities
     are summed; on larger cycles the states come from site steps (see
     ``_kernels``).  Either way the sums match plain stepping to
@@ -288,10 +297,11 @@ def norm_drift_scan(state: WalkState, steps: int,
     renormalization happens anywhere; the drift is a direct measure of
     floating-point error.  On cycles up to
     ``_kernels._FOURIER_SCAN_MAX_D`` sites the states come from
-    products of 4x4 Fourier blocks built by doubling within chunks of
-    steps (see ``_kernels``), so the drift bounds the rounding of those
-    block products in each chunk, not of T sequential site steps; on
-    larger cycles they come from site steps.
+    products of the real 8x8 momentum blocks on the float views of the
+    Fourier rows, built by doubling within chunks of steps (see
+    ``_kernels``), so the drift bounds the rounding of those block
+    products in each chunk, not of T sequential site steps; on larger
+    cycles they come from site steps.
     """
     steps = _check_steps(steps)
     if steps == 0:

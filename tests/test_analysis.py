@@ -120,6 +120,11 @@ class TestClassifyUniform:
         with pytest.raises(ValueError, match="epsilon"):
             classify_uniform(Distribution.uniform(3), -1e-3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            classify_uniform(Distribution.uniform(3), bad)
+
 
 class TestTheorem1:
     def test_step_zero_is_exact(self):
@@ -315,6 +320,11 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="position 0"):
             SweepGrid(d_values=(3,), phi_values=(0.0,),
                       states=(InitialState.named("psi_a", position=1),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepGrid.named((3,), (0.0,), ("psi_a",), epsilon=bad)
 
 
 class TestSweep:

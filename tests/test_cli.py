@@ -103,6 +103,21 @@ class TestParsers:
         with pytest.raises(UsageError):
             parse_state(bad)
 
+    @pytest.mark.parametrize("bad", ["custom:nan,0,0,0", "custom:1e999,0,0,0",
+                                     "custom:1,0,0,nan+1i"])
+    def test_state_rejects_non_finite(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            parse_state(bad)
+
+    def test_non_finite_state_is_usage_error(self):
+        # Once, this printed empty cells and a config line with a NaN
+        # token, which is not JSON, and exited 0.
+        code, out, err = run_cli("evolve", "--d", "5", "--phi", "0.5",
+                                 "--state", "custom:nan,0,0,0", "--t", "3")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestOutput:
     def test_csv_cells(self):
@@ -288,6 +303,16 @@ class TestSweepCommand:
         assert cells[("12", "1", "psi_a")][8] == "true"  # divisible_by_12
         assert all(r[9] == "" for r in rows)  # no errors
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_epsilon_is_usage_error(self, bad):
+        # A NaN epsilon used to mark a cell at TV 2e-16 non-uniform.
+        code, out, err = run_cli("sweep", "--d", "5", "--phi", "0.5",
+                                 "--state", "psi_a", "--epsilon", bad,
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "epsilon must be positive and finite" in err
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         args = ("sweep", "--d-range", "4..6", "--phi-grid", "0:0.5:2",
                 "--state", "psi_b")
@@ -366,6 +391,22 @@ class TestVerifyCommand:
         meta, _, rows = parse_csv(out)
         assert int(meta["failures"]) > 0
         assert "exceeded" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_epsilon_is_usage_error(self, bad, tmp_path):
+        # By flag and by config file; a NaN threshold used to fail every
+        # cell, and --format json died on the NaN in the config line.
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"epsilon": %s}' % {"nan": "NaN",
+                                             "inf": "Infinity"}[bad])
+        for extra in (("--epsilon", bad), ("--config", str(cfg))):
+            code, out, err = run_cli("verify", "--d", "4", "--t-max", "4",
+                                     "--phi-grid", "0.7:1:0.7",
+                                     "--state", "psi_a", "--format", "json",
+                                     *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert "--epsilon must be positive and finite" in err
 
     def test_parallel_matches_serial(self, tmp_path):
         args = ("verify", "--d-range", "3..4", "--phi-grid", "0:1:1",

@@ -86,6 +86,36 @@ class TestShiftBlocks:
         assert a_minus[3, 3] == -c and b_minus[3, 3] == -near
 
 
+class TestBlocks:
+    """The one block builder: M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 353])
+    @pytest.mark.parametrize("rule", [RECYCLED, MEMORY],
+                             ids=["recycled", "memory"])
+    def test_complex_blocks_are_the_formula(self, d, rule):
+        a_plus, a_minus = _kernels._shift_blocks(*rule)
+        x = np.exp(2j * np.pi * np.arange(d) / d)[:, None, None]
+        want = x * a_plus + x.conj() * a_minus
+        for stop in (None, d // 2 + 1):
+            got = _kernels._fourier_blocks(d, *rule, stop=stop)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want[:stop])
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 353])
+    @pytest.mark.parametrize("rule", [RECYCLED, MEMORY],
+                             ids=["recycled", "memory"])
+    def test_real_blocks_step_float_views(self, d, rule, rng):
+        # A row of 4 amplitudes as 8 interleaved floats times B_k is
+        # the float view of M_k v.
+        mats = _kernels._fourier_blocks(d, *rule)
+        real = _kernels._real_blocks(d, *rule)
+        assert real.shape == (d, 8, 8) and real.dtype == np.float64
+        v = rng.uniform(-1, 1, (d, 3, 4)) + 1j * rng.uniform(-1, 1, (d, 3, 4))
+        got = v.view(np.float64) @ real
+        want = np.einsum("kij,krj->kri", mats, v).view(np.float64)
+        assert np.abs(got - want).max() < 1e-15
+
+
 class TestPowerRoute:
     """evolve from the crossover on: t steps as one power of the blocks."""
 
@@ -141,5 +171,11 @@ class TestPowerRoute:
     def test_complex_shift_blocks_rejected(self):
         def step(a):
             return 1j * np.roll(a, -1, axis=0)
+        table = np.eye(4, dtype=np.complex128)[:3]
         with pytest.raises(ValueError, match="real shift"):
-            _kernels.evolve(np.eye(4, dtype=np.complex128)[:3], 40, step)
+            _kernels.evolve(table, 40, step)
+        # The scan steps the same blocks, so it rejects the rule too.
+        with pytest.raises(ValueError, match="real shift"):
+            _kernels.normscan(table, 40, step)
+        with pytest.raises(ValueError, match="real shift"):
+            _kernels.evolve_accumulate(table, 40, step)

@@ -76,6 +76,18 @@ class TestStates:
         with pytest.raises(ValueError, match="normalized"):
             InitialState(position=0, coin4=np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_initial_state_must_be_finite(self, bad):
+        # A NaN norm passes every comparison, so the norm check alone
+        # lets it through.
+        with pytest.raises(ValueError, match="finite"):
+            InitialState(position=0, coin4=np.array([bad, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            walk.Distribution(3, np.array([bad, 0.5, 0.5]))
+
     def test_localized_position_range(self):
         init = InitialState.named("psi_a", position=5)
         with pytest.raises(ValueError, match="outside"):
