@@ -123,25 +123,32 @@ def _shift_blocks(step, *coin):
     return out[2], out[1]
 
 
-def _real_blocks(d, step, *coin, stop=None):
-    """The momentum blocks M_k, k < stop (all d), as real 8x8 B_k.
-
-    float(v) @ B_k = float(M_k v) for the float view of a row v (module
-    docstring).  M_k = Re(x) S + i Im(x) D for S = A+ + A- and
-    D = A+ - A-, so B_k is the (re, im) pair of x times two constant
-    terms.  A+ and A- share no nonzero row, so every entry is one exact
-    product and the even rows of B_k, as (re, im) pairs, are M_k^T bit
-    for bit.
-    """
+@functools.lru_cache(maxsize=256)
+def _block_terms(step, *coin):
+    """_real_blocks' two constant terms as one read-only (2, 64)."""
     a_plus, a_minus = _shift_blocks(step, *coin)
     # terms[t, j, p, i, q] is term t's entry B[2j + p, 2i + q].
     terms = np.zeros((2, 4, 2, 4, 2))
     terms[0, :, 0, :, 0] = terms[0, :, 1, :, 1] = (a_plus + a_minus).T
     terms[1, :, 0, :, 1] = (a_plus - a_minus).T
     terms[1, :, 1, :, 0] = (a_minus - a_plus).T
+    terms.setflags(write=False)
+    return terms.reshape(2, 64)
+
+
+def _real_blocks(d, step, *coin, stop=None):
+    """The momentum blocks M_k, k < stop (all d), as real 8x8 B_k.
+
+    float(v) @ B_k = float(M_k v) for the float view of a row v (module
+    docstring).  M_k = Re(x) S + i Im(x) D for S = A+ + A- and
+    D = A+ - A-, so B_k is the (re, im) pair of x times two constant
+    terms (_block_terms).  A+ and A- share no nonzero row, so every
+    entry is one exact product and the even rows of B_k, as (re, im)
+    pairs, are M_k^T bit for bit.
+    """
     x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
     pairs = x.view(np.float64).reshape(-1, 2)
-    return (pairs @ terms.reshape(2, 64)).reshape(-1, 8, 8)
+    return (pairs @ _block_terms(step, *coin)).reshape(-1, 8, 8)
 
 
 def _fourier_blocks(d, step, *coin, stop=None):

@@ -238,11 +238,11 @@ def _sweep_cell_group(task):
     fails every row of the group, an invalid distribution only its own;
     a DegenerateClusterWarning from either marks every row warned.
     """
-    d, phi, state_items, epsilon, tol, keep_probs = task
+    d, phi, state_items, epsilon, keep_probs = task
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", spectral.DegenerateClusterWarning)
-            cache = spectral.spectral_cache(d, CoinConfig(phi), tol=tol)
+            cache = spectral.spectral_cache(d, CoinConfig(phi))
             batch = spectral._limiting_probs(cache, np.array(
                 [coin4 for _, coin4 in state_items], dtype=np.complex128))
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
@@ -263,8 +263,7 @@ def _sweep_cell_group(task):
     return rows
 
 
-def sweep(grid: SweepGrid, jobs: int = 1, tol: float = spectral.PHASE_TOL,
-          keep_probs: bool = True) -> list:
+def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     """Classify every grid cell against the uniform distribution.
 
     Cells are processed in deterministic (d, phi, state) order and the
@@ -273,13 +272,14 @@ def sweep(grid: SweepGrid, jobs: int = 1, tol: float = spectral.PHASE_TOL,
     diagonalization and one batched limit for all of its states, so
     an error there, or a DegenerateClusterWarning, applies to every
     row of the group; a row whose distribution fails validation fails
-    alone.
+    alone.  Eigenvalues count as equal within spectral.PHASE_TOL; a
+    group with a phase gap within a decade of it is warned.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)
     state_items = tuple((_state_label(st), tuple(complex(c) for c in st.coin4))
                         for st in grid.states)
-    tasks = [(d, phi, state_items, grid.epsilon, tol, keep_probs)
+    tasks = [(d, phi, state_items, grid.epsilon, keep_probs)
              for d in grid.d_values for phi in grid.phi_values]
     if jobs == 1 or len(tasks) == 1:
         groups = map(_sweep_cell_group, tasks)
@@ -397,6 +397,6 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
         raise ValueError("t_horizon must be >= 1, got %d" % t_horizon)
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
-    pbar = spectral._limiting(spec, d, init, None, spectral.PHASE_TOL)
+    pbar = spectral._limiting(spec, d, init, None)
     _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec.step, *spec.coin)
     return total_variation(pbar.probs, acc / t_horizon)

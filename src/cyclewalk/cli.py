@@ -117,13 +117,17 @@ def parse_state(text: str) -> InitialState:
     if not np.isfinite(vec).all():
         raise UsageError("custom state components must be finite, got %r"
                          % body)
-    norm = float(np.sqrt(np.sum(np.abs(vec) ** 2)))
-    if norm == 0.0:
-        raise UsageError("custom state must be nonzero")
+    # math.hypot scales its arguments; dividing the parts as reals keeps
+    # numpy from multiplying by 1/norm, which overflows for tiny norms.
+    parts = vec.view(np.float64)
+    norm = math.hypot(*parts)
+    if not 0.0 < norm < math.inf:
+        raise UsageError("custom state must be nonzero with a finite norm")
     if abs(norm - 1.0) > 1e-6:
         _diag("warning: custom state norm deviates from 1 by %.3g; "
               "normalizing" % abs(norm - 1.0))
-    return InitialState(position=0, coin4=vec / norm, name=None)
+    return InitialState(position=0, coin4=(parts / norm).view(np.complex128),
+                        name=None)
 
 
 def _state_config(init: InitialState):

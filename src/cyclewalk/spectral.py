@@ -32,13 +32,13 @@ larger clusters (the flat bands, d members each) take the transform
 route, one inverse FFT over k each, in batches.  Outside the flat
 bands a cluster holds a handful of members (a band meets a given phase
 a bounded number of times), so a limit costs O(d log d).  Equality is
-decided by clustering the 4d eigenvalue phases with an absolute
-tolerance; gaps near the tolerance are reported via
+decided by clustering the 4d eigenvalue phases at the one tolerance,
+PHASE_TOL; gaps within a decade of it are reported via
 DegenerateClusterWarning because the pair selection is then ambiguous.
 The test suite holds this against a full double loop over all pairs.
 
-A SpectralCache holds what depends only on the walk, the cycle and the
-tolerance: the block eigensystems and the clustering of their phases.
+A SpectralCache holds what depends only on the walk and the cycle: the
+block eigensystems and the clustering of their phases.
 The start state enters only through alpha, so one cache serves every
 state and every time step.  The limit takes a stack of S start states:
 their alphas come from one einsum, the cluster bookkeeping (sizes,
@@ -144,14 +144,14 @@ def _phase_clusters(phases: np.ndarray, tol: float):
     return labels, gaps
 
 
-def _warn_ambiguous(gaps, tol, context, stacklevel=3):
-    # Gaps within a decade of tol make the equal/not-equal call unreliable.
-    near = gaps[(gaps >= 0.1 * tol) & (gaps <= 10.0 * tol)]
+def _warn_ambiguous(gaps, context, stacklevel=3):
+    # Gaps within a decade of PHASE_TOL make the equality call unreliable.
+    near = gaps[(gaps >= 0.1 * PHASE_TOL) & (gaps <= 10.0 * PHASE_TOL)]
     if near.size:
         warnings.warn(
             "%s: %d eigenvalue phase gap(s) within a decade of the matching "
             "tolerance %g (smallest %.3g); equal-eigenvalue pairing may be "
-            "ambiguous" % (context, near.size, tol, near.min()),
+            "ambiguous" % (context, near.size, PHASE_TOL, near.min()),
             DegenerateClusterWarning, stacklevel=stacklevel)
 
 
@@ -179,27 +179,19 @@ def _eig(mats: np.ndarray):
     return lams, vecs
 
 
-def _screen_blocks(lams: np.ndarray, tol: float, ks, stacklevel: int):
-    """Warn of each block's phase gaps near tol, in order; check |lam| = 1.
+def _screen_blocks(lams: np.ndarray, ks, stacklevel: int):
+    """Warn of each block's phase gaps near PHASE_TOL; check |lam| = 1.
 
-    ks labels the blocks in the warnings, and stacklevel counts the
+    Blocks warn in order, labelled by ks; stacklevel counts the
     frames from _warn_ambiguous up to the line they point at.  Raises
     RuntimeError when an eigenvalue leaves the unit circle.
     """
     gaps = _sorted_gaps(np.sort(np.angle(lams), axis=-1))
-    for b in np.flatnonzero((gaps <= 10.0 * tol).any(axis=-1)):
-        _warn_ambiguous(gaps[b], tol, "block k=%d" % ks[b], stacklevel)
+    for b in np.flatnonzero((gaps <= 10.0 * PHASE_TOL).any(axis=-1)):
+        _warn_ambiguous(gaps[b], "block k=%d" % ks[b], stacklevel)
     moddev = np.abs(np.abs(lams) - 1.0).max()
     if moddev > _UNITARITY_TOL:
         raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
-
-
-def _diagonalize(mats: np.ndarray, tol: float, ks):
-    """_eig of a stack, screened by _screen_blocks with labels ks."""
-    lams, vecs = _eig(mats)
-    # The warnings point at the line that called eigensystem.
-    _screen_blocks(lams, tol, ks, stacklevel=5)
-    return lams, vecs
 
 
 @dataclass(frozen=True)
@@ -217,7 +209,7 @@ class EigenSystem:
     eigenvectors: np.ndarray = field(repr=False)
 
 
-def eigensystem(block, tol: float = PHASE_TOL) -> EigenSystem:
+def eigensystem(block) -> EigenSystem:
     """Diagonalize one 4x4 unitary block.
 
     Accepts a FourierBlock or a plain unitary (4, 4) array.  Degenerate
@@ -233,19 +225,21 @@ def eigensystem(block, tol: float = PHASE_TOL) -> EigenSystem:
     dev = _unitarity_deviation(mat)
     if dev > _UNITARITY_TOL:
         raise ValueError("block is not unitary (deviation %.3g)" % dev)
-    lams, vecs = _diagonalize(mat[None], tol, (k,))
+    lams, vecs = _eig(mat[None])
+    # The warnings point at the line that called eigensystem.
+    _screen_blocks(lams, (k,), stacklevel=4)
     return EigenSystem(k=k, d=d, theta=theta,
                        eigenvalues=lams[0], eigenvectors=vecs[0])
 
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Spectrum of one walk on one d-cycle, clustered at one tolerance.
+    """Spectrum of one walk on one d-cycle, with its phases clustered.
 
     eigenvalues has shape (d, 4); eigenvectors (d, 4, 4) with vectors
     in columns.  The blocks k > d/2 hold the complex conjugates of the
     eigensystems of blocks d - k (module docstring).  labels and gaps
-    are the equal-phase clustering of the 4d eigenphases at tol,
+    are the equal-phase clustering of the 4d eigenphases at PHASE_TOL,
     flattened as K = 4k + j (see _phase_clusters); the limit sums
     clusters of s members with s^2 <= d as pairs and transforms the
     larger ones.  theta is None for the memory walk.  The cache holds no
@@ -255,7 +249,6 @@ class SpectralCache:
 
     d: int
     theta: float | None
-    tol: float
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
@@ -281,7 +274,7 @@ def _alphas(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
     return np.einsum("kij,...i->...kj", cache.eigenvectors.conj(), psis)
 
 
-def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
+def _spectral_cache(spec: _WalkSpec, d: int) -> SpectralCache:
     if d < 2:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
     # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
@@ -293,21 +286,20 @@ def _spectral_cache(spec: _WalkSpec, d: int, tol: float) -> SpectralCache:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
     lams, vecs = (_kernels._mirrored(x, d) for x in _eig(mats))
     # The warnings point at the function that asked for the cache.
-    _screen_blocks(lams, tol, range(d), stacklevel=4)
-    labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), tol)
-    return SpectralCache(d=d, theta=spec.theta, tol=tol, eigenvalues=lams,
+    _screen_blocks(lams, range(d), stacklevel=4)
+    labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), PHASE_TOL)
+    return SpectralCache(d=d, theta=spec.theta, eigenvalues=lams,
                          eigenvectors=vecs, labels=labels, gaps=gaps)
 
 
-def spectral_cache(d: int, cfg: CoinConfig, *,
-                   tol: float = PHASE_TOL) -> SpectralCache:
+def spectral_cache(d: int, cfg: CoinConfig) -> SpectralCache:
     """Diagonalize all recycled-coin blocks for one (d, phi) cell."""
-    return _spectral_cache(_walk_spec(MODEL_RECYCLED, cfg), d, tol)
+    return _spectral_cache(_walk_spec(MODEL_RECYCLED, cfg), d)
 
 
-def spectral_cache_memory(d: int, *, tol: float = PHASE_TOL) -> SpectralCache:
+def spectral_cache_memory(d: int) -> SpectralCache:
     """Memory-walk analogue of spectral_cache."""
-    return _spectral_cache(_walk_spec(MODEL_MEMORY), d, tol)
+    return _spectral_cache(_walk_spec(MODEL_MEMORY), d)
 
 
 def _cache_matches(cache: SpectralCache, d: int, theta: float | None):
@@ -363,7 +355,7 @@ def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
     d, labels = cache.d, cache.labels
     ns = len(psis)
     alphas = _alphas(cache, psis).reshape(ns, -1)
-    _warn_ambiguous(cache.gaps, cache.tol, "d=%d limiting distribution" % d)
+    _warn_ambiguous(cache.gaps, "d=%d limiting distribution" % d)
     counts = np.bincount(labels)
     # A cluster of s takes s^2 pair terms on the pair route, or one
     # length-d transform: the larger ones take the transform.
@@ -396,11 +388,10 @@ def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
     f = (sk[b] - sk[a]) % d
     z = np.zeros((ns, d), dtype=np.complex128)
     np.add.at(z, (slice(None), f), w)
-    for zs, alpha in zip(z, alphas):
-        # One contiguous row per state: vdot sums a strided one in a
-        # different order.
-        rest = alpha[~big]
-        zs[0] += np.vdot(rest, rest).real
+    # einsum, not vdot: OpenBLAS's threaded dot costs milliseconds on
+    # rows of 16,384 and more.
+    rest = np.ascontiguousarray(alphas[:, ~big]).view(np.float64)
+    z[:, 0] += np.einsum("sm,sm->s", rest, rest)
     probs = np.fft.ifft(z, axis=-1).real / d
 
     # Transform route: the big clusters are numbered cid = 0, 1, ... in
@@ -428,36 +419,31 @@ def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _limiting(spec: _WalkSpec, d: int, psi, cache: SpectralCache | None,
-              tol: float) -> Distribution:
+def _limiting(spec: _WalkSpec, d: int, psi,
+              cache: SpectralCache | None) -> Distribution:
     if cache is None:
-        cache = _spectral_cache(spec, d, tol)
+        cache = _spectral_cache(spec, d)
     else:
         _cache_matches(cache, d, spec.theta)
-        if cache.tol != tol:
-            raise ValueError("cache clustered at tol=%g, asked for tol=%g"
-                             % (cache.tol, tol))
     psis = _coin4_or_initial(psi)[None]
     return Distribution(d=d, probs=_limiting_probs(cache, psis)[0])
 
 
 def limiting_distribution(cfg: CoinConfig, d: int, psi,
-                          cache: SpectralCache | None = None,
-                          tol: float = PHASE_TOL) -> Distribution:
+                          cache: SpectralCache | None = None) -> Distribution:
     """Time-averaged (Cesaro) distribution of the recycled-coin walk.
 
     Keeps exactly the pairs with equal eigenvalues, as decided by phase
-    clustering at tol; a given cache must have been built at the same
-    tol.  Start must be localized at position 0.
+    clustering at PHASE_TOL.  Start must be localized at position 0.
     """
-    return _limiting(_walk_spec(MODEL_RECYCLED, cfg), d, psi, cache, tol)
+    return _limiting(_walk_spec(MODEL_RECYCLED, cfg), d, psi, cache)
 
 
 def limiting_distribution_memory(d: int, psi,
-                                 cache: SpectralCache | None = None,
-                                 tol: float = PHASE_TOL) -> Distribution:
+                                 cache: SpectralCache | None = None
+                                 ) -> Distribution:
     """Time-averaged distribution of the memory walk."""
-    return _limiting(_walk_spec(MODEL_MEMORY), d, psi, cache, tol)
+    return _limiting(_walk_spec(MODEL_MEMORY), d, psi, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -371,10 +371,10 @@ class TestSweep:
     def test_cell_errors_are_isolated(self, monkeypatch):
         real = spectral.spectral_cache
 
-        def flaky(d, cfg, *, tol=spectral.PHASE_TOL):
+        def flaky(d, cfg):
             if d == 7:
                 raise RuntimeError("injected failure")
-            return real(d, cfg, tol=tol)
+            return real(d, cfg)
 
         monkeypatch.setattr(analysis.spectral, "spectral_cache", flaky)
         grid = SweepGrid.named((6, 7, 8), (0.5,), ("psi_a",))
@@ -439,7 +439,7 @@ class TestSweep:
         tracemalloc.start()
         try:
             rows = analysis._sweep_cell_group(
-                (4096, 0.0, items, 1e-6, spectral.PHASE_TOL, True))
+                (4096, 0.0, items, 1e-6, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

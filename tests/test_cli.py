@@ -242,6 +242,19 @@ class TestEvolveCommand:
         assert [float(r[1]) for r in rows] == pytest.approx(
             [0.0, 0.5, 0.0, 0.5], abs=1e-15)
 
+    @pytest.mark.parametrize("custom,named",
+                             [("custom:1e200,1e200,0,0", "psi_b"),
+                              ("custom:1e-200,0,0,0", "psi_a")])
+    def test_custom_state_norm_is_scaled(self, custom, named):
+        # A plain sqrt(sum |a|^2) overflows on the first vector and
+        # underflows to zero on the second.
+        args = ("evolve", "--d", "6", "--phi", "0.5", "--t", "3", "--state")
+        code, out, _ = run_cli(*args, custom)
+        assert code == 0
+        code, ref, _ = run_cli(*args, named)
+        assert code == 0
+        assert parse_csv(out)[2] == parse_csv(ref)[2]
+
 
 class TestLimitingCommand:
     def test_uniform_cell(self):

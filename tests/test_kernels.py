@@ -65,8 +65,11 @@ class TestKernelSemantics:
 
 class TestShiftBlocks:
     def test_memoized_blocks_are_read_only(self):
-        blocks = _kernels._shift_blocks(*RECYCLED)
-        again = _kernels._shift_blocks(*RECYCLED)
+        # A+, A- and the two constant terms of _real_blocks.
+        blocks = (*_kernels._shift_blocks(*RECYCLED),
+                  _kernels._block_terms(*RECYCLED))
+        again = (*_kernels._shift_blocks(*RECYCLED),
+                 _kernels._block_terms(*RECYCLED))
         for block, same in zip(blocks, again):
             assert block is same
             assert not block.flags.writeable

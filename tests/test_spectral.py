@@ -130,7 +130,8 @@ class TestEigensystem:
         mats = np.stack([np.diag(np.exp(1j * row)) for row in phases])
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            lams, vecs = spectral._diagonalize(mats, PHASE_TOL, range(5))
+            lams, vecs = spectral._eig(mats)
+            spectral._screen_blocks(lams, range(5), stacklevel=2)
         assert len(rec) == 1
         assert rec[0].category is DegenerateClusterWarning
         assert "block k=2" in str(rec[0].message)
@@ -178,6 +179,51 @@ class TestPhaseClusters:
         labels, _ = spectral._phase_clusters(row, PHASE_TOL)
         assert len(set(labels)) == 1
 
+    @staticmethod
+    def _probe(phases):
+        """(warned, same): whether _warn_ambiguous fires on the phases'
+        gaps, and whether PHASE_TOL / 10 and 10 PHASE_TOL label them as
+        PHASE_TOL does."""
+        labels, gaps = spectral._phase_clusters(phases, PHASE_TOL)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            spectral._warn_ambiguous(gaps, "probe")
+        same = all(np.array_equal(spectral._phase_clusters(phases, tol)[0],
+                                  labels)
+                   for tol in (0.1 * PHASE_TOL, 10.0 * PHASE_TOL))
+        return bool(rec), same
+
+    def test_unwarned_random_phases_need_no_tolerance_probe(self):
+        # Near copies of random phases, at gaps from 1e-13 to 1e-6, some
+        # of them across the branch cut.
+        rng = np.random.default_rng(13)
+        outcomes = set()
+        for trial in range(400):
+            base = rng.uniform(-np.pi, np.pi, size=rng.integers(4, 40))
+            if trial % 2:
+                base[0] = np.pi
+            near = base[:rng.integers(1, len(base) + 1)]
+            near = near + rng.choice((-1.0, 1.0), near.size) * 10.0 ** (
+                rng.uniform(-13.0, -6.0, near.size))
+            phases = np.angle(np.exp(1j * np.concatenate((base, near))))
+            warned, same = self._probe(phases)
+            assert warned or same
+            outcomes.add((warned, same))
+        # Both kinds occur, and the warning does mark label changes.
+        assert {(False, True), (True, False)} <= outcomes
+
+    def test_unwarned_c07_caches_need_no_tolerance_probe(self):
+        silent = 0
+        for d in range(2, 51):
+            for m in range(80):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateClusterWarning)
+                    cache = spectral_cache(d, CoinConfig(round(0.1 * m, 10)))
+                warned, same = self._probe(np.angle(cache.eigenvalues.ravel()))
+                assert warned or same
+                silent += not warned
+        assert silent > 0
+
 
 class TestSpectralCache:
     def test_completeness_and_alpha_recompute(self, random_coin4):
@@ -212,8 +258,6 @@ class TestSpectralCache:
             closed_form_distribution(3, cfg, psi, d=9, cache=cache)
         with pytest.raises(ValueError, match="coin angle"):
             closed_form_distribution(3, CoinConfig(2.0), psi, cache=cache)
-        with pytest.raises(ValueError, match="tol"):
-            limiting_distribution(cfg, 8, psi, cache=cache, tol=1e-8)
         with pytest.raises(ValueError, match="coin angle"):
             limiting_distribution(cfg, 8, psi,
                                   cache=spectral_cache_memory(8))
@@ -226,7 +270,7 @@ class TestSpectralCache:
     @pytest.mark.parametrize("model", [MODEL_RECYCLED, MODEL_MEMORY])
     def test_every_block_satisfies_its_eigen_equation(self, d, model):
         spec = walk._walk_spec(model, CoinConfig(1.3))
-        cache = spectral._spectral_cache(spec, d, PHASE_TOL)
+        cache = spectral._spectral_cache(spec, d)
         vecs = cache.eigenvectors
         res = (spectral._block_stack(spec, d) @ vecs
                - vecs * cache.eigenvalues[:, None, :])
@@ -240,7 +284,7 @@ class TestSpectralCache:
                               (phase * math.cos(1.0), phase * math.sin(1.0)),
                               1.0)
         with pytest.raises(ValueError, match="real shift blocks"):
-            spectral._spectral_cache(spec, 8, PHASE_TOL)
+            spectral._spectral_cache(spec, 8)
 
     def test_mirrored_blocks_keep_their_warnings(self):
         # Blocks 9 and 15 mirror blocks 7 and 1, and warn in turn.
