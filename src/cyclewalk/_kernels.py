@@ -1,39 +1,35 @@
 """Evolution kernels for the cycle walks.
 
-A walk is given by its one-step rule, ``step(a, *coin) -> out``, over
-a (d, 4) complex128 amplitude table.  The rule has the form
+A walk is its pair of real 4x4 shift blocks, (A+, A-): one step of a
+(d, 4) complex128 amplitude table is
 
-    out[n] = A+ a[n+1] + A- a[n-1]   (indices mod d)
+    out[n] = A+ a[n+1] + A- a[n-1]   (indices mod d).
 
-for two 4x4 matrices A+ and A-; ``_shift_blocks`` reads them off the
-rule, so the rule is the only place a walk's coefficients are written
-down, and checks once that they are real.  The Fourier block at
-momentum k is M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and
-``_real_blocks`` alone computes it, as the real 8x8 B_k that steps the
-float view of a row of 4 amplitudes: float(v) @ B_k = float(M_k v).
-Every kernel steps float views by B_k, and ``_fourier_blocks`` is the
-complex view that the spectral module diagonalizes.  The kernels take
-the rule and its coin arguments after the table and the step count:
+The walk module writes each walk's pair down once, as a spec
+(``walk._WalkSpec``) that also holds two derived forms of it; every
+kernel takes the spec.  ``_site_step`` is the one step at the sites:
+the float view of a row of 4 amplitudes takes A+ and A- as real 8x8
+matrices (``spec.floats``).  The Fourier block at momentum k is
+M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and ``_real_blocks``
+alone computes it, from ``spec.terms``, as the real 8x8 B_k that steps
+the float view of a row: float(v) @ B_k = float(M_k v).  The power
+route and the scan step float views by B_k, and ``_fourier_blocks`` is
+the complex view that the spectral module diagonalizes.  The kernels
+take the spec after the table and the step count:
 
-    evolve(amps, steps, step, *coin)            -> amps
-    evolve_accumulate(amps, steps, step, *coin) -> (amps, acc)
-    normscan(amps, steps, step, *coin)          -> (amps, drift, norm)
+    evolve(amps, steps, spec)            -> amps
+    evolve_accumulate(amps, steps, spec) -> (amps, acc)
+    normscan(amps, steps, spec)          -> (amps, drift, norm)
 
 where acc[n] is the sum of the position-n probability over steps
 t = 1..steps, drift is the largest per-step change of the state norm
 and norm is the final state norm.  Inputs are never mutated.
 
-Component order per site is fixed by the walk module: recycled-coin
-states hold (c1 c2) = (dd, du, ud, uu) and memory states hold
-(coin, memory) = (dd, du, ud, uu).  The recycled rule takes c and s,
-cos(theta) and sin(theta) of the second coin block; the first block is
-always the Hadamard angle.  The memory rule takes no coin arguments.
-
 ``evolve`` takes one of two routes, by a fixed rule on (d, steps): it
-applies the rule site by site below ``_power_min_steps(d)`` steps, the
-measured break-even (3 to 32 steps, growing with d), and otherwise
-takes all the steps as one power of the blocks in O(d log t) time and
-O(d) memory.  A+ and A- are real, so the rule steps the real and
+takes site steps below ``_power_min_steps(d)`` steps, the measured
+break-even (3 to 32 steps, growing with d), and otherwise takes all
+the steps as one power of the blocks in O(d log t) time and O(d)
+memory.  A+ and A- are real, so the walk steps the real and
 imaginary parts of the table apart and M_{d-k} = conj(M_k): a real FFT
 (k <= d/2) takes the two parts to momentum space as two complex rows
 per k, their float views take B_k^t from right-to-left binary
@@ -52,10 +48,9 @@ taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
 does not grow with the step count.  Within a chunk the states
 t = 1..L come from log-depth doubling, X <- [X, X B^|X|], with the
 powers B^(2^m) from the same ladder, and the last state seeds the
-next chunk.  On larger
-cycles an O(d) site step beats the block products and the O(d log d)
-inverse FFT each state would need, so the stream is the rule applied
-site by site, its states copied into chunks.
+next chunk.  On larger cycles an O(d) site step beats the block
+products and the O(d log d) inverse FFT each state would need, so the
+stream is site steps, their states copied into chunks.
 
 The scan takes each momentum chunk back in place (one inverse FFT
 along the site axis) and ``_probs`` reduces a chunk to p(n, t) or its
@@ -67,98 +62,34 @@ eigendecomposition is involved, so all stay independent of the
 spectral module.
 """
 
-import functools
 import itertools
 
 import numpy as np
 
-_SQ2 = 1.0 / np.sqrt(2.0)
 
-
-def _step_recycled(a, c, s):
-    # up[n] = a[n+1], dn[n] = a[n-1] (indices mod d): a left mover arrives
-    # at n from n+1, a right mover from n-1.
-    up = np.roll(a, -1, axis=0)
-    dn = np.roll(a, 1, axis=0)
-    out = np.empty_like(a)
-    out[:, 0] = _SQ2 * (up[:, 0] + up[:, 1])
-    out[:, 1] = c * up[:, 2] + s * up[:, 3]
-    out[:, 2] = _SQ2 * (dn[:, 0] - dn[:, 1])
-    out[:, 3] = s * dn[:, 2] - c * dn[:, 3]
-    return out
-
-
-def _step_memory(a):
-    up = np.roll(a, -1, axis=0)
-    dn = np.roll(a, 1, axis=0)
-    out = np.empty_like(a)
-    out[:, 0] = _SQ2 * (up[:, 0] + up[:, 2])
-    out[:, 1] = _SQ2 * (dn[:, 1] + dn[:, 3])
-    out[:, 2] = _SQ2 * (up[:, 1] - up[:, 3])
-    out[:, 3] = _SQ2 * (dn[:, 0] - dn[:, 2])
-    return out
-
-
-@functools.lru_cache(maxsize=256)
-def _shift_blocks(step, *coin):
-    """Split a one-step rule into out[n] = A+ a[n+1] + A- a[n-1].
-
-    The rule runs once on a 3-site probe holding the identity at site
-    0: site 2 then receives only what arrives from its n+1 neighbour
-    (A+) and site 1 only what arrives from n-1 (A-).  A+ + A- is the
-    coin-and-swap matrix; the nonzero rows of A+ are the rows that
-    arrive from n+1.  Every kernel and the spectral cache rest on A+
-    and A- being real (module docstring), so a rule with complex ones
-    raises ValueError here.  The probe runs once per (rule, coin); the
-    real blocks are memoized and come back read-only.
-    """
-    probe = np.zeros((3, 4, 4), dtype=np.complex128)
-    probe[0] = np.eye(4)
-    out = step(probe, *coin)
-    if out.imag.any():
-        raise ValueError("the mirror M_{d-k} = conj(M_k) needs real shift "
-                         "blocks A+ and A-; this walk's are complex")
-    out = out.real.copy()
-    out.setflags(write=False)
-    return out[2], out[1]
-
-
-@functools.lru_cache(maxsize=256)
-def _block_terms(step, *coin):
-    """_real_blocks' two constant terms as one read-only (2, 64)."""
-    a_plus, a_minus = _shift_blocks(step, *coin)
-    # terms[t, j, p, i, q] is term t's entry B[2j + p, 2i + q].
-    terms = np.zeros((2, 4, 2, 4, 2))
-    terms[0, :, 0, :, 0] = terms[0, :, 1, :, 1] = (a_plus + a_minus).T
-    terms[1, :, 0, :, 1] = (a_plus - a_minus).T
-    terms[1, :, 1, :, 0] = (a_minus - a_plus).T
-    terms.setflags(write=False)
-    return terms.reshape(2, 64)
-
-
-def _real_blocks(d, step, *coin, stop=None):
+def _real_blocks(d, spec, stop=None):
     """The momentum blocks M_k, k < stop (all d), as real 8x8 B_k.
 
     float(v) @ B_k = float(M_k v) for the float view of a row v (module
     docstring).  M_k = Re(x) S + i Im(x) D for S = A+ + A- and
-    D = A+ - A-, so B_k is the (re, im) pair of x times two constant
-    terms (_block_terms).  A+ and A- share no nonzero row, so every
-    entry is one exact product and the even rows of B_k, as (re, im)
-    pairs, are M_k^T bit for bit.
+    D = A+ - A-, so B_k is the (re, im) pair of x times the two
+    constant terms of the spec (``spec.terms``).  A+ and A- share no
+    nonzero row, so every entry is one exact product and the even rows
+    of B_k, as (re, im) pairs, are M_k^T bit for bit.
     """
     x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
     pairs = x.view(np.float64).reshape(-1, 2)
-    return (pairs @ _block_terms(step, *coin)).reshape(-1, 8, 8)
+    return (pairs @ spec.terms).reshape(-1, 8, 8)
 
 
-def _fourier_blocks(d, step, *coin, stop=None):
+def _fourier_blocks(d, spec, stop=None):
     """The complex blocks M_k = x A+ + conj(x) A-, k < stop (all d).
 
     The complex view of _real_blocks' even rows, transposed, as a
     contiguous stack.  np.fft.fft takes a[n+1] to x times the transform
-    of a, so M_k is one step of the rule at frequency k.
+    of a, so M_k is one step of the walk at frequency k.
     """
-    rows = _real_blocks(d, step, *coin, stop=stop)[:, ::2]
+    rows = _real_blocks(d, spec, stop=stop)[:, ::2]
     return np.ascontiguousarray(rows.view(np.complex128).swapaxes(1, 2))
 
 
@@ -166,7 +97,7 @@ def _mirrored(x, d):
     """All d entries from the entries k <= d/2 of blocks or spectra.
 
     x holds entries k = 0..d // 2 along its first axis; entry k > d/2
-    is conj(x[d - k]), as for the blocks of a real rule.
+    is conj(x[d - k]), as for the blocks of a real pair.
     """
     return np.concatenate((x, x[d - len(x):0:-1].conj()))
 
@@ -211,22 +142,34 @@ def _power_min_steps(d):
     return min(32, max(3, d // 64))
 
 
-def evolve(amps, steps, step, *coin):
-    """The state after `steps` steps of the rule (module docstring)."""
+def _site_step(a, spec):
+    """One step at the sites: out[n] = A+ a[n+1] + A- a[n-1] (mod d).
+
+    The float view of a row of 4 amplitudes takes each shift block as
+    its real 8x8 form in spec.floats; a is a (d, 4) complex128 table.
+    """
+    plus, minus = spec.floats
+    out = np.roll(a, -1, axis=0).view(np.float64) @ plus
+    out += np.roll(a, 1, axis=0).view(np.float64) @ minus
+    return out.view(np.complex128)
+
+
+def evolve(amps, steps, spec):
+    """The state after `steps` steps of the walk (module docstring)."""
     d = amps.shape[0]
     if steps < _power_min_steps(d):
         a = amps.copy()
         for _ in range(steps):
-            a = step(a, *coin)
+            a = _site_step(a, spec)
         return a
-    # The rule is real, so it steps the real and imaginary parts of the
+    # The pair is real, so it steps the real and imaginary parts of the
     # table apart: two real rows per site, whose transforms are fixed by
     # k <= d/2 (rfft).  There each row, as 8 floats, takes B_k^(2^m) for
     # each set bit m of steps.
     parts = np.fft.rfft(np.stack((amps.real, amps.imag), axis=1), axis=0,
                         norm="ortho")
     state = parts.view(np.float64)
-    for power in _squarings(_real_blocks(d, step, *coin, stop=d // 2 + 1)):
+    for power in _squarings(_real_blocks(d, spec, stop=d // 2 + 1)):
         if steps & 1:
             state = state @ power
         steps >>= 1
@@ -255,7 +198,7 @@ def _scan_chunk_len(d):
     return max(1, _SCAN_CHUNK_AMPS // (4 * d))
 
 
-def _scan(amps, steps, step, *coin, sites=True):
+def _scan(amps, steps, spec, sites=True):
     """Yield the states t = 1..steps in (d, n, 4) chunks (module docstring).
 
     The states are at the sites; with sites=False, momentum chunks stay
@@ -270,7 +213,7 @@ def _scan(amps, steps, step, *coin, sites=True):
     if fourier:
         # A state is a row of 8 floats at each k, so a step is B_k; the
         # doubling below needs the powers up to B^(chunk/2).
-        ladder = _squarings(_real_blocks(d, step, *coin))
+        ladder = _squarings(_real_blocks(d, spec))
         powers = list(itertools.islice(ladder,
                                        max(1, (chunk - 1).bit_length())))
         state = np.fft.fft(amps, axis=0, norm="ortho")[:, None, :]
@@ -295,7 +238,7 @@ def _scan(amps, steps, step, *coin, sites=True):
                 np.fft.ifft(out, axis=0, norm="ortho", out=out)
         else:
             for i in range(n):
-                state = step(state, *coin)
+                state = _site_step(state, spec)
                 buf[:, i] = state
         yield out
 
@@ -310,19 +253,19 @@ def _probs(chunk, keep="nt"):
     return np.einsum("ntj,ntj->" + keep, parts, parts)
 
 
-def evolve_accumulate(amps, steps, step, *coin):
+def evolve_accumulate(amps, steps, spec):
     acc = np.zeros(amps.shape[0], dtype=np.float64)
     sites = amps[:, None, :]
-    for sites in _scan(amps, steps, step, *coin):
+    for sites in _scan(amps, steps, spec):
         acc += _probs(sites, "n")
     return sites[:, -1].copy(), acc
 
 
-def normscan(amps, steps, step, *coin):
+def normscan(amps, steps, spec):
     """Evolve while tracking the norm (module docstring)."""
     prev = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
     drift, chunk = 0.0, amps[:, None, :]
-    for chunk in _scan(amps, steps, step, *coin, sites=False):
+    for chunk in _scan(amps, steps, spec, sites=False):
         # By Parseval a momentum state has its site norm.
         norms = np.sqrt(_probs(chunk, "t"))
         drift = max(drift, abs(float(norms[0]) - prev),

@@ -62,8 +62,8 @@ def classify_uniform(dist: Distribution, epsilon: float) -> bool:
 def _site_states(spec, state, steps):
     """The states t = 0..steps of a walk, in (d, n, 4) chunks at the sites."""
     amps = state.amplitudes
-    return itertools.chain([amps[:, None, :]], _kernels._scan(
-        amps, steps, spec.step, *spec.coin))
+    return itertools.chain([amps[:, None, :]],
+                           _kernels._scan(amps, steps, spec))
 
 
 def _gap_at(sides, t):
@@ -398,5 +398,5 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
     pbar = spectral._limiting(spec, d, init, None)
-    _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec.step, *spec.coin)
+    _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec)
     return total_variation(pbar.probs, acc / t_horizon)

@@ -255,11 +255,44 @@ def _apply_config_file(ns: argparse.Namespace):
         if not hasattr(ns, dest):
             raise UsageError("config key %r does not apply to %r"
                              % (key, ns.command))
+        value = _config_value(ns.command, key, dest, value)
         if getattr(ns, dest) is None:
-            if dest == "state" and ns.command in _LIST_STATE_COMMANDS \
-                    and not isinstance(value, list):
-                value = [value]
             setattr(ns, dest, value)
+
+
+def _config_value(command, key, dest, value):
+    """A config file value, held to the type and choices of its flag.
+
+    JSON has its own types, so argparse's conversion does not apply:
+    an integer flag takes an integer (not a bool), a float flag any
+    number, a flag with choices one of them, and every other flag a
+    string; a repeatable --state takes a string or a list of strings.
+    """
+    subcommands = next(a for a in _parser()._actions if a.dest == "command")
+    flag = next(a for a in subcommands.choices[command]._actions
+                if a.dest == dest)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if flag.choices is not None:
+        want = "one of %s" % ", ".join(flag.choices)
+        ok = isinstance(value, str) and value in flag.choices
+    elif flag.type is int:
+        want, ok = "an integer", number and isinstance(value, int)
+    elif flag.type is float:
+        # float() of an integer past the float range would overflow.
+        want = "a number"
+        ok = number and (isinstance(value, float)
+                         or abs(value) <= sys.float_info.max)
+    elif dest == "state" and command in _LIST_STATE_COMMANDS:
+        want = "a string or a list of strings"
+        value = [value] if isinstance(value, str) else value
+        ok = isinstance(value, list) and all(isinstance(v, str)
+                                             for v in value)
+    else:
+        want, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise UsageError("config key %r takes %s, got %s"
+                         % (key, want, json.dumps(value)))
+    return float(value) if flag.type is float else value
 
 
 def _need(ns, attr, flag):

@@ -2,11 +2,11 @@
 
 A translation-invariant walk on the d-cycle block-diagonalizes under
 the discrete Fourier transform of the position register into d unitary
-4x4 blocks, one per momentum k.  Each walk is described once, by its
-one-step rule out[n] = A+ a[n+1] + A- a[n-1] in the kernels module;
-the block is M_k = x A+ + conj(x) A- with x = e^{2 pi i k/d}, with
-(A+, A-) read off that rule.  build_Mk gives the recycled-coin block at
-angle theta, build_Nk the memory-walk block.  With a walker starting
+4x4 blocks, one per momentum k.  Each walk is its pair of shift
+blocks (A+, A-), one step being out[n] = A+ a[n+1] + A- a[n-1] (the
+walk module's specs); the kernels module builds the block
+M_k = x A+ + conj(x) A- with x = e^{2 pi i k/d}.  build_Mk gives the
+recycled-coin block at angle theta, build_Nk the memory-walk block.  With a walker starting
 localized at position 0 with coin vector psi, and writing lam_j(k),
 phi_j(k) for the block eigensystems and alpha_j(k) = <phi_j(k)|psi>,
 the state at step t has momentum amplitudes
@@ -55,6 +55,7 @@ d blocks in ascending k.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -93,7 +94,7 @@ class FourierBlock:
 
 
 def _block_stack(spec: _WalkSpec, d: int) -> np.ndarray:
-    return _kernels._fourier_blocks(d, spec.step, *spec.coin)
+    return _kernels._fourier_blocks(d, spec)
 
 
 def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
@@ -144,15 +145,20 @@ def _phase_clusters(phases: np.ndarray, tol: float):
     return labels, gaps
 
 
-def _warn_ambiguous(gaps, context, stacklevel=3):
+def _warn_ambiguous(gaps, context):
     # Gaps within a decade of PHASE_TOL make the equality call unreliable.
     near = gaps[(gaps >= 0.1 * PHASE_TOL) & (gaps <= 10.0 * PHASE_TOL)]
     if near.size:
+        # The warning points at the first line outside this module, the
+        # call into it (skip_file_prefixes needs Python 3.12).
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__ and frame.f_back:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "%s: %d eigenvalue phase gap(s) within a decade of the matching "
             "tolerance %g (smallest %.3g); equal-eigenvalue pairing may be "
             "ambiguous" % (context, near.size, PHASE_TOL, near.min()),
-            DegenerateClusterWarning, stacklevel=stacklevel)
+            DegenerateClusterWarning, stacklevel=level)
 
 
 def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
@@ -179,16 +185,15 @@ def _eig(mats: np.ndarray):
     return lams, vecs
 
 
-def _screen_blocks(lams: np.ndarray, ks, stacklevel: int):
+def _screen_blocks(lams: np.ndarray, ks):
     """Warn of each block's phase gaps near PHASE_TOL; check |lam| = 1.
 
-    Blocks warn in order, labelled by ks; stacklevel counts the
-    frames from _warn_ambiguous up to the line they point at.  Raises
-    RuntimeError when an eigenvalue leaves the unit circle.
+    Blocks warn in order, labelled by ks.  Raises RuntimeError when an
+    eigenvalue leaves the unit circle.
     """
     gaps = _sorted_gaps(np.sort(np.angle(lams), axis=-1))
     for b in np.flatnonzero((gaps <= 10.0 * PHASE_TOL).any(axis=-1)):
-        _warn_ambiguous(gaps[b], "block k=%d" % ks[b], stacklevel)
+        _warn_ambiguous(gaps[b], "block k=%d" % ks[b])
     moddev = np.abs(np.abs(lams) - 1.0).max()
     if moddev > _UNITARITY_TOL:
         raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
@@ -226,8 +231,7 @@ def eigensystem(block) -> EigenSystem:
     if dev > _UNITARITY_TOL:
         raise ValueError("block is not unitary (deviation %.3g)" % dev)
     lams, vecs = _eig(mat[None])
-    # The warnings point at the line that called eigensystem.
-    _screen_blocks(lams, (k,), stacklevel=4)
+    _screen_blocks(lams, (k,))
     return EigenSystem(k=k, d=d, theta=theta,
                        eigenvalues=lams[0], eigenvectors=vecs[0])
 
@@ -279,14 +283,12 @@ def _spectral_cache(spec: _WalkSpec, d: int) -> SpectralCache:
         raise ValueError("cycle length d must be >= 2, got %d" % d)
     # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
     # conjugate of block d - k, and so is its eigensystem.
-    mats = _kernels._fourier_blocks(d, spec.step, *spec.coin,
-                                    stop=d // 2 + 1)
+    mats = _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
     dev = _unitarity_deviation(mats).max()
     if dev > _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
     lams, vecs = (_kernels._mirrored(x, d) for x in _eig(mats))
-    # The warnings point at the function that asked for the cache.
-    _screen_blocks(lams, range(d), stacklevel=4)
+    _screen_blocks(lams, range(d))
     labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), PHASE_TOL)
     return SpectralCache(d=d, theta=spec.theta, eigenvalues=lams,
                          eigenvectors=vecs, labels=labels, gaps=gaps)

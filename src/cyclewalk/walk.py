@@ -18,12 +18,18 @@ memory and coin agree.
 
 C(theta) is the real symmetric coin [[cos, sin], [sin, -cos]]; pi/4
 gives the Hadamard.
+
+Each walk is its pair of real 4x4 shift blocks (A+, A-): one step is
+out[n] = A+ a[n+1] + A- a[n-1], A+ holding the rows of the coin-and-
+swap matrix A+ + A- that arrive from site n+1 and A- those from n-1.
+``_walk_spec`` writes both pairs down; stepping, the norm scan and
+the spectral module's Fourier blocks all come from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,8 @@ MODEL_MEMORY = "memory"
 COIN_LABELS = ("dd", "du", "ud", "uu")
 
 PHI_PERIOD = 8.0
+
+_SQ2 = 1.0 / np.sqrt(2.0)
 
 
 def coin_block(theta: float) -> np.ndarray:
@@ -202,31 +210,69 @@ def _check_steps(steps: int) -> int:
     return int(steps)
 
 
-def _coin_cs(cfg: CoinConfig) -> tuple[float, float]:
-    return math.cos(cfg.theta), math.sin(cfg.theta)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _WalkSpec:
-    """One walk: its one-step rule and the rule's coin arguments.
+    """One walk as its pair (A+, A-) (module docstring).
 
-    Stepping, the norm scan and the Fourier blocks of the spectral
-    module are all derived from ``step(a, *coin)``.  theta is the
-    second-coin angle, None for the memory walk.
+    a_plus and a_minus are read-only real 4x4 arrays; a complex pair
+    raises ValueError, since every kernel and the spectral cache rest
+    on M_{d-k} = conj(M_k).  Two read-only forms are derived once:
+    ``floats``, A+ and A- as (2, 8, 8) on the float view of a row of 4
+    amplitudes, for the site step, and ``terms``, the two constant
+    terms of ``_kernels._real_blocks``.  theta is the second-coin
+    angle, None for the memory walk.
     """
 
-    step: Callable
-    coin: tuple
+    a_plus: np.ndarray
+    a_minus: np.ndarray
     theta: float | None
+    floats: np.ndarray = field(init=False, repr=False)
+    terms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pair = np.array((self.a_plus, self.a_minus))
+        if pair.imag.any():
+            raise ValueError("the mirror M_{d-k} = conj(M_k) needs real "
+                             "shift blocks A+ and A-; this walk's are complex")
+        a_plus, a_minus = pair = pair.real.astype(np.float64)
+        # forms[f, j, p, i, q] is entry F[2j + p, 2i + q] of form f: the
+        # float forms of A+ and A-, float(v) @ F = float(A v), then the
+        # two terms of _real_blocks.
+        forms = np.zeros((4, 4, 2, 4, 2))
+        forms[:2, :, 0, :, 0] = forms[:2, :, 1, :, 1] = pair.swapaxes(1, 2)
+        forms[2, :, 0, :, 0] = forms[2, :, 1, :, 1] = (a_plus + a_minus).T
+        forms[3, :, 0, :, 1] = (a_plus - a_minus).T
+        forms[3, :, 1, :, 0] = (a_minus - a_plus).T
+        for arr in (pair, forms):
+            arr.setflags(write=False)
+        # Views of read-only arrays, which cannot be made writeable.
+        for name, value in zip(("a_plus", "a_minus", "floats", "terms"),
+                               (*pair, forms[:2].reshape(2, 8, 8),
+                                forms[2:].reshape(2, 64))):
+            object.__setattr__(self, name, value)
 
 
+@functools.lru_cache(maxsize=256)
 def _walk_spec(model: str, cfg: CoinConfig | None = None) -> _WalkSpec:
-    """The spec of a model; the recycled-coin walk needs a CoinConfig."""
+    """The spec of a model, built once per (model, cfg).
+
+    The recycled-coin walk needs a CoinConfig.  Row i of A+ holds what
+    component i takes from site n+1, row i of A- what it takes from
+    n-1; q is the Hadamard entry and c, s = cos(theta), sin(theta).
+    """
+    q = _SQ2
     if model == MODEL_MEMORY:
-        return _WalkSpec(_kernels._step_memory, (), None)
+        return _WalkSpec(np.array([[q, 0, q, 0], [0, 0, 0, 0],
+                                   [0, q, 0, -q], [0, 0, 0, 0]]),
+                         np.array([[0, 0, 0, 0], [0, q, 0, q],
+                                   [0, 0, 0, 0], [q, 0, -q, 0]]), None)
     if cfg is None:
         raise ValueError("recycled-coin evolution requires a CoinConfig")
-    return _WalkSpec(_kernels._step_recycled, _coin_cs(cfg), cfg.theta)
+    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
+    return _WalkSpec(np.array([[q, q, 0, 0], [0, 0, c, s],
+                               [0, 0, 0, 0], [0, 0, 0, 0]]),
+                     np.array([[0, 0, 0, 0], [0, 0, 0, 0],
+                               [q, -q, 0, 0], [0, 0, s, -c]]), cfg.theta)
 
 
 def evolve(state: WalkState, steps: int,
@@ -235,11 +281,11 @@ def evolve(state: WalkState, steps: int,
 
     The recycled-coin walk needs a CoinConfig; the memory walk has no
     free parameter and ignores cfg.  Below a crossover of 3 to 32
-    steps, growing with d (``_kernels._power_min_steps``), the rule is
-    applied site by site, O(d) per step.  From it on, the steps are
-    one power of the real 8x8 momentum blocks k <= d/2, by repeated
-    squaring, in O(d log t) time and O(d) memory: a million steps at
-    d = 10^4 take well under a second.  Both routes match the dense
+    steps, growing with d (``_kernels._power_min_steps``), the pair
+    (A+, A-) steps the table site by site, O(d) per step.  From it on,
+    the steps are one power of the real 8x8 momentum blocks k <= d/2,
+    by repeated squaring, in O(d log t) time and O(d) memory: a million
+    steps at d = 10^4 take well under a second.  Both routes match the dense
     operator of the test oracles to 1e-12, and the power route holds
     the norm to about 1e-13 even at t = 10^6.
     """
@@ -247,7 +293,7 @@ def evolve(state: WalkState, steps: int,
     if steps == 0:
         return state
     spec = _walk_spec(state.model, cfg)
-    amps = _kernels.evolve(state.amplitudes, steps, spec.step, *spec.coin)
+    amps = _kernels.evolve(state.amplitudes, steps, spec)
     return WalkState(d=state.d, model=state.model, amplitudes=amps)
 
 
@@ -283,8 +329,7 @@ def evolve_accumulate(state: WalkState, steps: int,
     if steps == 0:
         return state, np.zeros(state.d)
     spec = _walk_spec(state.model, cfg)
-    amps, acc = _kernels.evolve_accumulate(state.amplitudes, steps,
-                                           spec.step, *spec.coin)
+    amps, acc = _kernels.evolve_accumulate(state.amplitudes, steps, spec)
     return WalkState(d=state.d, model=state.model, amplitudes=amps), acc
 
 
@@ -308,8 +353,7 @@ def norm_drift_scan(state: WalkState, steps: int,
         n = state.norm()
         return state, 0.0, n
     spec = _walk_spec(state.model, cfg)
-    amps, drift, norm = _kernels.normscan(state.amplitudes, steps,
-                                          spec.step, *spec.coin)
+    amps, drift, norm = _kernels.normscan(state.amplitudes, steps, spec)
     return (WalkState(d=state.d, model=state.model, amplitudes=amps),
             float(drift), float(norm))
 

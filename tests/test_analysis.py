@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclewalk import (STATE_NAMES, CoinConfig, Distribution, InitialState,
-                       WalkState, _kernels, analysis, named_coin4, spectral)
+from cyclewalk import (MODEL_MEMORY, MODEL_RECYCLED, STATE_NAMES, CoinConfig,
+                       Distribution, InitialState, WalkState, _kernels,
+                       analysis, named_coin4, spectral, walk)
 from cyclewalk.analysis import (SweepGrid, classify_uniform, crosscheck_limiting,
                                 default_horizons, mixing_curve,
                                 residue_distance_curve, sweep,
@@ -24,12 +25,11 @@ def _rand_dist(rng, d):
     return w / w.sum()
 
 
-def _recycled_rule(phi):
-    theta = CoinConfig(phi).theta
-    return (_kernels._step_recycled, math.cos(theta), math.sin(theta))
+def _recycled_spec(phi):
+    return walk._walk_spec(MODEL_RECYCLED, CoinConfig(phi))
 
 
-MEMORY_RULE = (_kernels._step_memory,)
+MEMORY_SPEC = walk._walk_spec(MODEL_MEMORY)
 
 # Cycles on both sides of the momentum/site crossover of the kernel scan.
 CHUNKED_D = (11, _kernels._FOURIER_SCAN_MAX_D + 1)
@@ -42,15 +42,14 @@ def _localized(d, coin4):
 def _stepped_max_gap(t_max, lhs, rhs):
     """Worst |p_l - p_r| over t = 0..t_max, one kernel step at a time.
 
-    lhs and rhs are (amplitudes, rule) pairs; rule is the one-step rule
-    followed by its coin arguments.
+    lhs and rhs are (amplitudes, walk spec) pairs.
     """
-    (a, rule_a), (b, rule_b) = lhs, rhs
+    (a, spec_a), (b, spec_b) = lhs, rhs
     worst = 0.0
     for t in range(t_max + 1):
         if t:
-            a = _kernels.evolve(a, 1, *rule_a)
-            b = _kernels.evolve(b, 1, *rule_b)
+            a = _kernels.evolve(a, 1, spec_a)
+            b = _kernels.evolve(b, 1, spec_b)
         gap = np.abs(np.sum(np.abs(a) ** 2, axis=1)
                      - np.sum(np.abs(b) ** 2, axis=1)).max()
         worst = max(worst, float(gap))
@@ -165,8 +164,8 @@ class TestTheorem1:
         phi, psi = 0.7, named_coin4("psi_d")
         t_max = _chunk_t_max(d)
         ref = _stepped_max_gap(
-            t_max, (_localized(d, psi), _recycled_rule(phi)),
-            (_localized(d, apply_Q(psi)), _recycled_rule(-(2.0 + phi))))
+            t_max, (_localized(d, psi), _recycled_spec(phi)),
+            (_localized(d, apply_Q(psi)), _recycled_spec(-(2.0 + phi))))
         dev = theorem1_max_deviation(d, t_max, phi, psi)
         assert dev < 1e-10
         assert abs(dev - ref) < 1e-12
@@ -179,8 +178,8 @@ class TestTheorem1:
         phi, psi = 0.7, named_coin4("psi_d")
         t_max = _chunk_t_max(d)
         ref = _stepped_max_gap(
-            t_max, (_localized(d, psi), _recycled_rule(phi)),
-            (_localized(d, psi), _recycled_rule(-(2.0 + phi))))
+            t_max, (_localized(d, psi), _recycled_spec(phi)),
+            (_localized(d, psi), _recycled_spec(-(2.0 + phi))))
         monkeypatch.setattr(analysis, "apply_Q", np.array)
         dev = theorem1_max_deviation(d, t_max, phi, psi)
         assert dev > 1e-3
@@ -215,8 +214,8 @@ class TestTheorem2:
         psi = named_coin4("psi_d")
         t_max = _chunk_t_max(d)
         ref = _stepped_max_gap(
-            t_max, (_localized(d, psi), _recycled_rule(2.0)),
-            (_localized(d, apply_P_adjoint(psi)), MEMORY_RULE))
+            t_max, (_localized(d, psi), _recycled_spec(2.0)),
+            (_localized(d, apply_P_adjoint(psi)), MEMORY_SPEC))
         dev = theorem2_max_deviation(d, t_max, psi)
         assert dev < 1e-10
         assert abs(dev - ref) < 1e-12
@@ -226,8 +225,8 @@ class TestTheorem2:
         psi = named_coin4("psi_d")
         t_max = _chunk_t_max(d)
         ref = _stepped_max_gap(
-            t_max, (_localized(d, psi), _recycled_rule(2.0)),
-            (_localized(d, psi), MEMORY_RULE))
+            t_max, (_localized(d, psi), _recycled_spec(2.0)),
+            (_localized(d, psi), MEMORY_SPEC))
         monkeypatch.setattr(analysis, "apply_P_adjoint", np.array)
         dev = theorem2_max_deviation(d, t_max, psi)
         assert dev > 1e-3
@@ -412,25 +411,26 @@ class TestSweep:
         assert [r.warned for r in records] == [True] * 4 + [False] * 4
         assert all(r.error is None for r in records)
 
-    def test_one_limit_and_one_probe_per_sweep(self, monkeypatch):
+    def test_one_limit_and_one_spec_per_sweep(self, monkeypatch):
         # Structural guard, no timing: one batched limit per (d, phi)
-        # group, and the step rule's (A+, A-) read once for the sweep.
-        calls = {"limit": 0, "probe": 0}
-        real_limit, real_step = spectral._limiting_probs, _kernels._step_recycled
+        # group, and the walk's (A+, A-) built once for the sweep.
+        calls = {"limit": 0, "spec": 0}
+        real_limit, real_spec = spectral._limiting_probs, walk._WalkSpec
 
         def counting_limit(cache, psis):
             calls["limit"] += 1
             return real_limit(cache, psis)
 
-        def counting_step(a, c, s):
-            calls["probe"] += a.shape == (3, 4, 4)
-            return real_step(a, c, s)
+        def counting_spec(*args):
+            calls["spec"] += 1
+            return real_spec(*args)
 
         monkeypatch.setattr(spectral, "_limiting_probs", counting_limit)
-        monkeypatch.setattr(_kernels, "_step_recycled", counting_step)
+        monkeypatch.setattr(walk, "_WalkSpec", counting_spec)
+        walk._walk_spec.cache_clear()
         records = sweep(SweepGrid.named(range(2, 13), (0.5,), STATE_NAMES))
         assert len(records) == 11 * len(STATE_NAMES)
-        assert calls == {"limit": 11, "probe": 1}
+        assert calls == {"limit": 11, "spec": 1}
 
     def test_four_state_group_peak_memory(self):
         # A flat-band group at d = 4096: the transform batches stay

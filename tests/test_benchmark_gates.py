@@ -1,0 +1,42 @@
+"""Every benchmark operation runs and passes its gate at smoke size.
+
+The benchmark in perfbench/ drives the package through its public API
+and counts an operation whose call raises or whose gate fails as a
+failed operation.  Here each workload is built at smoke size from a
+fixed seed and each operation runs once in process, so a changed
+signature or output fails a test instead of the benchmark's pass ratio.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cyclewalk
+from cyclewalk import analysis, cli, output, spectral, walk  # noqa: F401
+
+_WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, _WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_op_passes_its_gate(name):
+    build, _ = WORKLOADS[name]
+    ops = build(cyclewalk, np.random.default_rng(3), smoke=True)
+    assert ops
+    failed = {op.name: gate for op in ops
+              if (gate := op.check(op.run())) is not None}
+    assert failed == {}

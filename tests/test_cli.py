@@ -483,6 +483,50 @@ class TestConfigFile:
                                str(tmp_path / "none.json"), "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command,config", [
+        ("evolve", {"d": "5"}),
+        ("evolve", {"d": True}),
+        ("evolve", {"t": 2.5}),
+        ("evolve", {"phi": "0.5"}),
+        ("evolve", {"phi": False}),
+        ("evolve", {"phi": 10 ** 400}),
+        ("sweep", {"jobs": "2"}),
+        ("sweep", {"epsilon": None}),
+        ("evolve", {"state": 7}),
+        ("evolve", {"state": ["psi_a"]}),
+        ("sweep", {"state": ["psi_a", 7]}),
+        ("verify", {"state": {"psi_a": 1}}),
+        ("limiting", {"model": "Memory"}),
+        ("limiting", {"format": "xml"}),
+        ("sweep", {"d-range": 5}),
+        ("verify", {"phi_grid": [0, 1]}),
+        ("limiting", {"out": 3}),
+    ])
+    def test_value_must_pass_its_flag(self, tmp_path, command, config):
+        # Each value is held to its flag's type and choices: a usage
+        # error that names the key, not a traceback or a silent run.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "config key %r" % next(iter(config)) in err
+
+    def test_values_read_as_their_flags(self, tmp_path):
+        # An integer for a float flag is that float, and a single state
+        # of a repeatable --state is a list of one.
+        for command, config, flags in (
+                ("evolve", {"d": 5, "phi": 1, "t": 3, "state": "psi_b"},
+                 ("--d", "5", "--phi", "1", "--t", "3", "--state", "psi_b")),
+                ("sweep", {"d": 6, "phi": 2, "state": "psi_c",
+                           "epsilon": 1},
+                 ("--d", "6", "--phi", "2", "--state", "psi_c",
+                  "--epsilon", "1"))):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            by_file = run_cli(command, "--config", str(cfg))
+            assert by_file[0] == 0
+            assert by_file == run_cli(command, *flags)
+
 
 class TestDeterminismAndFormats:
     def test_repeated_runs_byte_identical(self, tmp_path):

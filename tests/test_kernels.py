@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclewalk import _kernels
+from cyclewalk import MODEL_MEMORY, MODEL_RECYCLED, CoinConfig, _kernels, walk
 
 import oracles
 
@@ -12,9 +12,8 @@ def _random_state(rng, d):
     return v / np.sqrt(np.sum(np.abs(v) ** 2))
 
 
-RECYCLED = (_kernels._step_recycled, np.cos(3 * np.pi / 4),
-            np.sin(3 * np.pi / 4))
-MEMORY = (_kernels._step_memory,)
+RECYCLED = walk._walk_spec(MODEL_RECYCLED, CoinConfig(2.0))
+MEMORY = walk._walk_spec(MODEL_MEMORY)
 
 
 class TestKernelSemantics:
@@ -27,13 +26,13 @@ class TestKernelSemantics:
             walks = ((RECYCLED, oracles.dense_recycled_operator(d, 2.0)),
                      (MEMORY, oracles.dense_memory_operator(d)))
             for steps in (0, 1, 200, _kernels._scan_chunk_len(d) + 3):
-                for rule, op in walks:
+                for spec, op in walks:
                     a = _random_state(rng, d)
-                    final, acc = _kernels.evolve_accumulate(a, steps, *rule)
+                    final, acc = _kernels.evolve_accumulate(a, steps, spec)
                     stepped = dense = a
                     by_step, by_dense = np.zeros(d), np.zeros(d)
                     for _ in range(steps):
-                        stepped = _kernels.evolve(stepped, 1, *rule)
+                        stepped = _kernels.evolve(stepped, 1, spec)
                         dense = oracles.dense_evolve(dense, op, 1)
                         by_step += np.sum(np.abs(stepped) ** 2, axis=1)
                         by_dense += oracles.dense_distribution(dense)
@@ -47,71 +46,76 @@ class TestKernelSemantics:
     def test_inputs_not_mutated(self, rng):
         a = _random_state(rng, 5)
         before = a.copy()
-        _kernels.evolve(a, 10, *RECYCLED)
-        _kernels.evolve(a, 10, *MEMORY)
-        _kernels.evolve_accumulate(a, 10, *RECYCLED)
-        _kernels.normscan(a, 10, *MEMORY)
+        _kernels.evolve(a, 10, RECYCLED)
+        _kernels.evolve(a, 10, MEMORY)
+        _kernels.evolve_accumulate(a, 10, RECYCLED)
+        _kernels.normscan(a, 10, MEMORY)
         # The scan inverts its own buffer in place, never the input.
-        for chunk in _kernels._scan(a, 10, *RECYCLED):
+        for chunk in _kernels._scan(a, 10, RECYCLED):
             assert not np.shares_memory(chunk, a)
         assert np.array_equal(a, before)
 
     def test_normscan_tracks_norm(self, rng):
         a = _random_state(rng, 5)
-        _, drift, norm = _kernels.normscan(a, 20, *MEMORY)
+        _, drift, norm = _kernels.normscan(a, 20, MEMORY)
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= drift < 1e-13
 
 
 class TestShiftBlocks:
     def test_memoized_blocks_are_read_only(self):
-        # A+, A- and the two constant terms of _real_blocks.
-        blocks = (*_kernels._shift_blocks(*RECYCLED),
-                  _kernels._block_terms(*RECYCLED))
-        again = (*_kernels._shift_blocks(*RECYCLED),
-                 _kernels._block_terms(*RECYCLED))
-        for block, same in zip(blocks, again):
-            assert block is same
+        # A+, A-, their float forms and the two constant terms of
+        # _real_blocks, all from one memoized spec.
+        spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(2.0))
+        assert walk._walk_spec(MODEL_RECYCLED, CoinConfig(2.0)) is spec
+        for block in (spec.a_plus, spec.a_minus, spec.floats, spec.terms):
             assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
             with pytest.raises(ValueError):
                 block[0, 0] = 1.0
             with pytest.raises(ValueError):
                 block.setflags(write=True)
 
     def test_coins_one_bit_apart_get_their_own_blocks(self):
-        step, c, s = RECYCLED
-        near = np.nextafter(c, 0.0)
-        assert near != c
-        a_plus, a_minus = _kernels._shift_blocks(step, c, s)
-        b_plus, b_minus = _kernels._shift_blocks(step, near, s)
-        # c sits in row 1 of A+ and row 3 of A- (see _step_recycled).
-        assert a_plus[1, 2] == c and b_plus[1, 2] == near
-        assert a_minus[3, 3] == -c and b_minus[3, 3] == -near
+        # At phi = 4.05 one bit of phi is one of theta, of c and of s.
+        cfg = CoinConfig(4.05)
+        near = CoinConfig(np.nextafter(cfg.phi, 0.0))
+        assert near.theta != cfg.theta
+        a, b = (walk._walk_spec(MODEL_RECYCLED, x) for x in (cfg, near))
+        # cos and sin of theta sit in row 1 of A+ and row 3 of A-.
+        for spec, x in ((a, cfg), (b, near)):
+            c, s = np.cos(x.theta), np.sin(x.theta)
+            assert spec.a_plus[1, 2] == c and spec.a_plus[1, 3] == s
+            assert spec.a_minus[3, 2] == s and spec.a_minus[3, 3] == -c
+        assert not np.array_equal(a.a_plus, b.a_plus)
+        assert not np.array_equal(a.a_minus, b.a_minus)
 
 
 class TestBlocks:
     """The one block builder: M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}."""
 
     @pytest.mark.parametrize("d", [2, 3, 8, 353])
-    @pytest.mark.parametrize("rule", [RECYCLED, MEMORY],
+    @pytest.mark.parametrize("spec", [RECYCLED, MEMORY],
                              ids=["recycled", "memory"])
-    def test_complex_blocks_are_the_formula(self, d, rule):
-        a_plus, a_minus = _kernels._shift_blocks(*rule)
+    def test_complex_blocks_are_the_formula(self, d, spec):
         x = np.exp(2j * np.pi * np.arange(d) / d)[:, None, None]
-        want = x * a_plus + x.conj() * a_minus
+        want = x * spec.a_plus + x.conj() * spec.a_minus
         for stop in (None, d // 2 + 1):
-            got = _kernels._fourier_blocks(d, *rule, stop=stop)
+            got = _kernels._fourier_blocks(d, spec, stop=stop)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want[:stop])
 
     @pytest.mark.parametrize("d", [2, 3, 8, 353])
-    @pytest.mark.parametrize("rule", [RECYCLED, MEMORY],
+    @pytest.mark.parametrize("spec", [RECYCLED, MEMORY],
                              ids=["recycled", "memory"])
-    def test_real_blocks_step_float_views(self, d, rule, rng):
+    def test_real_blocks_step_float_views(self, d, spec, rng):
         # A row of 4 amplitudes as 8 interleaved floats times B_k is
         # the float view of M_k v.
-        mats = _kernels._fourier_blocks(d, *rule)
-        real = _kernels._real_blocks(d, *rule)
+        mats = _kernels._fourier_blocks(d, spec)
+        real = _kernels._real_blocks(d, spec)
         assert real.shape == (d, 8, 8) and real.dtype == np.float64
         v = rng.uniform(-1, 1, (d, 3, 4)) + 1j * rng.uniform(-1, 1, (d, 3, 4))
         got = v.view(np.float64) @ real
@@ -143,18 +147,18 @@ class TestPowerRoute:
         cross = _kernels._power_min_steps(d)
         steps = {0, 1, 2, 3, 7, 8, 63, 64, 65, cross - 1, cross, cross + 1}
         assert min(steps) < cross <= max(steps)
-        for rule, op in self._walks(d):
+        for spec, op in self._walks(d):
             a = _random_state(rng, d)
             before = a.copy()
             for t in sorted(steps):
-                got = _kernels.evolve(a, t, *rule)
+                got = _kernels.evolve(a, t, spec)
                 want = oracles.dense_evolve(a, op, t)
                 assert np.abs(got - want).max() < 1e-12, (d, t)
             assert np.array_equal(a, before)
 
     def test_route_follows_the_crossover(self, rng, monkeypatch):
-        # Below the crossover (single steps included) the site rule
-        # runs; from it on, the power of the blocks.
+        # Below the crossover (single steps included) site steps run;
+        # from it on, the power of the blocks.
         ladders = []
         squarings = _kernels._squarings
         monkeypatch.setattr(_kernels, "_squarings",
@@ -164,21 +168,15 @@ class TestPowerRoute:
             assert cross > 2
             a = _random_state(rng, d)
             for t in (1, cross - 1):
-                _kernels.evolve(a, t, *RECYCLED)
+                _kernels.evolve(a, t, RECYCLED)
             assert not ladders
-            _kernels.evolve(a, cross, *RECYCLED)
+            _kernels.evolve(a, cross, RECYCLED)
             assert len(ladders) == 1
             # Only the blocks k <= d/2, in their real 8x8 form.
             assert ladders.pop().shape == (d // 2 + 1, 8, 8)
 
     def test_complex_shift_blocks_rejected(self):
-        def step(a):
-            return 1j * np.roll(a, -1, axis=0)
-        table = np.eye(4, dtype=np.complex128)[:3]
+        # Every kernel takes a spec, and no spec holds a complex pair:
+        # here the walk out[n] = 1j a[n+1].
         with pytest.raises(ValueError, match="real shift"):
-            _kernels.evolve(table, 40, step)
-        # The scan steps the same blocks, so it rejects the rule too.
-        with pytest.raises(ValueError, match="real shift"):
-            _kernels.normscan(table, 40, step)
-        with pytest.raises(ValueError, match="real shift"):
-            _kernels.evolve_accumulate(table, 40, step)
+            walk._WalkSpec(1j * np.eye(4), np.zeros((4, 4)), None)

@@ -131,7 +131,7 @@ class TestEigensystem:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             lams, vecs = spectral._eig(mats)
-            spectral._screen_blocks(lams, range(5), stacklevel=2)
+            spectral._screen_blocks(lams, range(5))
         assert len(rec) == 1
         assert rec[0].category is DegenerateClusterWarning
         assert "block k=2" in str(rec[0].message)
@@ -279,12 +279,12 @@ class TestSpectralCache:
     def test_complex_shift_blocks_rejected(self):
         # A coin with a complex phase makes A+ and A- complex, and then
         # M_{d-k} is no longer conj(M_k).
+        # No spec holds such a pair, so no cache is built from one.
         phase = np.exp(0.3j)
-        spec = walk._WalkSpec(_kernels._step_recycled,
-                              (phase * math.cos(1.0), phase * math.sin(1.0)),
-                              1.0)
+        spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(1.3))
         with pytest.raises(ValueError, match="real shift blocks"):
-            spectral._spectral_cache(spec, 8)
+            walk._WalkSpec(phase * spec.a_plus, phase * spec.a_minus,
+                           spec.theta)
 
     def test_mirrored_blocks_keep_their_warnings(self):
         # Blocks 9 and 15 mirror blocks 7 and 1, and warn in turn.
@@ -547,6 +547,44 @@ class TestNearDegenerate:
                 got = limiting_distribution(CoinConfig(phi), 16, psi)
                 want = oracles.naive_limiting(16, psi, phi=phi)
                 assert np.abs(got.probs - want).max() < 1e-8
+
+    @staticmethod
+    def _warned_files(call):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call()
+        assert rec
+        assert all(w.category is DegenerateClusterWarning for w in rec)
+        return {w.filename for w in rec}
+
+    def test_recycled_warnings_point_at_caller(self):
+        cfg, psi = CoinConfig(self.PHIS[0]), named_coin4("psi_a")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            cache = spectral_cache(16, cfg)
+        for call in (lambda: spectral_cache(16, cfg),
+                     lambda: closed_form_distribution(3, cfg, psi, d=16),
+                     lambda: limiting_distribution(cfg, 16, psi),
+                     lambda: limiting_distribution(cfg, 16, psi,
+                                                   cache=cache)):
+            assert self._warned_files(call) == {__file__}
+
+    def test_memory_warnings_point_at_caller(self, monkeypatch):
+        # The memory walk has no phase gap near PHASE_TOL, so the
+        # tolerance moves onto its smallest gap within a block at d = 16.
+        lams = spectral_cache_memory(16).eigenvalues
+        gaps = spectral._sorted_gaps(np.sort(np.angle(lams), axis=-1))
+        monkeypatch.setattr(spectral, "PHASE_TOL",
+                            float(gaps[gaps > 1e-12].min()))
+        psi = named_coin4("psi_a")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            cache = spectral_cache_memory(16)
+        for call in (lambda: spectral_cache_memory(16),
+                     lambda: limiting_distribution_memory(16, psi),
+                     lambda: limiting_distribution_memory(16, psi,
+                                                          cache=cache)):
+            assert self._warned_files(call) == {__file__}
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_closed_form_matches_stepping(self, phi):

@@ -306,11 +306,11 @@ class TestTransforms:
 
 
 class TestEquivalenceOnShiftBlocks:
-    """Results 1 and 2 on the (A+, A-) pairs read off the step rules.
+    """Results 1 and 2 on the (A+, A-) pairs of the walk specs.
 
-    Both results are conjugations of the one-step rule, so they must
+    Both results are conjugations of the one-step unitary, so they must
     hold entry by entry for A+ and A-, not only for the position
-    distributions; a changed coin or shift entry in either rule breaks
+    distributions; a changed coin or shift entry in either pair breaks
     one of them or the unitarity of A+ + A-.
     """
 
@@ -320,7 +320,7 @@ class TestEquivalenceOnShiftBlocks:
     @staticmethod
     def _blocks(model, cfg=None):
         spec = walk._walk_spec(model, cfg)
-        return _kernels._shift_blocks(spec.step, *spec.coin)
+        return spec.a_plus, spec.a_minus
 
     def test_result2_memory_is_recycled_phi2_conjugated_by_P(self):
         rec = self._blocks(MODEL_RECYCLED, CoinConfig(2.0))
@@ -345,3 +345,33 @@ class TestEquivalenceOnShiftBlocks:
         a_plus, a_minus = self._blocks(model, cfg)
         g = a_plus + a_minus
         assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-14
+
+
+class TestPairsAgainstOracle:
+    """Each spec's (A+, A-) are the blocks of the oracle's dense operator.
+
+    The operator is built from the walk's operator-product definition,
+    independently of the spec.  In out[n] = A+ a[n+1] + A- a[n-1], A+
+    is the 4x4 block of rows at site n and columns at site n+1, and A-
+    the one at columns n-1; on the 3-cycle these are different sites.
+    """
+
+    @staticmethod
+    def _gap(spec, op):
+        # Rows of site 0; columns of site 1 = 0 + 1 and of site 2 = 0 - 1.
+        return max(np.abs(spec.a_plus - op[:4, 4:8]).max(),
+                   np.abs(spec.a_minus - op[:4, 8:12]).max())
+
+    def test_recycled_pairs(self):
+        rng = np.random.default_rng(14)
+        outside = rng.uniform(8.0, 48.0, 50) * rng.choice([-1.0, 1.0], 50)
+        phis = [round(0.1 * m, 10) for m in range(80)] + list(outside)
+        assert not any(0.0 <= phi < 8.0 for phi in outside)
+        for phi in phis:
+            spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(phi))
+            op = oracles.dense_recycled_operator(3, phi)
+            assert self._gap(spec, op) <= 1e-15, phi
+
+    def test_memory_pair(self):
+        spec = walk._walk_spec(MODEL_MEMORY)
+        assert self._gap(spec, oracles.dense_memory_operator(3)) <= 1e-15
