@@ -135,11 +135,12 @@ def _squarings(power):
 def _power_min_steps(d):
     """Fewest steps that evolve takes as a power of the blocks.
 
-    The break-even measured with numpy on 2 vCPUs: 3 steps up to
-    d = 128, about d/64 steps up to d = 1024 and 24 to 32 steps from
-    d = 2048 on, where a site step and a squaring both cost O(d).
+    The break-even measured with numpy on 2 vCPUs (site steps against
+    the power, timed in alternation): 4 steps at d = 256, 5-6 at 512,
+    13-15 at 1024, 26-28 at 2048 and about 30 from 4096 to 10^4, where
+    a site step and a squaring both cost O(d).
     """
-    return min(32, max(3, d // 64))
+    return min(32, max(3, d // 75))
 
 
 def _site_step(a, spec):

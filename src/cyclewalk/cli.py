@@ -374,7 +374,7 @@ def cmd_evolve(ns) -> int:
     cfg = _coin_config(ns, config)
     state = evolve(WalkState.localized(d, init, model), t, cfg)
     dist = position_distribution(state)
-    rows = [(n, float(p)) for n, p in enumerate(dist.probs)]
+    rows = list(zip(range(d), dist.probs.tolist()))
     write_table(Table(schema="evolve.v1", config=config,
                       columns=("n", "probability"), rows=rows),
                 _fallback(ns.format, "csv"), ns.out)
@@ -400,7 +400,7 @@ def cmd_limiting(ns) -> int:
             warned = True
             _diag("warning: %s" % w.message)
     tv = analysis.tv_from_uniform(dist)
-    rows = [(n, float(p), warned) for n, p in enumerate(dist.probs)]
+    rows = list(zip(range(d), dist.probs.tolist(), [warned] * d))
     write_table(Table(schema="limiting.v1", config=config,
                       columns=("n", "pbar", "warned"), rows=rows,
                       meta={"tv_from_uniform": tv}),

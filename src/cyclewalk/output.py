@@ -6,6 +6,18 @@ are written with %.17g (enough digits to round-trip a double).  CSV
 carries the tool version, schema tag, config echo and any extra
 metadata in leading '#' comment lines; JSON carries the same fields in
 the document.
+
+Both writers work a column at a time: the rows are transposed once
+with zip(*rows) and each column's value types are checked once.  A CSV
+column of plain floats maps one bound "%.17g".__mod__ over its values,
+and its NaN cells ("nan", whatever the sign) become empty; "%.17g" % x
+and format(x, ".17g") are the same double-to-string call, so the bytes
+are those of the per-cell writer ``_csv_cell``.  A column of plain ints
+maps str, one of plain bools a true/false lookup; every other column
+(mixed types, None, strings, numpy scalars) takes ``_csv_cell`` per
+cell.  JSON runs ``_clean`` only on the columns that hold a NaN or a
+value that is not a plain float, int, bool, str or None.  Tables are
+rectangular: every row has one value per column.
 """
 
 from __future__ import annotations
@@ -40,6 +52,13 @@ def _clean(value):
     return value
 
 
+def _quote(text: str) -> str:
+    # A text that holds the separator, a quote or a line break is quoted.
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_cell(value) -> str:
     value = _clean(value)
     if value is None:
@@ -50,10 +69,38 @@ def _csv_cell(value) -> str:
         return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    return _quote(str(value))
+
+
+_FLOAT_CELL = "%.17g".__mod__
+_BOOL_CELL = {True: "true", False: "false"}.__getitem__
+# Value types that json writes as they are (a float may be NaN).
+_JSON_AS_IS = frozenset((int, bool, str, type(None)))
+
+
+def _csv_column(column) -> list:
+    """The CSV cells of one column, as _csv_cell would write them."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        cells = list(map(_FLOAT_CELL, column))
+        if "nan" in cells:
+            cells = ["" if c == "nan" else c for c in cells]
+        return cells
+    if kinds == {int}:
+        return list(map(str, column))
+    if kinds == {bool}:
+        return list(map(_BOOL_CELL, column))
+    return list(map(_csv_cell, column))
+
+
+def _json_column(column):
+    """One column with NaN as None and numpy scalars as Python values."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        clean = any(map(math.isnan, column))
+    else:
+        clean = not kinds <= _JSON_AS_IS
+    return list(map(_clean, column)) if clean else column
 
 
 def _config_json(config: dict) -> str:
@@ -65,9 +112,8 @@ def render_csv(table: Table) -> str:
              "# config=%s" % _config_json(table.config)]
     for key in sorted(table.meta):
         lines.append("# %s=%s" % (key, _csv_cell(table.meta[key])))
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines.append(",".join(map(_quote, table.columns)))
+    lines.extend(map(",".join, zip(*map(_csv_column, zip(*table.rows)))))
     return "\n".join(lines) + "\n"
 
 
@@ -79,7 +125,7 @@ def render_json(table: Table) -> str:
         "config": table.config,
         "meta": table.meta,
         "columns": list(table.columns),
-        "rows": [[_clean(v) for v in row] for row in table.rows],
+        "rows": list(map(list, zip(*map(_json_column, zip(*table.rows))))),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1, allow_nan=False) + "\n"

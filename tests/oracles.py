@@ -6,8 +6,13 @@ operator-product definition and multiply state vectors (for d in the
 thousands the same matrix can be built as a scipy.sparse one); the limiting
 oracle runs the naive O((4d)^2) double loop over eigenvalue pairs with
 a pairwise phase test and evaluates each complex exponential directly.
-Slow on purpose; keep d and t small.
+The table writers format one cell at a time, as the package's writers
+did before they went column by column.  Slow on purpose; keep d and t
+small.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -181,3 +186,50 @@ def naive_limiting(d, psi0, phi=None, tol=1e-9):
     pbar /= d * d
     assert np.abs(pbar.imag).max() < 1e-8
     return np.clip(pbar.real, 0.0, None)
+
+
+def _clean_cell(value):
+    if hasattr(value, "item"):
+        value = value.item()
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def _csv_cell(value):
+    value = _clean_cell(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(value)
+    text = str(value)
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def render_csv_per_cell(table, name, version):
+    """CSV text of an output.Table, one cell at a time (header included)."""
+    lines = ["# %s %s schema=%s" % (name, version, table.schema),
+             "# config=%s" % json.dumps(table.config, sort_keys=True,
+                                        separators=(",", ":"))]
+    for key in sorted(table.meta):
+        lines.append("# %s=%s" % (key, _csv_cell(table.meta[key])))
+    lines.append(",".join(_csv_cell(c) for c in table.columns))
+    for row in table.rows:
+        lines.append(",".join(_csv_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json_per_cell(table, name, version):
+    """JSON text of an output.Table, one cell at a time."""
+    doc = {"tool": name, "version": version, "schema": table.schema,
+           "config": table.config, "meta": table.meta,
+           "columns": list(table.columns),
+           "rows": [[_clean_cell(v) for v in row] for row in table.rows]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "),
+                      indent=1, allow_nan=False) + "\n"

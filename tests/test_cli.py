@@ -1,7 +1,9 @@
 """Command line interface and table serialization."""
 
 import contextlib
+import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cyclewalk
+import oracles
 from cyclewalk import cli, output
 from cyclewalk.cli import (UsageError, main, parse_d_range, parse_phi_grid,
                            parse_state)
@@ -161,6 +165,171 @@ class TestOutput:
             project = tomllib.load(fh)["project"]
         assert project["version"] == cyclewalk.__version__
         assert output.TOOL_VERSION == cyclewalk.__version__
+
+
+_SPECIAL_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                   5e-324, 1.0 / 3.0, 1e22, -1.5e-300)
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_texts = st.text(alphabet=st.sampled_from('ab ,"\n1.'), max_size=6)
+# Cell strategies by column kind: the plain kinds the writers take a
+# column at a time, and the kinds they take a cell at a time.
+_CELLS = {
+    "float": _floats,
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "bool": st.booleans(),
+    "str": _texts,
+    "none": st.none(),
+    "np.float64": _floats.map(np.float64),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "np.bool_": st.booleans().map(np.bool_),
+    "bool+int": st.one_of(st.booleans(), st.integers(-3, 3)),
+    "float+none": st.one_of(_floats, st.none()),
+}
+_CELLS["any"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=5))
+    n = draw(st.integers(0, 12))
+    columns = [draw(st.lists(_CELLS[k], min_size=n, max_size=n))
+               for k in kinds]
+    names = tuple(draw(st.one_of(st.sampled_from(("n", "p")), _texts))
+                  for _ in kinds)
+    meta = draw(st.dictionaries(st.sampled_from("ab"), _CELLS["any"],
+                                max_size=2))
+    return Table(schema="t.v1", config={"k": 1}, columns=names,
+                 rows=list(zip(*columns)), meta=meta)
+
+
+def _outcome(render, table):
+    """The text, or the type of the error (json rejects inf and numpy
+    scalars in meta)."""
+    try:
+        return render(table)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestColumnRenderer:
+    """The column-at-a-time writers against the per-cell oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    @example(Table("t.v1", {}, ("x",), []))
+    @example(Table("t.v1", {}, ("flag",), [(True,), (1,), (False,), (0,)]))
+    def test_matches_per_cell_oracle(self, table):
+        version = output.TOOL_VERSION
+        assert render_csv(table) == oracles.render_csv_per_cell(
+            table, "cyclewalk", version)
+        assert _outcome(render_json, table) == _outcome(
+            lambda t: oracles.render_json_per_cell(t, "cyclewalk", version),
+            table)
+
+    def test_bool_stays_bool_beside_int(self):
+        table = Table("t.v1", {}, ("flag",), [(True,), (1,), (False,), (0,)])
+        assert render_csv(table).splitlines()[-4:] == ["true", "1", "false",
+                                                       "0"]
+        assert json.loads(render_json(table))["rows"] == [[True], [1],
+                                                          [False], [0]]
+
+    def test_nan_cells_are_empty_and_null(self):
+        table = Table("t.v1", {}, ("p",),
+                      [(0.5,), (math.nan,), (-math.nan,), (-0.0,)])
+        assert render_csv(table).splitlines()[-4:] == ["0.5", "", "", "-0"]
+        assert json.loads(render_json(table))["rows"] == [[0.5], [None],
+                                                          [None], [-0.0]]
+
+    def test_plain_columns_skip_the_per_cell_path(self, monkeypatch):
+        calls = []
+        for name in ("_csv_cell", "_clean"):
+            inner = getattr(output, name)
+            monkeypatch.setattr(output, name,
+                                lambda v, inner=inner: calls.append(v)
+                                or inner(v))
+        rows = [(n, n / 7.0, n % 3 == 0) for n in range(1000)]
+        table = Table("t.v1", {}, ("n", "p", "flag"), rows)
+        text = render_csv(table)
+        json_text = render_json(table)
+        assert calls == []
+        assert text.splitlines()[-1] == "999,142.71428571428572,true"
+        assert json.loads(json_text)["rows"][-1] == [999, 999 / 7.0, True]
+
+    def test_header_cells_quoted_like_data_cells(self):
+        names = ("n", "a,b", 'say "x"', "two\nlines")
+        table = Table("t.v1", {}, names, [(1, "x", "y", "z")])
+        text = render_csv(table)
+        body = [line for line in text.splitlines(keepends=True)
+                if not line.startswith("#")]
+        assert list(csv.reader(body)) == [list(names), ["1", "x", "y", "z"]]
+        assert body[0] == 'n,"a,b","say ""x""","two\n'
+
+
+# SHA-256 of stdout (CSV, JSON) for small fixed runs of every command,
+# taken before the writers went column by column; the warned limit also
+# pins its stderr.  A change of any byte of any table shows here.
+_PINNED = {
+    "evolve": (("evolve", "--d", "9", "--phi", "0.5", "--state", "psi_b",
+                "--t", "7"),
+               "823f4a3d5dcd22bdec02511c490fae81895785feceed7db84697df803a0c503c",
+               "5103ac6bffe02ef524b9c214ec1bdce8cecde0ebfe5e3f7acbcfb546e1b7e547"),
+    "evolve-power": (("evolve", "--d", "16", "--phi", "2.5", "--state",
+                      "psi_c", "--t", "45"),
+                     "36e9ffa9d0f4cc3f176cdab40bca7ba516ae80610057c8457b7a2e1a2cf0d599",
+                     "4b806475059cf958a2a6c33e370dac79cf1c9bd72ee21a12d864bf43f322bf1f"),
+    "evolve-memory": (("evolve", "--d", "8", "--model", "memory", "--state",
+                       "psi_d", "--t", "5"),
+                      "66a52d6b033870105c9cd99c528a721bfb9018553297dd348dfbaa48044e91e4",
+                      "ba969d95ff7a62003e92b2e61dd0ed733de19302fdd8741b5ecbf34fef6f2daf"),
+    "limiting": (("limiting", "--d", "12", "--phi", "0.5", "--state",
+                  "psi_a"),
+                 "a00f8dd14b1d4d976a82a0e0068143e6bd4df4ee534d213282d91b8470f41072",
+                 "7069896fd9f2f579181285e9716aa55cbfd85c9843ab669ff54b449642f6ffea"),
+    "limiting-memory": (("limiting", "--d", "10", "--model", "memory",
+                         "--state", "psi_b"),
+                        "a301fd73850352f7f58a3aaeb75b27ede709e2d5932e7f27ac12a72c86dd0489",
+                        "ba77624d6c4b6209eeaff35ce0fe9d124f1c212eb52405b61e5af191e682a8f1"),
+    "limiting-warned": (("limiting", "--d", "16", "--phi", "3.000000002",
+                         "--state", "psi_a"),
+                        "b0675ee6d45cc3ea7f47aaf6a9b5d72950b19e63e03deea3a15295fb26cc98e5",
+                        "74bbf2b77af08aee4eb9667590f39757dd2b5cd1b868322d7c744f41b57e84d0"),
+    "sweep": (("sweep", "--d-range", "3..8", "--phi-grid", "0:1.5:6",
+               "--jobs", "1"),
+              "b4e9367ea672c3a6d12ac810ef20dabc4dfe8015171c6eab03443b52df9a2f17",
+              "bedc68828ec3dc9fd5fea3b19c780b8289b9d4ac32a14f07fbc0fd68f4cd9d2f"),
+    "mixing": (("mixing", "--d", "7", "--phi", "0.5", "--state", "psi_b",
+                "--t-max", "64"),
+               "95de152b8f437fd260efc14ea06884981f960ed63c26348577655469f78fd938",
+               "b097ba27efa66d855a0fd4062125b7c5c5de841f9adf0ca5a53e10a3302a973a"),
+    "verify": (("verify", "--d-range", "3..5", "--phi-grid", "0:2:4",
+                "--t-max", "10", "--jobs", "1"),
+               "03cc73cc114cb73465337be95a7cfa7a999a2bd70a3c557e6008329247b5ce66",
+               "6caaacd4a85ba1cba1fafae599a84ca33435ae4ae3f603b20397c82449e99f51"),
+    "residue": (("residue", "--d-range", "3..10", "--state", "psi_a"),
+                "2fbc86054e6092d3b7bfe8aa13213e927378c66110d6f1532d09543977141a42",
+                "af0841e9c8d83d9f83e999a7430f0d55d19730b35f1175d569646522fce788d7"),
+}
+_WARNED_STDERR = \
+    "f575d5cdae24083951e41efd1c7dad4d3b7be7aeb385d9ba3d16857189e3bf99"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_table_bytes(self, name, fmt):
+        args, csv_digest, json_digest = _PINNED[name]
+        code, out, err = run_cli(*args, "--format", fmt)
+        assert code == 0
+        assert _sha256(out) == (csv_digest if fmt == "csv" else json_digest)
+        if name == "limiting-warned":
+            assert _sha256(err) == _WARNED_STDERR
+        else:
+            assert err == ""
 
 
 class TestEvolveCommand:

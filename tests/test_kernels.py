@@ -175,6 +175,22 @@ class TestPowerRoute:
             # Only the blocks k <= d/2, in their real 8x8 form.
             assert ladders.pop().shape == (d // 2 + 1, 8, 8)
 
+    @pytest.mark.parametrize("d, cross", [(1024, 13), (2048, 27)])
+    def test_route_pinned_either_side_of_the_rule(self, d, cross, rng,
+                                                  monkeypatch):
+        # The measured break-even: 13-15 steps at d = 1024, 26-28 at 2048.
+        assert _kernels._power_min_steps(d) == cross
+        ladders = []
+        squarings = _kernels._squarings
+        monkeypatch.setattr(_kernels, "_squarings",
+                            lambda p: ladders.append(p) or squarings(p))
+        a = _random_state(rng, d)
+        site = _kernels.evolve(a, cross - 1, RECYCLED)
+        assert not ladders
+        power = _kernels.evolve(a, cross, RECYCLED)
+        assert len(ladders) == 1
+        assert np.abs(_kernels._site_step(site, RECYCLED) - power).max() < 1e-13
+
     def test_complex_shift_blocks_rejected(self):
         # Every kernel takes a spec, and no spec holds a complex pair:
         # here the walk out[n] = 1j a[n+1].
