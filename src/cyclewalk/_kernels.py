@@ -18,12 +18,15 @@ the complex view that the spectral module diagonalizes.  The kernels
 take the spec after the table and the step count:
 
     evolve(amps, steps, spec)            -> amps
+    sums(amps, horizons, spec)           -> sums
     evolve_accumulate(amps, steps, spec) -> (amps, acc)
     normscan(amps, steps, spec)          -> (amps, drift, norm)
 
-where acc[n] is the sum of the position-n probability over steps
-t = 1..steps, drift is the largest per-step change of the state norm
-and norm is the final state norm.  Inputs are never mutated.
+where sums[i, n] is the sum of the position-n probability over steps
+t = 0..h-1 for the i-th of the ascending horizons h >= 1, acc[n] the
+same sum over t = 1..steps, drift is the largest per-step change of
+the state norm and norm is the final state norm.  Inputs are never
+mutated.
 
 ``evolve`` takes one of two routes, by a fixed rule on (d, steps): it
 takes site steps below ``_power_min_steps(d)`` steps, the measured
@@ -40,9 +43,9 @@ returns.  ``_squarings`` is the one squaring ladder; from level
 group, so the norm holds to about 1e-13 at t = 10^6.  The independent
 reference for both routes is the dense operator of tests/oracles.py.
 
-The other kernels read one stream of states, ``_scan``.  On cycles up
-to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space: an
-orthonormal FFT over sites takes the table there, where one step is
+The stream of states, ``_scan``, serves the per-step readers.  On
+cycles up to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space:
+an orthonormal FFT over sites takes the table there, where one step is
 B_k on the float view of the row at each frequency k.  The steps are
 taken in chunks of at most ``_SCAN_CHUNK_AMPS`` amplitudes, so memory
 does not grow with the step count.  Within a chunk the states
@@ -50,18 +53,41 @@ t = 1..L come from log-depth doubling, X <- [X, X B^|X|], with the
 powers B^(2^m) from the same ladder, and the last state seeds the
 next chunk.  On larger cycles an O(d) site step beats the block
 products and the O(d log d) inverse FFT each state would need, so the
-stream is site steps, their states copied into chunks.
+stream is site steps, their states copied into chunks.  The scan
+takes each momentum chunk back in place (one inverse FFT along the
+site axis) and ``_probs`` reduces a chunk to p(n, t): the analysis
+module's theorem checks read it.  The norm scan stays in momentum
+space, takes each state's norm there (by Parseval) and transforms
+only the final state back.
 
-The scan takes each momentum chunk back in place (one inverse FFT
-along the site axis) and ``_probs`` reduces a chunk to p(n, t) or its
-sums: the stream of probabilities behind ``evolve_accumulate`` and the
-analysis module's theorem checks, mixing curves and crosscheck.  The
-norm scan stays in momentum space, takes each state's norm there (by
-Parseval) and transforms only the final state back.  No
-eigendecomposition is involved, so all stay independent of the
-spectral module.
+The running sums, ``sums``, take one of two routes, by a fixed rule on
+d and the last horizon T (``_gram_route``).  The Gram route holds, in
+momentum space, s_t = blockdiag(M_k)^t s_0 for the orthonormal FFT s_0
+of the table, and the (4d, 4d) Hermitian Gram R_h = sum_{t<h} s_t s_t^H.
+With P = blockdiag(M_k^h) from the squaring ladder (polish included),
+doubling is R_2h = R_h + P R_h P^H, and a horizon with several set
+bits is built from its low bits up, R_{a + 2^m} = R_{2^m} +
+P_{2^m} R_a P_{2^m}^H for a < 2^m, one accumulator per pending
+horizon.  Then p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d}
+tr R(k, k'): one einsum for the coin traces and two FFTs.  That is
+O(d^2 log T) time and (4d)^2 complex entries per Gram.  The stream
+route sums the scan's states, with cumulative sums only in chunks
+that hold a horizon: O(d T) time, O(d) memory.  Timed with numpy on 2
+vCPUs (best of 5, default mixing horizons, ms Gram/stream): at d = 8,
+T = 1024 0.68/0.68 and T = 16384 0.95/7.4; at d = 32, T = 2048
+3-5/3-4 and T = 8192 5.8/17; at d = 64, T = 4096 14-21/11-17 and
+T = 16384 25/67; at d = 128, T = 16384 68/95.  So the Gram route runs
+from T = max(1024, 100 d) on, for d up to ``_GRAM_MAX_D`` = 128 (4 MiB
+per Gram) and at most bit_length(T) + 1 horizons, which bounds the
+pending Grams; larger cycles stream, so memory never grows as d^2.
+``evolve_accumulate`` takes its sums from the state after one step
+and its final state from ``evolve``.
+
+No eigendecomposition is involved anywhere here, so every kernel stays
+independent of the spectral module.
 """
 
+import bisect
 import itertools
 
 import numpy as np
@@ -254,12 +280,114 @@ def _probs(chunk, keep="nt"):
     return np.einsum("ntj,ntj->" + keep, parts, parts)
 
 
+def _conjugated(power, gram):
+    """P R P^H for P = blockdiag(power) and a Hermitian (4d, 4d) Gram R.
+
+    Row block k of P R is power[k] times row block k of R; R is
+    Hermitian, so P R P^H = P (P R)^H: two batched (d, 4, 4) @
+    (d, 4, 4d) products around one conjugate transpose.
+    """
+    d = power.shape[0]
+    rows = power @ gram.reshape(d, 4, 4 * d)
+    rows = rows.reshape(4 * d, 4 * d).conj().T.reshape(d, 4, 4 * d)
+    return (power @ rows).reshape(4 * d, 4 * d)
+
+
+def _gram_sums(amps, horizons, spec):
+    """sums() by doubling the momentum Gram (module docstring)."""
+    d = amps.shape[0]
+    s = np.fft.fft(amps, axis=0, norm="ortho").reshape(4 * d)
+    gram = np.multiply.outer(s, s.conj())
+    # traces[i, k, k'] is the coin trace of block (k, k') of R_h, h =
+    # horizons[i]; pending[i] holds R_a for the bits of h seen so far.
+    traces = np.empty((len(horizons), d, d), dtype=np.complex128)
+    pending = {}
+    for m, power in enumerate(_squarings(_fourier_blocks(d, spec))):
+        bit = 1 << m
+        for i, h in enumerate(horizons):
+            if not h & bit:
+                continue
+            # R_{a + 2^m} = R_{2^m} + P_{2^m} R_a P_{2^m}^H for a < 2^m.
+            acc = pending.pop(i, None)
+            if acc is None:
+                acc = gram
+            else:
+                acc = _conjugated(power, acc)
+                acc += gram
+            if h < 2 * bit:
+                np.einsum("kiqi->kq", acc.reshape(d, 4, d, 4),
+                          out=traces[i])
+            else:
+                pending[i] = acc
+        if 2 * bit > horizons[-1]:
+            break
+        # R_{2^(m+1)} = R_{2^m} + P_{2^m} R_{2^m} P_{2^m}^H.
+        doubled = _conjugated(power, gram)
+        doubled += gram
+        gram = doubled
+    # p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d} tr R(k, k'): a
+    # transform over k', an inverse one over k, and the diagonal.
+    waves = np.fft.ifft(np.fft.fft(traces, axis=2), axis=1)
+    return waves.diagonal(axis1=1, axis2=2).real.copy()
+
+
+def _stream_sums(amps, horizons, spec):
+    """sums() from the stream of states t = 0..T-1 (module docstring)."""
+    d = amps.shape[0]
+    out = np.empty((len(horizons), d))
+    acc, done, found = np.zeros(d), 0, 0
+    chunks = itertools.chain([amps[:, None, :]],
+                             _scan(amps, horizons[-1] - 1, spec))
+    for chunk in chunks:
+        first, done = done, done + chunk.shape[1]
+        stop = bisect.bisect_right(horizons, done)
+        if stop == found:
+            acc += _probs(chunk, "n")
+            continue
+        # Per-state sums only where a horizon falls in the chunk.
+        running = acc[:, None] + np.cumsum(_probs(chunk), axis=1)
+        acc = running[:, -1]
+        for i in range(found, stop):
+            out[i] = running[:, horizons[i] - first - 1]
+        found = stop
+    return out
+
+
+# Largest cycle whose running sums may take the Gram route.  A Gram
+# holds (4d)^2 complex entries, 4 MiB at d = 128, so its memory stays a
+# fixed constant; larger cycles stream in O(d) memory.
+_GRAM_MAX_D = 128
+
+
+def _gram_route(d, horizons):
+    """True when sums() doubles the Gram rather than streaming.
+
+    The break-even measured with numpy on 2 vCPUs: the Gram route wins
+    from about T = max(1024, 100 d) steps.  At most bit_length(T) + 1
+    horizons (the default mixing horizons are that many) bound the
+    pending Grams, and the conjugations, to O(log T).
+    """
+    steps = horizons[-1]
+    return (d <= _GRAM_MAX_D and steps >= max(1024, 100 * d)
+            and len(horizons) <= int(steps).bit_length() + 1)
+
+
+def sums(amps, horizons, spec):
+    """Sums of p(., t) over t < h for each ascending horizon h >= 1.
+
+    Returns a (len(horizons), d) array; t = 0 is amps itself.
+    """
+    if _gram_route(amps.shape[0], horizons):
+        return _gram_sums(amps, horizons, spec)
+    return _stream_sums(amps, horizons, spec)
+
+
 def evolve_accumulate(amps, steps, spec):
-    acc = np.zeros(amps.shape[0], dtype=np.float64)
-    sites = amps[:, None, :]
-    for sites in _scan(amps, steps, spec):
-        acc += _probs(sites, "n")
-    return sites[:, -1].copy(), acc
+    if not steps:
+        return amps.copy(), np.zeros(amps.shape[0])
+    # The states t = 1..steps are those t' = 0..steps-1 after one step.
+    acc = sums(_site_step(amps, spec), (steps,), spec)[0]
+    return evolve(amps, steps, spec), acc
 
 
 def normscan(amps, steps, spec):

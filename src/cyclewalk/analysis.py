@@ -1,18 +1,19 @@
 """Distances, equivalence checks, parameter sweeps and mixing curves.
 
 Everything here reduces to two primitives: exact unitary evolution,
-read as one chunked stream of probabilities per walk, and limiting
-distributions from the spectral module.  The two equivalence results
-are checked by running both sides and measuring the worst pointwise
-probability gap, never by assuming the algebra; the sweep classifies
-limiting distributions against the uniform one in total variation.
+read as one chunked stream of probabilities per walk or as its running
+sums (``_kernels.sums``), and limiting distributions from the spectral
+module.  The two equivalence results are checked by running both sides
+and measuring the worst pointwise probability gap, never by assuming
+the algebra; the sweep classifies limiting distributions against the
+uniform one in total variation.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -330,13 +331,33 @@ def default_horizons(t_max: int) -> tuple:
     return tuple(hs)
 
 
+def _check_horizons(horizons, t_max) -> tuple:
+    """The horizons as a tuple of ints, checked against t_max."""
+    horizons = tuple(horizons)
+    try:
+        horizons = tuple(map(operator.index, horizons))
+    except TypeError:
+        raise ValueError("horizons must be integers, got %r"
+                         % (horizons,)) from None
+    if not horizons:
+        raise ValueError("horizons must not be empty")
+    if horizons[0] < 1 or list(horizons) != sorted(set(horizons)):
+        raise ValueError("horizons must be strictly increasing and >= 1")
+    if horizons[-1] > t_max:
+        raise ValueError("largest horizon exceeds t_max")
+    return horizons
+
+
 def mixing_curve(d: int, phi: float | None, psi, t_max: int,
                  horizons=None, model: str = MODEL_RECYCLED,
                  label: str | None = None) -> MixingCurve:
-    """Sample SD(T) at increasing horizons from one stream of states.
+    """Sample SD(T) at increasing horizons from one call to the kernels.
 
     psi may be an InitialState, a coin 4-vector (start at position 0),
-    or a full WalkState for non-localized starts.
+    or a full WalkState for non-localized starts.  The running sums
+    come from ``_kernels.sums``: by doubling the momentum Gram in
+    O(d^2 log T) on small cycles at long horizons, from the stream of
+    states otherwise; neither route diagonalizes anything.
     """
     if isinstance(psi, WalkState):
         if psi.d != d:
@@ -350,32 +371,16 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
     if horizons is None:
         horizons = default_horizons(t_max)
     else:
-        horizons = tuple(int(h) for h in horizons)
-        if any(h < 1 for h in horizons) or list(horizons) != sorted(set(horizons)):
-            raise ValueError("horizons must be strictly increasing and >= 1")
-        if horizons[-1] > t_max:
-            raise ValueError("largest horizon exceeds t_max")
+        horizons = _check_horizons(horizons, t_max)
     cfg = None if phi is None else CoinConfig(phi)
     spec = _walk_spec(model, cfg)
     position_distribution(state)  # rejects a start that is not normalized
-    # The average over t = 0..T-1 needs p(., t) through t = T-1; acc
-    # holds the sum over the `done` states drawn so far.
-    acc, done, sds = np.zeros(d), 0, []
-    for chunk in _site_states(spec, state, horizons[-1] - 1):
-        first, done = done, done + chunk.shape[1]
-        inside = horizons[len(sds):bisect.bisect_right(horizons, done)]
-        if not inside:
-            acc += _kernels._probs(chunk, "n")
-            continue
-        # Per-state sums only where a horizon falls in the chunk.
-        sums = acc[:, None] + np.cumsum(_kernels._probs(chunk), axis=1)
-        acc = sums[:, -1]
-        for h in inside:
-            avg = sums[:, h - first - 1] / h
-            sds.append(0.5 * float(np.abs(avg - 1.0 / d).sum()))
+    sums = _kernels.sums(state.amplitudes, horizons, spec)
+    sds = [0.5 * float(np.abs(total / h - 1.0 / d).sum())
+           for h, total in zip(horizons, sums)]
     return MixingCurve(d=d, model=model,
                        phi=None if spec.theta is None else cfg.phi,
-                       state=name, horizons=tuple(horizons), sd=tuple(sds))
+                       state=name, horizons=horizons, sd=tuple(sds))
 
 
 def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
@@ -383,12 +388,14 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     """TV between the spectral limiting distribution and a long average.
 
     Both sides come from one walk description.  The running average is
-    (1/T) sum_{t=1}^{T} p(., t), the sum over the kernels' stream of
-    probabilities (``evolve_accumulate``): products of the real 8x8
-    momentum blocks on small cycles, site steps on large ones, and no
-    eigendecomposition on either, so it stays independent of the
-    spectral path.  It converges to the limiting distribution like 1/T,
-    so at T = 10^6 the two should agree to well under 1e-2 in TV.
+    (1/T) sum_{t=1}^{T} p(., t), from ``_kernels.evolve_accumulate``:
+    the momentum Gram doubled by powers of the blocks on small cycles
+    at long horizons, the stream of states (block products or site
+    steps) otherwise.  Neither route takes an eigendecomposition or
+    reads the spectral module, so the average stays independent of the
+    spectral path; the two share only the walk's spec and its Fourier
+    blocks.  It converges to the limiting distribution like 1/T, so at
+    T = 10^6 the two should agree to well under 1e-2 in TV.
     """
     init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
     if init.position != 0:

@@ -316,14 +316,15 @@ def evolve_accumulate(state: WalkState, steps: int,
                       ) -> tuple[WalkState, np.ndarray]:
     """Evolve and return (final state, sum of p(., t) for t = 1..steps).
 
-    This is direct evolution, with no eigendecomposition.  On cycles up
-    to ``_kernels._FOURIER_SCAN_MAX_D`` sites the states come in
-    chunks of products of the real 8x8 momentum blocks, applied to the
-    float views of the Fourier rows and built by doubling, and each
-    chunk is transformed back to the sites before its probabilities
-    are summed; on larger cycles the states come from site steps (see
-    ``_kernels``).  Either way the sums match plain stepping to
-    rounding.
+    This is direct evolution, with no eigendecomposition.  The sums
+    come from ``_kernels.sums``, started at the state after one step.
+    On cycles up to ``_kernels._GRAM_MAX_D`` sites, from about
+    max(1024, 100 d) steps on, they double the momentum Gram
+    sum_t s_t s_t^H with powers of the Fourier blocks, in
+    O(d^2 log steps) time; otherwise they sum the stream of states
+    (products of the real 8x8 momentum blocks on small cycles, site
+    steps on large ones) in O(d steps).  The final state comes from
+    ``evolve``.  Either way the sums match plain stepping to rounding.
     """
     steps = _check_steps(steps)
     if steps == 0:

@@ -496,6 +496,23 @@ class TestMixing:
             mixing_curve(5, 0.0, psi, 10, horizons=(2, 2, 4))
         with pytest.raises(ValueError, match="exceeds t_max"):
             mixing_curve(5, 0.0, psi, 10, horizons=(1, 16))
+        with pytest.raises(ValueError, match="empty"):
+            mixing_curve(5, 0.0, psi, 10, horizons=())
+
+    @pytest.mark.parametrize("horizons", [(1.5, 3), (1, 2.0), ("2", 3)])
+    def test_non_integer_horizons_rejected(self, horizons):
+        # 1.5 used to be truncated to 1 without a word.
+        with pytest.raises(ValueError, match="integers"):
+            mixing_curve(5, 0.0, InitialState.named("psi_a"), 10,
+                         horizons=horizons)
+
+    def test_integer_like_horizons_accepted(self):
+        psi = InitialState.named("psi_a")
+        curve = mixing_curve(5, 0.0, psi, 10, horizons=np.array([2, 10]))
+        assert curve.horizons == (2, 10)
+        assert all(type(h) is int for h in curve.horizons)
+        assert curve.sd == mixing_curve(5, 0.0, psi, 10,
+                                        horizons=(2, 10)).sd
 
     def test_memory_model_curve(self):
         curve = mixing_curve(8, None, InitialState.named("psi_a"), 512,
@@ -525,6 +542,32 @@ class TestMixing:
                 ref.append(0.5 * np.abs(total / (t + 1) - 1.0 / d).sum())
             state = evolve(state, 1, cfg)
         assert curve.horizons == horizons
+        assert np.abs(np.array(curve.sd) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("model, phi", [("recycled", 1.3),
+                                            ("memory", None)])
+    def test_gram_route_matches_stepping(self, model, phi, rng, monkeypatch):
+        # A non-localized start, at horizons the Gram route takes
+        # (T = 1031 >= max(1024, 100 d)): SD(T) against one-step evolve.
+        ran = []
+        gram = _kernels._gram_sums
+        monkeypatch.setattr(_kernels, "_gram_sums",
+                            lambda *args: ran.append(1) or gram(*args))
+        d = 9
+        amps = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+        state = WalkState(d=d, model=model,
+                          amplitudes=amps / np.linalg.norm(amps))
+        horizons = (1, 512, 513, 1031)
+        curve = mixing_curve(d, phi, state, 1031, horizons=horizons)
+        assert ran == [1]
+        cfg = None if phi is None else CoinConfig(phi)
+        total, ref = np.zeros(d), []
+        for t in range(horizons[-1]):
+            total += position_distribution(state).probs
+            if t + 1 in horizons:
+                ref.append(0.5 * np.abs(total / (t + 1) - 1.0 / d).sum())
+            state = evolve(state, 1, cfg)
+        assert curve.state == "custom"
         assert np.abs(np.array(curve.sd) - ref).max() < 1e-12
 
     def test_recycled_needs_phi(self):

@@ -62,6 +62,138 @@ class TestKernelSemantics:
         assert 0.0 <= drift < 1e-13
 
 
+def _stepped_sums(a, horizons, spec, op):
+    """Sums of p(., t), t < h, by one-step evolve and by the dense oracle."""
+    by_step, by_dense = [], []
+    stepped = dense = a
+    step_sum, dense_sum = np.zeros(a.shape[0]), np.zeros(a.shape[0])
+    for t in range(horizons[-1]):
+        step_sum += np.sum(np.abs(stepped) ** 2, axis=1)
+        dense_sum += oracles.dense_distribution(dense)
+        if t + 1 in horizons:
+            by_step.append(step_sum.copy())
+            by_dense.append(dense_sum.copy())
+        stepped = _kernels.evolve(stepped, 1, spec)
+        dense = oracles.dense_evolve(dense, op, 1)
+    return np.array(by_step), np.array(by_dense)
+
+
+class TestSums:
+    """Running sums: the Gram route from the rule on, the stream below it."""
+
+    @staticmethod
+    def _routes(monkeypatch, run=True):
+        """Record each route taken; with run=False, take none of them."""
+        ran = []
+        for name in ("_gram_sums", "_stream_sums"):
+            real = getattr(_kernels, name) if run else lambda *args: None
+            monkeypatch.setattr(
+                _kernels, name,
+                lambda *args, _real=real, _name=name:
+                ran.append(_name) or _real(*args))
+        return ran
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_matches_stepping_either_side_of_the_rule(self, d, rng,
+                                                      monkeypatch):
+        # Horizons 1, 2^m, 2^m + 1 and an odd last one; 1203 >= 100 d
+        # and >= 1024 takes the Gram route, 201 the stream.
+        ran = self._routes(monkeypatch)
+        cases = (((1, 64, 65, 201), "_stream_sums"),
+                 ((1, 1024, 1025, 1203), "_gram_sums"))
+        walks = ((RECYCLED, oracles.dense_recycled_operator(d, 2.0)),
+                 (MEMORY, oracles.dense_memory_operator(d)))
+        for horizons, route in cases:
+            for spec, op in walks:
+                a = _random_state(rng, d)
+                before = a.copy()
+                got = _kernels.sums(a, horizons, spec)
+                assert ran.pop() == route and not ran
+                by_step, by_dense = _stepped_sums(a, horizons, spec, op)
+                scale = np.array(horizons)[:, None]
+                assert got.shape == (len(horizons), d)
+                assert (np.abs(got - by_step) / scale).max() < 1e-12
+                assert (np.abs(got - by_dense) / scale).max() < 1e-12
+                assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_routes_agree(self, d, rng):
+        # Every bit pattern up to 2^7, the combine of several set bits
+        # in particular, a lone horizon T = 1, and horizons on either
+        # side of the stream's chunk boundaries (T = c + 1 ends on one).
+        c = _kernels._scan_chunk_len(d)
+        for spec in (RECYCLED, MEMORY):
+            a = _random_state(rng, d)
+            for horizons in ((1,), (2,), (3,), (1, 2, 3, 5, 6, 7, 8, 9),
+                             (11, 64, 65, 127, 128, 129, 255),
+                             (c, c + 1, c + 2, 2 * c + 1, 2 * c + 3)):
+                gram = _kernels._gram_sums(a, horizons, spec)
+                stream = _kernels._stream_sums(a, horizons, spec)
+                scale = np.array(horizons)[:, None]
+                assert (np.abs(gram - stream) / scale).max() < 1e-12
+            p0 = np.sum(np.abs(a) ** 2, axis=1)
+            for route in (_kernels._gram_sums, _kernels._stream_sums):
+                assert np.abs(route(a, (1,), spec)[0] - p0).max() < 1e-15
+
+    @pytest.mark.parametrize("d, cross", [(8, 1024), (11, 1100), (32, 3200),
+                                          (128, 12800)])
+    def test_route_pinned_either_side_of_the_rule(self, d, cross,
+                                                  monkeypatch):
+        # The measured break-even: T = max(1024, 100 d), for d <= 128.
+        ran = self._routes(monkeypatch, run=False)
+        a = np.zeros((d, 4), dtype=np.complex128)
+        for horizons in ((cross - 1,), (1, 2, cross - 1)):
+            _kernels.sums(a, horizons, RECYCLED)
+            assert ran.pop() == "_stream_sums"
+        for horizons in ((cross,), (1, 2, cross), (1, 2, 10 ** 9)):
+            _kernels.sums(a, horizons, RECYCLED)
+            assert ran.pop() == "_gram_sums"
+        # More horizons than bit_length(T) + 1 would hold more Grams.
+        many = tuple(range(1, cross.bit_length() + 2))
+        _kernels.sums(a, many + (cross,), RECYCLED)
+        assert ran.pop() == "_stream_sums"
+        _kernels.sums(a, many[1:] + (cross,), RECYCLED)
+        assert ran.pop() == "_gram_sums"
+
+    def test_stream_above_the_gram_cap(self, monkeypatch):
+        # A Gram has (4d)^2 entries; above d = 128 the sums stream in O(d)
+        # memory at any horizon.
+        ran = self._routes(monkeypatch, run=False)
+        assert _kernels._GRAM_MAX_D == 128
+        for d, route in ((128, "_gram_sums"), (129, "_stream_sums"),
+                         (4096, "_stream_sums")):
+            a = np.zeros((d, 4), dtype=np.complex128)
+            _kernels.sums(a, (10 ** 9,), RECYCLED)
+            assert ran.pop() == route
+
+    def test_accumulate_on_the_gram_route(self, rng, monkeypatch):
+        # acc sums t = 1..steps: the sums started one step in.
+        ran = self._routes(monkeypatch)
+        d, steps = 8, 1537
+        for spec, op in ((RECYCLED, oracles.dense_recycled_operator(d, 2.0)),
+                         (MEMORY, oracles.dense_memory_operator(d))):
+            a = _random_state(rng, d)
+            final, acc = _kernels.evolve_accumulate(a, steps, spec)
+            assert ran.pop() == "_gram_sums" and not ran
+            by_step, by_dense = _stepped_sums(a, (steps + 1,), spec, op)
+            p0 = np.sum(np.abs(a) ** 2, axis=1)
+            assert np.abs(acc - (by_step[0] - p0)).max() / steps < 1e-12
+            assert np.abs(acc - (by_dense[0] - p0)).max() / steps < 1e-12
+            want = oracles.dense_evolve(a, op, steps)
+            assert np.abs(final - want).max() < 1e-12
+
+    def test_gram_route_takes_no_eigendecomposition(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in the running sums")
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        a = _random_state(rng, 7)
+        want = _kernels._stream_sums(a, (1, 1024, 1100), MEMORY)
+        got = _kernels.sums(a, (1, 1024, 1100), MEMORY)
+        assert np.abs(got - want).max() / 1100 < 1e-13
+        assert not hasattr(_kernels, "spectral")
+
+
 class TestShiftBlocks:
     def test_memoized_blocks_are_read_only(self):
         # A+, A-, their float forms and the two constant terms of
