@@ -61,27 +61,34 @@ space, takes each state's norm there (by Parseval) and transforms
 only the final state back.
 
 The running sums, ``sums``, take one of two routes, by a fixed rule on
-d and the last horizon T (``_gram_route``).  The Gram route holds, in
-momentum space, s_t = blockdiag(M_k)^t s_0 for the orthonormal FFT s_0
-of the table, and the (4d, 4d) Hermitian Gram R_h = sum_{t<h} s_t s_t^H.
-With P = blockdiag(M_k^h) from the squaring ladder (polish included),
-doubling is R_2h = R_h + P R_h P^H, and a horizon with several set
-bits is built from its low bits up, R_{a + 2^m} = R_{2^m} +
-P_{2^m} R_a P_{2^m}^H for a < 2^m, one accumulator per pending
-horizon.  Then p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d}
-tr R(k, k'): one einsum for the coin traces and two FFTs.  That is
-O(d^2 log T) time and (4d)^2 complex entries per Gram.  The stream
-route sums the scan's states, with cumulative sums only in chunks
-that hold a horizon: O(d T) time, O(d) memory.  Timed with numpy on 2
-vCPUs (best of 5, default mixing horizons, ms Gram/stream): at d = 8,
-T = 1024 0.68/0.68 and T = 16384 0.95/7.4; at d = 32, T = 2048
-3-5/3-4 and T = 8192 5.8/17; at d = 64, T = 4096 14-21/11-17 and
-T = 16384 25/67; at d = 128, T = 16384 68/95.  So the Gram route runs
-from T = max(1024, 100 d) on, for d up to ``_GRAM_MAX_D`` = 128 (4 MiB
-per Gram) and at most bit_length(T) + 1 horizons, which bounds the
-pending Grams; larger cycles stream, so memory never grows as d^2.
-``evolve_accumulate`` takes its sums from the state after one step
-and its final state from ``evolve``.
+d and the horizons, the last of them T (``_gram_route``).  The Gram
+route holds, in momentum space, s_t = blockdiag(M_k)^t s_0 for the
+orthonormal FFT s_0 of the table, and the (4d, 4d) Hermitian Gram
+R_h = sum_{t<h} s_t s_t^H.  With P = blockdiag(M_k^h) from the
+squaring ladder (polish included), doubling is R_2h = R_h + P R_h P^H,
+and a horizon with several set bits is built from its low bits up,
+R_{a + 2^m} = R_{2^m} + P_{2^m} R_a P_{2^m}^H for a < 2^m, one
+accumulator per pending horizon.  Then
+p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d} tr R(k, k'): one
+einsum for the coin traces and two FFTs.  That is O(d^2 log T) time
+and (4d)^2 complex entries per Gram.  The stream route sums the
+scan's states, with cumulative sums only in chunks that hold a
+horizon: O(d T) time, O(d) memory.  The Gram route's work is its
+conjugations P R P^H: one per doubling, bit_length(T) - 1 of them,
+and one per set bit of each horizon but its lowest
+(``_conjugations``).  Timed with numpy on 2 vCPUs (best of 3, recycled
+phi = 1.3), a conjugation costs about as much as 5 d to 7 d stream
+steps at d = 32 to 128 (ms Gram/stream at d = 128: T = 16384, one
+horizon, 14 conjugations, 69/143; T = 10000, 17, 76/87; T = 8191,
+24, 103/67; 15 horizons within 30 below T = 16384, 157 conjugations,
+648/130; at d = 64, T = 8191, 24 conjugations, 28/25; at d = 8, 15
+horizons below T = 8192, 142 conjugations, 2.6/2.0).  So the Gram
+route runs when T >= max(1024, 8 d c) for c conjugations (the floor
+is the Gram route's fixed cost on small cycles), for d up to
+``_GRAM_MAX_D`` = 128 (4 MiB per Gram) and at most bit_length(T) + 1
+horizons, which bounds the Grams held at once; larger cycles stream,
+so memory never grows as d^2.  ``evolve_accumulate`` takes its sums
+from the state after one step and its final state from ``evolve``.
 
 No eigendecomposition is involved anywhere here, so every kernel stays
 independent of the spectral module.
@@ -270,6 +277,11 @@ def _scan(amps, steps, spec, sites=True):
         yield out
 
 
+def _states(amps, steps, spec):
+    """The states t = 0..steps in (d, n, 4) chunks at the sites."""
+    return itertools.chain([amps[:, None, :]], _scan(amps, steps, spec))
+
+
 def _probs(chunk, keep="nt"):
     """Sums of |a|^2 over a (d, n, 4) chunk; keep names the axes kept.
 
@@ -336,9 +348,7 @@ def _stream_sums(amps, horizons, spec):
     d = amps.shape[0]
     out = np.empty((len(horizons), d))
     acc, done, found = np.zeros(d), 0, 0
-    chunks = itertools.chain([amps[:, None, :]],
-                             _scan(amps, horizons[-1] - 1, spec))
-    for chunk in chunks:
+    for chunk in _states(amps, horizons[-1] - 1, spec):
         first, done = done, done + chunk.shape[1]
         stop = bisect.bisect_right(horizons, done)
         if stop == found:
@@ -359,17 +369,23 @@ def _stream_sums(amps, horizons, spec):
 _GRAM_MAX_D = 128
 
 
+def _conjugations(horizons):
+    """The P R P^H products _gram_sums takes for these horizons."""
+    return (int(horizons[-1]).bit_length() - 1
+            + sum(bin(h).count("1") - 1 for h in horizons))
+
+
 def _gram_route(d, horizons):
     """True when sums() doubles the Gram rather than streaming.
 
-    The break-even measured with numpy on 2 vCPUs: the Gram route wins
-    from about T = max(1024, 100 d) steps.  At most bit_length(T) + 1
-    horizons (the default mixing horizons are that many) bound the
-    pending Grams, and the conjugations, to O(log T).
+    A conjugation costs 5 d to 7 d stream steps (module docstring), so
+    the Gram route runs from T = max(1024, 8 d c) steps on, for c
+    conjugations.  At most bit_length(T) + 1 horizons (the default
+    mixing horizons are that many) bound the Grams held at once.
     """
-    steps = horizons[-1]
-    return (d <= _GRAM_MAX_D and steps >= max(1024, 100 * d)
-            and len(horizons) <= int(steps).bit_length() + 1)
+    steps = int(horizons[-1])
+    return (d <= _GRAM_MAX_D and len(horizons) <= steps.bit_length() + 1
+            and steps >= max(1024, 8 * d * _conjugations(horizons)))
 
 
 def sums(amps, horizons, spec):

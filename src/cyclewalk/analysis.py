@@ -11,7 +11,6 @@ uniform one in total variation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -60,13 +59,6 @@ def classify_uniform(dist: Distribution, epsilon: float) -> bool:
 # invariance makes the position choice immaterial and the tests use
 # that as an extra probe.
 
-def _site_states(spec, state, steps):
-    """The states t = 0..steps of a walk, in (d, n, 4) chunks at the sites."""
-    amps = state.amplitudes
-    return itertools.chain([amps[:, None, :]],
-                           _kernels._scan(amps, steps, spec))
-
-
 def _gap_at(sides, t):
     pl, pr = (position_distribution(evolve(s, t, cfg)).probs
               for s, cfg in sides)
@@ -77,7 +69,8 @@ def _max_gap(sides, t_max):
     """Worst pointwise gap between two walks' p(., t) over t = 0..t_max."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0, got %d" % t_max)
-    lhs, rhs = (_site_states(_walk_spec(s.model, cfg), s, t_max)
+    lhs, rhs = (_kernels._states(s.amplitudes, t_max,
+                                 _walk_spec(s.model, cfg))
                 for s, cfg in sides)
     return max(float(np.abs(_kernels._probs(a) - _kernels._probs(b)).max())
                for a, b in zip(lhs, rhs))

@@ -16,11 +16,8 @@ are those of the per-cell writer ``_csv_cell``.  A column of plain ints
 maps str, one of plain bools a true/false lookup; every other column
 (mixed types, None, strings, numpy scalars) takes ``_csv_cell`` per
 cell.  JSON runs ``_clean`` only on the columns that hold a NaN or a
-value that is not a plain float, int, bool, str or None, and encodes
-the rows with json's C encoder, writing the layout of indent=1 around
-them (``_json_rows``): json.dumps takes its pure-Python encoder
-whenever it indents.  Tables are rectangular: every row has one value
-per column.
+value that is not a plain float, int, bool, str or None.  Tables are
+rectangular: every row has one value per column.
 """
 
 from __future__ import annotations
@@ -120,22 +117,6 @@ def render_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The rows' cells go through the C encoder, which json.dumps leaves for
-# the pure-Python one whenever it indents.  Cells are scalars, and an
-# encoded cell never holds a raw line break, so with this separator
-# between items the indented layout of the rows is a few replaces away.
-_ROW_CELLS = json.JSONEncoder(separators=(",\n   ", ": "), allow_nan=False)
-_ROWS_SLOT = '\n "rows": [],'
-
-
-def _json_rows(rows) -> str:
-    """Non-empty rows of scalars, as json.dumps(indent=1) writes them
-    under a top-level key."""
-    body = _ROW_CELLS.encode(rows)[2:-2].replace("],\n   [",
-                                                  "\n  ],\n  [\n   ")
-    return "[\n  [\n   " + body + "\n  ]\n ]"
-
-
 def render_json(table: Table) -> str:
     doc = {
         "tool": TOOL_NAME,
@@ -144,16 +125,10 @@ def render_json(table: Table) -> str:
         "config": table.config,
         "meta": table.meta,
         "columns": list(table.columns),
-        "rows": [],
+        "rows": list(map(list, zip(*map(_json_column, zip(*table.rows))))),
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ": "),
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1, allow_nan=False) + "\n"
-    rows = list(map(list, zip(*map(_json_column, zip(*table.rows)))))
-    if not rows:
-        return text
-    # The top-level key is the only one written after a line break and
-    # a single space.
-    return text.replace(_ROWS_SLOT, '\n "rows": %s,' % _json_rows(rows), 1)
 
 
 def render(table: Table, fmt: str) -> str:

@@ -548,7 +548,8 @@ class TestMixing:
                                             ("memory", None)])
     def test_gram_route_matches_stepping(self, model, phi, rng, monkeypatch):
         # A non-localized start, at horizons the Gram route takes
-        # (T = 1031 >= max(1024, 100 d)): SD(T) against one-step evolve.
+        # (T = 1031 >= max(1024, 8 d c), c = 14 conjugations): SD(T)
+        # against one-step evolve.
         ran = []
         gram = _kernels._gram_sums
         monkeypatch.setattr(_kernels, "_gram_sums",

@@ -96,11 +96,12 @@ class TestSums:
     @pytest.mark.parametrize("d", [5, 12])
     def test_matches_stepping_either_side_of_the_rule(self, d, rng,
                                                       monkeypatch):
-        # Horizons 1, 2^m, 2^m + 1 and an odd last one; 1203 >= 100 d
-        # and >= 1024 takes the Gram route, 201 the stream.
+        # Horizons 1, 2^m, 2^m + 1 and an odd last one; 2051 >= 1024
+        # and >= 8 d c for their c = 14 conjugations takes the Gram
+        # route, 201 the stream.
         ran = self._routes(monkeypatch)
         cases = (((1, 64, 65, 201), "_stream_sums"),
-                 ((1, 1024, 1025, 1203), "_gram_sums"))
+                 ((1, 2048, 2049, 2051), "_gram_sums"))
         walks = ((RECYCLED, oracles.dense_recycled_operator(d, 2.0)),
                  (MEMORY, oracles.dense_memory_operator(d)))
         for horizons, route in cases:
@@ -135,24 +136,69 @@ class TestSums:
             for route in (_kernels._gram_sums, _kernels._stream_sums):
                 assert np.abs(route(a, (1,), spec)[0] - p0).max() < 1e-15
 
-    @pytest.mark.parametrize("d, cross", [(8, 1024), (11, 1100), (32, 3200),
-                                          (128, 12800)])
-    def test_route_pinned_either_side_of_the_rule(self, d, cross,
+    def test_conjugations_counted(self, rng, monkeypatch):
+        # The rule prices the Gram route by the P R P^H products it
+        # takes: one per doubling, one per set bit of a horizon but its
+        # lowest.
+        count = []
+        real = _kernels._conjugated
+        monkeypatch.setattr(_kernels, "_conjugated",
+                            lambda *args: count.append(1) or real(*args))
+        a = _random_state(rng, 4)
+        for horizons, want in (((1,), 0), ((2,), 1), ((3,), 2), ((8,), 3),
+                               ((1, 2, 4, 8), 3), ((7, 8), 5),
+                               ((5, 6, 7), 6), ((255,), 14),
+                               (tuple(range(9, 16)), 15)):
+            assert _kernels._conjugations(horizons) == want
+            _kernels._gram_sums(a, horizons, RECYCLED)
+            assert len(count) == want
+            count.clear()
+
+    @pytest.mark.parametrize("d, stream, gram", [
+        (8, 1023, 1024),      # the floor: 8 d c is below 1024 here
+        (32, 3071, 3072),     # 21 conjugations against 12; 3072 = 8 d 12
+        (128, 16383, 16384),  # 26 conjugations against 14
+    ])
+    def test_route_pinned_either_side_of_the_rule(self, d, stream, gram,
                                                   monkeypatch):
-        # The measured break-even: T = max(1024, 100 d), for d <= 128.
+        # The measured break-even: T = max(1024, 8 d c) for the c
+        # conjugations of the Gram route, for d <= 128.
         ran = self._routes(monkeypatch, run=False)
         a = np.zeros((d, 4), dtype=np.complex128)
-        for horizons in ((cross - 1,), (1, 2, cross - 1)):
+        for horizons in ((stream,), (1, 2, stream)):
             _kernels.sums(a, horizons, RECYCLED)
             assert ran.pop() == "_stream_sums"
-        for horizons in ((cross,), (1, 2, cross), (1, 2, 10 ** 9)):
+        for horizons in ((gram,), (1, 2, gram), (1, 2, 10 ** 9)):
             _kernels.sums(a, horizons, RECYCLED)
             assert ran.pop() == "_gram_sums"
-        # More horizons than bit_length(T) + 1 would hold more Grams.
-        many = tuple(range(1, cross.bit_length() + 2))
-        _kernels.sums(a, many + (cross,), RECYCLED)
+
+    def test_horizon_count_bounds_the_grams(self, monkeypatch):
+        # More horizons than bit_length(T) + 1 would hold more Grams at
+        # once, however cheap their conjugations.
+        ran = self._routes(monkeypatch, run=False)
+        a = np.zeros((8, 4), dtype=np.complex128)
+        steps = 1 << 20
+        many = tuple(range(1, steps.bit_length() + 2))
+        _kernels.sums(a, many + (steps,), RECYCLED)
         assert ran.pop() == "_stream_sums"
-        _kernels.sums(a, many[1:] + (cross,), RECYCLED)
+        _kernels.sums(a, many[1:] + (steps,), RECYCLED)
+        assert ran.pop() == "_gram_sums"
+
+    def test_many_multi_bit_horizons_stream(self, monkeypatch):
+        # Fifteen horizons just below 2^14 take 180 conjugations, about
+        # 13 times those of T = 2^14 alone: the Gram route would be
+        # several times slower than the stream at d = 128, and is still
+        # the faster at d = 8.
+        ran = self._routes(monkeypatch, run=False)
+        horizons = tuple(range(16369, 16384))
+        assert _kernels._conjugations(horizons) == 180
+        for d, route in ((8, "_gram_sums"), (16, "_stream_sums"),
+                         (128, "_stream_sums")):
+            a = np.zeros((d, 4), dtype=np.complex128)
+            _kernels.sums(a, horizons, RECYCLED)
+            assert ran.pop() == route
+        a = np.zeros((128, 4), dtype=np.complex128)
+        _kernels.sums(a, (16384,), RECYCLED)
         assert ran.pop() == "_gram_sums"
 
     def test_stream_above_the_gram_cap(self, monkeypatch):
