@@ -51,6 +51,23 @@ M_{d-k} = conj(M_k): only the blocks k <= d/2 are diagonalized, and
 block d - k takes the conjugate eigenvalues and eigenvectors, with
 exactly negated phases.  The per-block warnings are then issued for all
 d blocks in ascending k.
+
+The eigensystems take one of two routes, by a fixed rule on the number
+of blocks in the stack (_POLY_MIN_BLOCKS, the measured break-even, 32
+blocks or d >= 62 for a cache).  Smaller stacks go to LAPACK's eig,
+with a QR basis for blocks whose eigenvectors are not orthonormal.
+Larger ones are read off each block's characteristic polynomial
+(_charpoly, by Faddeev-LeVerrier from tr M^1..tr M^4): the four roots
+come from a fixed number of Aberth steps over the whole stack, and each
+eigenvector from the Krylov vectors of a fixed start vector r, as
+q_j(M) r with q_j the polynomial deflated by its root j; the eigenvalue
+is then its Rayleigh quotient.  Every block is checked: its
+eigen-equation residual and its orthonormality defect must be at most
+_POLY_EIG_TOL.  The blocks that fail (a repeated or nearly repeated
+root, a root that did not converge, r nearly orthogonal to an
+eigenvector) go through the LAPACK route in one batched call.
+eigensystem and memory_spectrum_mismatch always use LAPACK, so they
+stay independent witnesses of the polynomial route.
 """
 
 from __future__ import annotations
@@ -168,7 +185,7 @@ def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
     return np.abs(utu).max(axis=(-2, -1))
 
 
-def _eig(mats: np.ndarray):
+def _lapack_eig(mats: np.ndarray):
     """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
 
     vecs[b][:, j] belongs to lams[b, j].  eig does not orthogonalize
@@ -182,6 +199,148 @@ def _eig(mats: np.ndarray):
     skew = _unitarity_deviation(vecs) > _UNITARITY_TOL
     if skew.any():
         vecs[skew] = np.linalg.qr(vecs[skew])[0]
+    return lams, vecs
+
+
+def _matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 4x4 matrices held block-last, shape (4, 4, n).
+
+    numpy's matmul loops over small stacked matrices one at a time;
+    block-last, each term is one broadcast product over all n blocks.
+    """
+    out = a[:, :1] * b[0]
+    for j in range(1, 4):
+        out += a[:, j:j + 1] * b[j]
+    return out
+
+
+def _charpoly(mats: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of a stack (..., 4, 4) of blocks.
+
+    Returns c (..., 5) with det(z - M) = z^4 + c1 z^3 + c2 z^2 + c3 z
+    + c4 and c0 = 1, each row as np.poly gives it for its block.  By
+    Faddeev-LeVerrier, from the power traces p_k = tr M^k through
+    Newton's identities k c_k = -(p_k + c1 p_{k-1} + ... + c_{k-1} p1).
+    """
+    mt = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    m2 = _matmul_t(mt, mt)
+    p = (np.einsum("ii...->...", mt), np.einsum("ii...->...", m2),
+         np.einsum("ij...,ji...->...", m2, mt),
+         np.einsum("ij...,ji...->...", m2, m2))
+    c = [np.ones_like(p[0])]
+    for k in range(1, 5):
+        c.append(-sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    return np.stack(c, axis=-1)
+
+
+# Column q of _PAIRS is the pair a < b of roots, +1 at a and -1 at b:
+# _PAIRS.T @ z holds z_a - z_b, and _PAIRS @ (1 / that) holds
+# sum_{b != a} 1 / (z_a - z_b) for every root a.
+_PAIRS = np.array([[1, 1, 1, 0, 0, 0], [-1, 0, 0, 1, 1, 0],
+                   [0, -1, 0, -1, 0, 1], [0, 0, -1, 0, -1, -1]],
+                  dtype=np.complex128)
+# Aberth steps per quartic.  From the start in _quartic_roots, simple
+# roots on the unit circle settle within five steps (measured over phi
+# on a 0.3 grid and the memory walk, d = 200 to 10^4); repeated roots
+# converge only linearly, and their blocks fail the checks in _poly_eig.
+_ABERTH_STEPS = 6
+
+
+def _aberth_step(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Aberth-Ehrlich step on the roots z (4, n) of quartics c (5, n)."""
+    p = (((z + c[1]) * z + c[2]) * z + c[3]) * z + c[4]
+    w = p / (((4 * z + 3 * c[1]) * z + 2 * c[2]) * z + c[3])
+    return z - w / (1 - w * (_PAIRS @ (1 / (_PAIRS.T @ z))))
+
+
+def _quartic_roots(c: np.ndarray) -> np.ndarray:
+    """Roots (4, n) of the monic quartics c (5, n), rows c0..c4.
+
+    The iteration starts from the roots of z^4 + c4, the quartic
+    without its middle terms: four points a quarter turn apart with
+    the roots' product.
+    """
+    z = (-c[4]) ** 0.25 * np.array([1, 1j, -1, -1j])[:, None]
+    for _ in range(_ABERTH_STEPS):
+        z = _aberth_step(c, z)
+    return z
+
+
+# Krylov start vector: fixed, with entries of unequal size and unrelated
+# phases (drawn once from a normal distribution), so that no symmetry of
+# a walk makes it orthogonal to an eigenvector.
+_KRYLOV_START = np.array([0.07 - 0.29j, -0.07 + 0.19j, 0.34 + 0.70j,
+                          0.06 + 0.51j])
+_KRYLOV_START /= np.linalg.norm(_KRYLOV_START)
+# Largest eigen-equation residual and orthonormality defect per block
+# that the polynomial route keeps; LAPACK's are about 1e-15.
+_POLY_EIG_TOL = 5e-14
+
+
+def _poly_eig(mats: np.ndarray):
+    """Eigensystems of unitary blocks from their characteristic polynomials.
+
+    Returns lams (n, 4), vecs (n, 4, 4) as _lapack_eig does, and ok (n,)
+    marking the blocks that pass the checks.  With r a fixed start
+    vector and q_j(z) = p(z) / (z - lam_j) = z^3 + a1 z^2 + a2 z + a3
+    (synthetic division), v_j = q_j(M) r = M^3 r + a1 M^2 r + a2 M r
+    + a3 r is the eigenvector of lam_j, normalized; lam_j is then its
+    Rayleigh quotient.  A block fails when a root is repeated (both
+    q_j(M) r are then one vector), when a root did not converge, or
+    when r is nearly orthogonal to an eigenvector; NaN fails too.
+    """
+    n = len(mats)
+    mt = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    c = np.ascontiguousarray(_charpoly(mats).T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = _quartic_roots(c)
+        krylov = [np.broadcast_to(_KRYLOV_START[:, None], (4, n))]
+        for _ in range(3):
+            krylov.append((mt * krylov[-1]).sum(axis=1))
+        a1 = c[1] + lam
+        a2 = c[2] + lam * a1
+        a3 = c[3] + lam * a2
+        vecs = krylov[3][:, None] + a1 * krylov[2][:, None]
+        vecs += a2 * krylov[1][:, None]
+        vecs += a3 * krylov[0][:, None]
+        vecs /= np.sqrt((vecs.real ** 2 + vecs.imag ** 2).sum(axis=0))
+        mv = _matmul_t(mt, vecs)
+        lam = np.einsum("ij...,ij...->j...", vecs.conj(), mv)
+        mv -= vecs * lam
+        gram = _matmul_t(vecs.conj().swapaxes(0, 1), vecs)
+        gram -= np.eye(4)[..., None]
+        ok = ((np.abs(mv).max(axis=(0, 1)) <= _POLY_EIG_TOL)
+              & (np.abs(gram).max(axis=(0, 1)) <= _POLY_EIG_TOL))
+    return lam.T, vecs.transpose(2, 0, 1), ok
+
+
+# Stacks of at least this many blocks take the polynomial route.  Below
+# it LAPACK's fixed costs are smaller (measured with numpy on 2 vCPUs).
+_POLY_MIN_BLOCKS = 32
+# Blocks per pass of the polynomial route: bounds its temporaries.
+_POLY_CHUNK = 1024
+
+
+def _eig(mats: np.ndarray):
+    """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
+
+    vecs[b][:, j] belongs to lams[b, j].  Stacks of _POLY_MIN_BLOCKS
+    blocks or more take _poly_eig, in passes of at most _POLY_CHUNK
+    blocks, and the blocks it rejects go through _lapack_eig in one
+    batched call; smaller stacks take _lapack_eig alone.
+    """
+    n = len(mats)
+    if n < _POLY_MIN_BLOCKS:
+        return _lapack_eig(mats)
+    lams = np.empty((n, 4), dtype=np.complex128)
+    vecs = np.empty((n, 4, 4), dtype=np.complex128)
+    ok = np.empty(n, dtype=bool)
+    edges = np.linspace(0, n, -(-n // _POLY_CHUNK) + 1).astype(int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        lams[lo:hi], vecs[lo:hi], ok[lo:hi] = _poly_eig(mats[lo:hi])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        lams[bad], vecs[bad] = _lapack_eig(mats[bad])
     return lams, vecs
 
 
@@ -230,7 +389,7 @@ def eigensystem(block) -> EigenSystem:
     dev = _unitarity_deviation(mat)
     if dev > _UNITARITY_TOL:
         raise ValueError("block is not unitary (deviation %.3g)" % dev)
-    lams, vecs = _eig(mat[None])
+    lams, vecs = _lapack_eig(mat[None])
     _screen_blocks(lams, (k,))
     return EigenSystem(k=k, d=d, theta=theta,
                        eigenvalues=lams[0], eigenvectors=vecs[0])

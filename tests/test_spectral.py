@@ -23,6 +23,13 @@ import oracles
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
+# Limit cells held against the naive double loop.  At d = 16, phi = 3 a
+# cluster holds two eigenvectors of one block.  (9, 2.0) and (16, 0.0)
+# take both routes in one call (see test_oracle_cells_take_both_routes).
+ORACLE_CELLS = [(5, 0.5), (5, 0.0), (8, 2.0), (12, 1.0), (7, 3.3),
+                (12, 6.0), (16, 3.0), (9, 2.0), (16, 0.0)]
+MEMORY_ORACLE_D = [5, 8, 9, 16]
+
 
 class TestBlocks:
     def test_mk_k0_hadamard_angle(self):
@@ -266,7 +273,7 @@ class TestSpectralCache:
 
     # Blocks k > d/2 are the conjugates of blocks d - k; these hold every
     # block, mirrored or not, to its own eigen-equation.
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 101])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 101, 4096])
     @pytest.mark.parametrize("model", [MODEL_RECYCLED, MODEL_MEMORY])
     def test_every_block_satisfies_its_eigen_equation(self, d, model):
         spec = walk._walk_spec(model, CoinConfig(1.3))
@@ -309,6 +316,172 @@ class TestSpectralCache:
         monkeypatch.setattr(np.linalg, "eig", one_eigenvalue_shrunk)
         with pytest.raises(RuntimeError, match="unit circle"):
             spectral_cache(8, CoinConfig(1.0))
+
+
+def _blocks(d, phi):
+    """Blocks k <= d/2 of the walk; phi = None is the memory walk."""
+    spec = (walk._walk_spec(MODEL_MEMORY) if phi is None
+            else walk._walk_spec(MODEL_RECYCLED, CoinConfig(phi)))
+    return _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
+
+
+def _cache(d, phi):
+    return (spectral_cache_memory(d) if phi is None
+            else spectral_cache(d, CoinConfig(phi)))
+
+
+@pytest.fixture
+def poly_everywhere(monkeypatch):
+    """Send every stack through the polynomial route.
+
+    Returns the list of stacks that then fell back to LAPACK.
+    """
+    fallbacks = []
+    lapack = spectral._lapack_eig
+
+    def recording(mats):
+        fallbacks.append(mats.copy())
+        return lapack(mats)
+
+    monkeypatch.setattr(spectral, "_POLY_MIN_BLOCKS", 0)
+    monkeypatch.setattr(spectral, "_lapack_eig", recording)
+    return fallbacks
+
+
+def _lapack_everywhere(monkeypatch):
+    monkeypatch.setattr(spectral, "_POLY_MIN_BLOCKS", math.inf)
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("d,phi", [(7, 1.3), (12, 0.0), (16, 3.0),
+                                       (9, None), (16, None)])
+    def test_matches_np_poly(self, d, phi):
+        mats = _blocks(d, phi)
+        got = spectral._charpoly(mats)
+        assert got.shape == (len(mats), 5)
+        for mat, c in zip(mats, got):
+            assert np.abs(c - np.poly(mat)).max() < 1e-13
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 2.0, 3.7, 6.0])
+    def test_recycled_is_self_inversive(self, phi):
+        # z^4 + b z^3 - conj(b) z - 1 with b = -tr M_k.
+        mats = _blocks(64, phi)
+        b = -np.trace(mats, axis1=1, axis2=2)
+        one = np.ones_like(b)
+        want = np.stack([one, b, 0 * b, -b.conj(), -one], axis=-1)
+        assert np.abs(spectral._charpoly(mats) - want).max() < 1e-14
+
+    def test_memory_shares_that_of_phi2(self):
+        got = spectral._charpoly(_blocks(64, None))
+        want = spectral._charpoly(_blocks(64, 2.0))
+        assert np.abs(got - want).max() < 1e-14
+
+
+class TestPolyRoute:
+    @pytest.mark.parametrize("d,phi", ORACLE_CELLS)
+    @pytest.mark.parametrize("name", ["psi_a", "psi_c"])
+    def test_matches_naive_double_loop(self, d, phi, name, poly_everywhere):
+        TestLimiting().test_matches_naive_double_loop(d, phi, name)
+        # Only d = 16, phi = 3 has repeated roots: blocks 1 and 7 each
+        # hold one eigenvalue twice, and they alone fall back.
+        if (d, phi) == (16, 3.0):
+            (mats,) = poly_everywhere
+            lam = np.sort(np.angle(np.linalg.eigvals(mats)), axis=-1)
+            assert len(mats) == 2
+            assert spectral._sorted_gaps(lam).min(axis=-1).max() < 1e-12
+        else:
+            assert poly_everywhere == []
+
+    @pytest.mark.parametrize("d", MEMORY_ORACLE_D)
+    def test_memory_matches_naive_double_loop(self, d, random_coin4,
+                                              poly_everywhere):
+        TestLimiting().test_memory_matches_naive_double_loop(d, random_coin4)
+        assert poly_everywhere == []
+
+    @pytest.mark.parametrize("d", [256, 4096])
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 2.0, 3.7, 6.0, None])
+    def test_agrees_with_lapack(self, d, phi, monkeypatch):
+        mats = _blocks(d, phi)
+        lams, vecs = spectral._eig(mats)
+        want = np.linalg.eigvals(mats)
+        assert max(eigenvalue_multiset_distance(a, b)
+                   for a, b in zip(lams, want)) <= 1e-13
+        assert np.abs(mats @ vecs - vecs * lams[:, None, :]).max() <= 1e-13
+        gram = vecs.conj().swapaxes(1, 2) @ vecs
+        assert np.abs(gram - np.eye(4)).max() <= 1e-13
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClusterWarning)
+            got = spectral._limiting_probs(_cache(d, phi), psis)
+            _lapack_everywhere(monkeypatch)
+            ref = spectral._limiting_probs(_cache(d, phi), psis)
+        assert np.abs(got - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("d,phi", [(4096, 0.5), (4096, 3.7),
+                                       (4096, 6.9), (2048, None)])
+    def test_large_generic_cells_need_no_fallback(self, d, phi):
+        # The benchmark's large-d cells, and phi = 6.9, whose roots take
+        # five Aberth steps: every root converges and every block passes
+        # the checks.
+        assert spectral._poly_eig(_blocks(d, phi))[2].all()
+
+    def test_d4096_warning_unchanged(self, monkeypatch):
+        def warned():
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                limiting_distribution(CoinConfig(0.5), 4096,
+                                      named_coin4("psi_b"))
+            return [str(w.message) for w in rec]
+
+        got = warned()
+        _lapack_everywhere(monkeypatch)
+        assert warned() == got == [
+            "d=4096 limiting distribution: 20 eigenvalue phase gap(s) within "
+            "a decade of the matching tolerance 1e-09 (smallest 7.48e-10); "
+            "equal-eigenvalue pairing may be ambiguous"]
+
+    @pytest.mark.parametrize("d", [2, 16, 50, 61])
+    def test_small_stacks_stay_on_lapack(self, d, monkeypatch):
+        # Every C07 sweep cell (d <= 50) and every pinned table (d <= 16)
+        # keeps LAPACK's eigensystems bit for bit.
+        monkeypatch.setattr(spectral, "_poly_eig", None)
+        for phi in (0.0, 3.0, 0.7, None):
+            lams, vecs = spectral._lapack_eig(_blocks(d, phi))
+            cache = _cache(d, phi)
+            assert np.array_equal(cache.eigenvalues,
+                                  _kernels._mirrored(lams, d))
+            assert np.array_equal(cache.eigenvectors,
+                                  _kernels._mirrored(vecs, d))
+
+    @pytest.mark.parametrize("d", [62, 4096])
+    def test_large_stacks_take_the_polynomial_route(self, d, monkeypatch):
+        calls = []
+        poly = spectral._poly_eig
+
+        def recording(mats):
+            calls.append(len(mats))
+            return poly(mats)
+
+        monkeypatch.setattr(spectral, "_poly_eig", recording)
+        spectral_cache(d, CoinConfig(0.7))
+        assert sum(calls) == d // 2 + 1
+        assert max(calls) <= spectral._POLY_CHUNK
+
+    def test_fully_degenerate_blocks_fall_back(self):
+        # A stack of identity blocks: every root repeated four times.
+        mats = np.broadcast_to(np.eye(4, dtype=np.complex128), (40, 4, 4))
+        assert not spectral._poly_eig(mats)[2].any()
+        lams, vecs = spectral._eig(mats)
+        assert np.abs(lams - 1.0).max() < 1e-15
+        assert np.abs(vecs.conj().swapaxes(1, 2) @ vecs - np.eye(4)).max() \
+            < 1e-15
+
+    def test_eigensystem_stays_on_lapack(self, poly_everywhere):
+        blk = build_Mk(3, 7, CoinConfig(1.3))
+        es = eigensystem(blk)
+        assert len(poly_everywhere) == 1
+        lams, vecs = np.linalg.eig(blk.matrix)
+        assert np.array_equal(es.eigenvalues, lams)
 
 
 class TestClosedForm:
@@ -393,12 +566,7 @@ class TestLimiting:
         with pytest.raises(ValueError, match="position 0"):
             limiting_distribution(CoinConfig(0.0), 5, init)
 
-    # At d = 16, phi = 3 a cluster holds two eigenvectors of one block.
-    # (9, 2.0) and (16, 0.0) take both routes in one call (see
-    # test_oracle_cells_take_both_routes).
-    @pytest.mark.parametrize("d,phi", [(5, 0.5), (5, 0.0), (8, 2.0),
-                                       (12, 1.0), (7, 3.3), (12, 6.0),
-                                       (16, 3.0), (9, 2.0), (16, 0.0)])
+    @pytest.mark.parametrize("d,phi", ORACLE_CELLS)
     @pytest.mark.parametrize("name", ["psi_a", "psi_c"])
     def test_matches_naive_double_loop(self, d, phi, name):
         psi = named_coin4(name)
@@ -406,7 +574,7 @@ class TestLimiting:
         want = oracles.naive_limiting(d, psi, phi=phi)
         assert np.allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [5, 8, 9, 16])
+    @pytest.mark.parametrize("d", MEMORY_ORACLE_D)
     def test_memory_matches_naive_double_loop(self, d, random_coin4):
         psi = random_coin4()
         got = limiting_distribution_memory(d, psi).probs
