@@ -10,12 +10,13 @@ The walk module writes each walk's pair down once, as a spec
 kernel takes the spec.  ``_site_step`` is the one step at the sites:
 the float view of a row of 4 amplitudes takes A+ and A- as real 8x8
 matrices (``spec.floats``).  The Fourier block at momentum k is
-M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and ``_real_blocks``
+M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and ``_momentum_blocks``
 alone computes it, from ``spec.terms``, as the real 8x8 B_k that steps
 the float view of a row: float(v) @ B_k = float(M_k v).  The power
-route and the scan step float views by B_k, and ``_fourier_blocks`` is
-the complex view that the spectral module diagonalizes.  The kernels
-take the spec after the table and the step count:
+route and the scan step float views by B_k (``_real_blocks``), and
+``_fourier_blocks`` and ``_half_blocks`` are the complex views that the
+spectral module diagonalizes.  The kernels take the spec after the
+table and the step count:
 
     evolve(amps, steps, spec)            -> amps
     sums(amps, horizons, spec)           -> sums
@@ -103,27 +104,56 @@ import numpy as np
 def _real_blocks(d, spec, stop=None):
     """The momentum blocks M_k, k < stop (all d), as real 8x8 B_k.
 
-    float(v) @ B_k = float(M_k v) for the float view of a row v (module
-    docstring).  M_k = Re(x) S + i Im(x) D for S = A+ + A- and
-    D = A+ - A-, so B_k is the (re, im) pair of x times the two
-    constant terms of the spec (``spec.terms``).  A+ and A- share no
-    nonzero row, so every entry is one exact product and the even rows
-    of B_k, as (re, im) pairs, are M_k^T bit for bit.
+    See _momentum_blocks.
     """
-    x = np.exp(2j * np.pi * np.arange(d if stop is None else stop) / d)
+    return _momentum_blocks(np.arange(d if stop is None else stop), d, spec)
+
+
+def _momentum_blocks(k, d, spec):
+    """The blocks M_k of momenta k on d-cycles, as real 8x8 B_k.
+
+    k and d are arrays (or d one cycle length) taken elementwise: block
+    i is M_{k_i} on the d_i-cycle.  float(v) @ B_k = float(M_k v) for
+    the float view of a row v (module docstring).  M_k = Re(x) S
+    + i Im(x) D for S = A+ + A- and D = A+ - A-, so B_k is the (re, im)
+    pair of x times the two constant terms of the spec
+    (``spec.terms``).  A+ and A- share no nonzero row, so every entry is
+    one exact product and the even rows of B_k, as (re, im) pairs, are
+    M_k^T bit for bit.
+    """
+    x = np.exp(2j * np.pi * k / d)
     pairs = x.view(np.float64).reshape(-1, 2)
     return (pairs @ spec.terms).reshape(-1, 8, 8)
+
+
+def _complex_blocks(real):
+    """The complex M_k of a stack of real B_k.
+
+    The complex view of their even rows, transposed, as a contiguous
+    stack.
+    """
+    rows = real[:, ::2]
+    return np.ascontiguousarray(rows.view(np.complex128).swapaxes(1, 2))
 
 
 def _fourier_blocks(d, spec, stop=None):
     """The complex blocks M_k = x A+ + conj(x) A-, k < stop (all d).
 
-    The complex view of _real_blocks' even rows, transposed, as a
-    contiguous stack.  np.fft.fft takes a[n+1] to x times the transform
-    of a, so M_k is one step of the walk at frequency k.
+    np.fft.fft takes a[n+1] to x times the transform of a, so M_k is
+    one step of the walk at frequency k.
     """
-    rows = _real_blocks(d, spec, stop=stop)[:, ::2]
-    return np.ascontiguousarray(rows.view(np.complex128).swapaxes(1, 2))
+    return _complex_blocks(_real_blocks(d, spec, stop=stop))
+
+
+def _half_blocks(ds, spec):
+    """The complex blocks M_k, k <= d/2, of every cycle length d of ds.
+
+    One stack, the blocks of each d in turn; those of one d equal
+    _fourier_blocks(d, spec, stop=d // 2 + 1) bit for bit.
+    """
+    stops = [d // 2 + 1 for d in ds]
+    k = np.concatenate([np.arange(s) for s in stops])
+    return _complex_blocks(_momentum_blocks(k, np.repeat(ds, stops), spec))
 
 
 def _mirrored(x, d):

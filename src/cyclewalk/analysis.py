@@ -11,6 +11,7 @@ uniform one in total variation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -141,11 +142,15 @@ def residue_distance_curve(d_values, psi) -> list:
     """
     psi0 = spectral._coin4_or_initial(psi)
     qpsi = apply_Q(psi0)
-    cfg0, cfg2 = CoinConfig(0.0), CoinConfig(2.0)
+    spec0, spec2 = (_walk_spec(MODEL_RECYCLED, CoinConfig(phi))
+                    for phi in (0.0, 2.0))
     out = []
     for d in d_values:
-        p0 = spectral.limiting_distribution(cfg0, d, psi0)
-        p2 = spectral.limiting_distribution(cfg2, d, qpsi)
+        # One stack per d for both walks; a column of d per walk would
+        # move the small tables onto the polynomial route.
+        build0, build2 = spectral._spectral_caches([(spec0, d), (spec2, d)])
+        p0 = spectral._limiting(spec0, d, psi0, build0())
+        p2 = spectral._limiting(spec2, d, qpsi, build2())
         out.append((int(d), int(d) % 4, total_variation(p0, p2)))
     return out
 
@@ -225,20 +230,17 @@ def _failed_row(label, exc):
     return (label, math.nan, None, False, False, str(exc), None)
 
 
-def _sweep_cell_group(task):
-    """All states of one (d, phi) cell; runs in worker processes.
+def _sweep_cell_group(d, build, psis, state_items, epsilon, keep_probs):
+    """All states of one (d, phi) cell, from its cache builder.
 
     One cache and one batched limit serve every state.  An error there
     fails every row of the group, an invalid distribution only its own;
     a DegenerateClusterWarning from either marks every row warned.
     """
-    d, phi, state_items, epsilon, keep_probs = task
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", spectral.DegenerateClusterWarning)
-            cache = spectral.spectral_cache(d, CoinConfig(phi))
-            batch = spectral._limiting_probs(cache, np.array(
-                [coin4 for _, coin4 in state_items], dtype=np.complex128))
+            batch = spectral._limiting_probs(build(), psis)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         return [_failed_row(label, exc) for label, _ in state_items]
     warned = any(issubclass(w.category, spectral.DegenerateClusterWarning)
@@ -257,37 +259,65 @@ def _sweep_cell_group(task):
     return rows
 
 
+def _sweep_pack(task):
+    """The (d, phi) groups of one pack of d at one phi; runs in workers.
+
+    One spectral._spectral_caches call diagonalizes the whole pack; each
+    group then finishes its own cache and limit (_sweep_cell_group).
+    """
+    phi, ds, state_items, epsilon, keep_probs = task
+    spec = _walk_spec(MODEL_RECYCLED, CoinConfig(phi))
+    try:
+        builders = spectral._spectral_caches([(spec, d) for d in ds])
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+        return [[_failed_row(label, exc) for label, _ in state_items]
+                for _ in ds]
+    psis = np.array([coin4 for _, coin4 in state_items], dtype=np.complex128)
+    return [_sweep_cell_group(d, build, psis, state_items, epsilon,
+                              keep_probs)
+            for d, build in zip(ds, builders)]
+
+
 def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     """Classify every grid cell against the uniform distribution.
 
     Cells are processed in deterministic (d, phi, state) order and the
-    result order never depends on jobs.  With jobs > 1 the (d, phi)
-    groups are distributed over processes.  Each group is one
-    diagonalization and one batched limit for all of its states, so
-    an error there, or a DegenerateClusterWarning, applies to every
-    row of the group; a row whose distribution fails validation fails
-    alone.  Eigenvalues count as equal within spectral.PHASE_TOL; a
-    group with a phase gap within a decade of it is warned.
+    result order never depends on jobs.  Each phi's d values are cut
+    into packs (spectral._packs, which depends on the grid alone), and
+    each pack is one diagonalization of all of its blocks; with
+    jobs > 1 the packs are distributed over processes.  Each (d, phi)
+    group then finishes its cache and takes one batched limit for all
+    of its states, so an error there, or a DegenerateClusterWarning,
+    applies to every row of the group and to no other group; a row
+    whose distribution fails validation fails alone.  Eigenvalues
+    count as equal within spectral.PHASE_TOL; a group with a phase gap
+    within a decade of it is warned.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)
     state_items = tuple((_state_label(st), tuple(complex(c) for c in st.coin4))
                         for st in grid.states)
-    tasks = [(d, phi, state_items, grid.epsilon, keep_probs)
-             for d in grid.d_values for phi in grid.phi_values]
+    packs = spectral._packs(grid.d_values)
+    tasks = [(phi, ds, state_items, grid.epsilon, keep_probs)
+             for phi in grid.phi_values for ds in packs]
     if jobs == 1 or len(tasks) == 1:
-        groups = map(_sweep_cell_group, tasks)
+        done = map(_sweep_pack, tasks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_sweep_cell_group, tasks, chunksize=8))
+            done = list(pool.map(_sweep_pack, tasks))
+    # Groups arrive phi by phi, each phi's d in grid order.
+    groups = list(itertools.chain.from_iterable(done))
+    nd = len(grid.d_values)
     records = []
-    for (d, phi, *_), rows in zip(tasks, groups):
-        for label, tv, uniform, boundary, warned, error, probs in rows:
-            records.append(SweepRecord(
-                d=d, phi=phi, state=label, tv_from_uniform=tv,
-                classified_uniform=uniform, boundary=boundary, warned=warned,
-                d_mod_4=d % 4, divisible_by_12=(d % 12 == 0),
-                error=error, probs=probs))
+    for i, d in enumerate(grid.d_values):
+        for j, phi in enumerate(grid.phi_values):
+            for row in groups[j * nd + i]:
+                label, tv, uniform, boundary, warned, error, probs = row
+                records.append(SweepRecord(
+                    d=d, phi=phi, state=label, tv_from_uniform=tv,
+                    classified_uniform=uniform, boundary=boundary,
+                    warned=warned, d_mod_4=d % 4,
+                    divisible_by_12=(d % 12 == 0), error=error, probs=probs))
     return records
 
 

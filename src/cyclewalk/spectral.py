@@ -68,13 +68,27 @@ root, a root that did not converge, r nearly orthogonal to an
 eigenvector) go through the LAPACK route in one batched call.
 eigensystem and memory_spectrum_mismatch always use LAPACK, so they
 stay independent witnesses of the polynomial route.
+
+Caches are built a pack at a time (_spectral_caches).  A pack is a
+list of (walk, d) groups whose blocks k <= d/2 form one stack: one
+unitarity screen, one diagonalization and one screen of the block
+phase gaps serve the whole stack, and each group then finishes its own
+cache (mirroring, its warnings, the unit-circle check, the clustering)
+and fails alone.  A sweep diagonalizes one pack per run of consecutive
+d of a phi column, up to _POLY_CHUNK blocks (_packs), so one C07
+column, d = 2..50, is a single stack of 674 blocks on the polynomial
+route, although each of its caches alone would take LAPACK.  A single
+cache is the one-group pack, so its route and its bits do not depend
+on the packs.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -290,8 +304,10 @@ def _poly_eig(mats: np.ndarray):
     when r is nearly orthogonal to an eigenvector; NaN fails too.
     """
     n = len(mats)
-    mt = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    # Each (4, 4, n) temporary is dropped once used: a sweep's pack
+    # passes up to _POLY_CHUNK blocks at once.
     c = np.ascontiguousarray(_charpoly(mats).T)
+    mt = np.ascontiguousarray(mats.transpose(1, 2, 0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = _quartic_roots(c)
         krylov = [np.broadcast_to(_KRYLOV_START[:, None], (4, n))]
@@ -303,14 +319,17 @@ def _poly_eig(mats: np.ndarray):
         vecs = krylov[3][:, None] + a1 * krylov[2][:, None]
         vecs += a2 * krylov[1][:, None]
         vecs += a3 * krylov[0][:, None]
+        del c, krylov, a1, a2, a3
         vecs /= np.sqrt((vecs.real ** 2 + vecs.imag ** 2).sum(axis=0))
         mv = _matmul_t(mt, vecs)
+        del mt
         lam = np.einsum("ij...,ij...->j...", vecs.conj(), mv)
         mv -= vecs * lam
+        ok = np.abs(mv).max(axis=(0, 1)) <= _POLY_EIG_TOL
+        del mv
         gram = _matmul_t(vecs.conj().swapaxes(0, 1), vecs)
         gram -= np.eye(4)[..., None]
-        ok = ((np.abs(mv).max(axis=(0, 1)) <= _POLY_EIG_TOL)
-              & (np.abs(gram).max(axis=(0, 1)) <= _POLY_EIG_TOL))
+        ok &= np.abs(gram).max(axis=(0, 1)) <= _POLY_EIG_TOL
     return lam.T, vecs.transpose(2, 0, 1), ok
 
 
@@ -344,17 +363,30 @@ def _eig(mats: np.ndarray):
     return lams, vecs
 
 
-def _screen_blocks(lams: np.ndarray, ks):
-    """Warn of each block's phase gaps near PHASE_TOL; check |lam| = 1.
+def _block_screen(lams: np.ndarray):
+    """What _screen_blocks reads of each block of eigenvalues lams (n, 4).
 
-    Blocks warn in order, labelled by ks.  Raises RuntimeError when an
-    eigenvalue leaves the unit circle.
+    Returns the block's sorted phase gaps (n, 4) (_sorted_gaps), whether
+    one of them is at most 10 PHASE_TOL (n,), and how far its
+    eigenvalues leave the unit circle (n,).
     """
     gaps = _sorted_gaps(np.sort(np.angle(lams), axis=-1))
-    for b in np.flatnonzero((gaps <= 10.0 * PHASE_TOL).any(axis=-1)):
+    near = (gaps <= 10.0 * PHASE_TOL).any(axis=-1)
+    return gaps, near, np.abs(np.abs(lams) - 1.0).max(axis=-1)
+
+
+def _screen_blocks(screen, ks):
+    """Warn of each block's phase gaps near PHASE_TOL; check |lam| = 1.
+
+    screen is _block_screen's output for the blocks, which warn in
+    order, labelled by ks.  Raises RuntimeError when an eigenvalue
+    leaves the unit circle.
+    """
+    gaps, near, moddev = screen
+    for b in np.flatnonzero(near):
         _warn_ambiguous(gaps[b], "block k=%d" % ks[b])
-    moddev = np.abs(np.abs(lams) - 1.0).max()
-    if moddev > _UNITARITY_TOL:
+    moddev = moddev.max()
+    if not moddev <= _UNITARITY_TOL:
         raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
 
 
@@ -387,10 +419,10 @@ def eigensystem(block) -> EigenSystem:
             raise ValueError("expected a (4, 4) block, got %s" % (mat.shape,))
         k, d, theta = 0, 0, None
     dev = _unitarity_deviation(mat)
-    if dev > _UNITARITY_TOL:
+    if not dev <= _UNITARITY_TOL:
         raise ValueError("block is not unitary (deviation %.3g)" % dev)
     lams, vecs = _lapack_eig(mat[None])
-    _screen_blocks(lams, (k,))
+    _screen_blocks(_block_screen(lams), (k,))
     return EigenSystem(k=k, d=d, theta=theta,
                        eigenvalues=lams[0], eigenvectors=vecs[0])
 
@@ -437,20 +469,77 @@ def _alphas(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
     return np.einsum("kij,...i->...kj", cache.eigenvectors.conj(), psis)
 
 
-def _spectral_cache(spec: _WalkSpec, d: int) -> SpectralCache:
-    if d < 2:
-        raise ValueError("cycle length d must be >= 2, got %d" % d)
-    # Blocks k <= d/2 are diagonalized; each block k > d/2 is the
-    # conjugate of block d - k, and so is its eigensystem.
-    mats = _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
-    dev = _unitarity_deviation(mats).max()
-    if dev > _UNITARITY_TOL:
+def _packs(ds) -> list:
+    """The cycle lengths ds cut, in order, into packs of one walk's groups.
+
+    A pack holds at most _POLY_CHUNK blocks k <= d/2, for one
+    _spectral_caches call; a d with more forms a pack of its own.  The
+    cut depends on ds alone.
+    """
+    packs, size = [], 0
+    for d in ds:
+        if not packs or size + d // 2 + 1 > _POLY_CHUNK:
+            packs.append([])
+            size = 0
+        packs[-1].append(d)
+        size += d // 2 + 1
+    return packs
+
+
+def _spectral_caches(groups) -> list:
+    """Caches of each group (spec, d) of groups, from one stack.
+
+    Blocks k <= d/2 are diagonalized; each block k > d/2 is the
+    conjugate of block d - k, and so is its eigensystem.  Those blocks
+    of every group form one stack, which takes one unitarity screen,
+    one _eig call and one _block_screen.  Returns one builder per
+    group, in order: calling it finishes that group's cache
+    (mirroring, the block warnings and unit-circle check of
+    _screen_blocks, the clustering) or raises what fails that group
+    alone.  The blocks of a group that fails the unitarity screen (NaN
+    fails it) enter _eig as identities, so they cannot fail the stack.
+    _spectral_cache is the one-group case.
+    """
+    for _, d in groups:
+        if d < 2:
+            raise ValueError("cycle length d must be >= 2, got %d" % d)
+    stops = [d // 2 + 1 for _, d in groups]
+    starts = list(itertools.accumulate(stops[:-1], initial=0))
+    runs = [_kernels._half_blocks([d for _, d in run], spec)
+            for spec, run in itertools.groupby(groups, key=lambda g: g[0])]
+    mats = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    devs = np.maximum.reduceat(_unitarity_deviation(mats), starts)
+    unitary = devs <= _UNITARITY_TOL
+    if not unitary.all():
+        mats[np.repeat(~unitary, stops)] = np.eye(4)
+    lams, vecs = _eig(mats)
+    screen = _block_screen(lams)
+    return [partial(_finish_cache, spec, d, dev, lams[lo:lo + n],
+                    vecs[lo:lo + n], [x[lo:lo + n] for x in screen])
+            for (spec, d), dev, lo, n in zip(groups, devs, starts, stops)]
+
+
+def _finish_cache(spec: _WalkSpec, d: int, dev: float, lams: np.ndarray,
+                  vecs: np.ndarray, screen) -> SpectralCache:
+    """One group's cache from its share of _spectral_caches' stack."""
+    if not dev <= _UNITARITY_TOL:
         raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
-    lams, vecs = (_kernels._mirrored(x, d) for x in _eig(mats))
-    _screen_blocks(lams, range(d))
+    gaps, near, moddev = screen
+    if near.any():
+        # Block k > d/2 holds the screen of block d - k: its phases are
+        # the negated ones, so its gaps are the same numbers in another
+        # order.
+        mirror = _kernels._mirrored(np.arange(len(lams)), d)
+        gaps, near = gaps[mirror], near[mirror]
+    _screen_blocks((gaps, near, moddev), range(d))
+    lams, vecs = (_kernels._mirrored(x, d) for x in (lams, vecs))
     labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), PHASE_TOL)
     return SpectralCache(d=d, theta=spec.theta, eigenvalues=lams,
                          eigenvectors=vecs, labels=labels, gaps=gaps)
+
+
+def _spectral_cache(spec: _WalkSpec, d: int) -> SpectralCache:
+    return _spectral_caches([(spec, d)])[0]()
 
 
 def spectral_cache(d: int, cfg: CoinConfig) -> SpectralCache:

@@ -219,7 +219,7 @@ class _WalkSpec:
     on M_{d-k} = conj(M_k).  Two read-only forms are derived once:
     ``floats``, A+ and A- as (2, 8, 8) on the float view of a row of 4
     amplitudes, for the site step, and ``terms``, the two constant
-    terms of ``_kernels._real_blocks``.  theta is the second-coin
+    terms of ``_kernels._momentum_blocks``.  theta is the second-coin
     angle, None for the memory walk.
     """
 
@@ -237,7 +237,7 @@ class _WalkSpec:
         a_plus, a_minus = pair = pair.real.astype(np.float64)
         # forms[f, j, p, i, q] is entry F[2j + p, 2i + q] of form f: the
         # float forms of A+ and A-, float(v) @ F = float(A v), then the
-        # two terms of _real_blocks.
+        # two terms of _momentum_blocks.
         forms = np.zeros((4, 4, 2, 4, 2))
         forms[:2, :, 0, :, 0] = forms[:2, :, 1, :, 1] = pair.swapaxes(1, 2)
         forms[2, :, 0, :, 0] = forms[2, :, 1, :, 1] = (a_plus + a_minus).T

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -368,14 +369,14 @@ class TestSweep:
             sweep(grid, jobs=0)
 
     def test_cell_errors_are_isolated(self, monkeypatch):
-        real = spectral.spectral_cache
+        real = spectral._finish_cache
 
-        def flaky(d, cfg):
+        def flaky(spec, d, *args):
             if d == 7:
                 raise RuntimeError("injected failure")
-            return real(d, cfg)
+            return real(spec, d, *args)
 
-        monkeypatch.setattr(analysis.spectral, "spectral_cache", flaky)
+        monkeypatch.setattr(spectral, "_finish_cache", flaky)
         grid = SweepGrid.named((6, 7, 8), (0.5,), ("psi_a",))
         records = sweep(grid, jobs=1)
         bad = [r for r in records if r.d == 7]
@@ -438,14 +439,188 @@ class TestSweep:
         items = tuple((n, tuple(named_coin4(n))) for n in STATE_NAMES)
         tracemalloc.start()
         try:
-            rows = analysis._sweep_cell_group(
-                (4096, 0.0, items, 1e-6, True))
+            rows, = analysis._sweep_pack((0.0, [4096], items, 1e-6, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert [row[0] for row in rows] == list(STATE_NAMES)
         assert all(row[5] is None and row[6].shape == (4096,) for row in rows)
+
+
+# The C07 column's integer phi, three generic phi and one with phase gaps
+# just outside the tolerance (d = 16).
+PACK_PHIS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.5, 3.3, 6.1, 3 + 2e-9)
+
+
+def _recording_eig(monkeypatch):
+    """Record every stack that spectral._eig diagonalizes."""
+    stacks = []
+    real = spectral._eig
+
+    def recording(mats):
+        stacks.append(mats.copy())
+        return real(mats)
+
+    monkeypatch.setattr(spectral, "_eig", recording)
+    return stacks
+
+
+def _corrupt_groups(monkeypatch, edits):
+    """Edit one block of some groups of every stack _half_blocks builds.
+
+    edits maps a cycle length d to a function applied to the 4x4 block
+    k = 1 of its group.
+    """
+    real = _kernels._half_blocks
+
+    def corrupted(ds, spec):
+        mats = real(ds, spec)
+        lo = 0
+        for d in ds:
+            if d in edits:
+                mats[lo + 1] = edits[d](mats[lo + 1])
+            lo += d // 2 + 1
+        return mats
+
+    monkeypatch.setattr(_kernels, "_half_blocks", corrupted)
+
+
+class TestPacks:
+    """A sweep diagonalizes each pack of a phi column in one stack."""
+
+    def test_pack_path_matches_per_group_path(self, monkeypatch):
+        d_values = range(2, 51)
+        stacks = _recording_eig(monkeypatch)
+        records = sweep(SweepGrid.named(d_values, PACK_PHIS, STATE_NAMES),
+                        keep_probs=False)
+        monkeypatch.undo()
+        # One stack per column, 674 blocks: the polynomial route.
+        assert [len(m) for m in stacks] == [674] * len(PACK_PHIS)
+        by_cell = {(r.d, r.phi, r.state): r for r in records}
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        for phi, stack in zip(PACK_PHIS, stacks):
+            spec, lo = _recycled_spec(phi), 0
+            for d in d_values:
+                blocks = _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
+                assert stack[lo:lo + len(blocks)].tobytes() == blocks.tobytes()
+                lo += len(blocks)
+                # The per-group path: its own cache (LAPACK for d <= 50)
+                # and limit; warned as _warn_ambiguous decides.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(
+                        "always", spectral.DegenerateClusterWarning)
+                    probs = spectral._limiting_probs(
+                        spectral.spectral_cache(d, CoinConfig(phi)), psis)
+                for name, p in zip(STATE_NAMES, probs):
+                    r = by_cell[(d, phi, name)]
+                    tv = tv_from_uniform(Distribution(d=d, probs=p))
+                    assert abs(r.tv_from_uniform - tv) <= 1e-14
+                    assert r.classified_uniform == (tv < 1e-6)
+                    assert r.boundary == (1e-7 <= tv <= 1e-5)
+                    assert r.warned == bool(caught)
+                    assert r.error is None
+        # Exact in-block degeneracies (gaps far below PHASE_TOL) do not
+        # warn; the gaps just outside it at phi = 3 + 2e-9 do.
+        for name in STATE_NAMES:
+            assert not by_cell[(16, 3.0, name)].warned
+            assert not by_cell[(16, 7.0, name)].warned
+            assert by_cell[(16, 3 + 2e-9, name)].warned
+
+    def test_packs_cut_by_the_block_budget(self):
+        ds = list(range(2, 81)) + [2050, 3, 4]
+        packs = spectral._packs(ds)
+        assert [d for pack in packs for d in pack] == ds
+        sizes = [sum(d // 2 + 1 for d in pack) for pack in packs]
+        # 2050 alone is over the budget and forms its own pack.
+        assert packs[2] == [2050] and sizes[2] > spectral._POLY_CHUNK
+        assert all(size <= spectral._POLY_CHUNK
+                   for pack, size in zip(packs, sizes) if len(pack) > 1)
+        # No pack could have taken its successor's first d.
+        assert all(size + nxt[0] // 2 + 1 > spectral._POLY_CHUNK
+                   for size, nxt in zip(sizes, packs[1:]))
+
+    # d = 2..80 is 1,679 blocks per phi: two packs, both on the
+    # polynomial route, of groups that alone would take LAPACK (d < 62)
+    # and groups that alone would take the polynomial route.
+    WIDE = SweepGrid.named(range(2, 81), (0.5, 2.0, 6.1), ("psi_a", "psi_c"))
+
+    def test_jobs_do_not_change_records_across_packs(self):
+        assert len(spectral._packs(self.WIDE.d_values)) == 2
+        seq = sweep(self.WIDE, jobs=1)
+        par = sweep(self.WIDE, jobs=3)
+        assert len(seq) == len(par) == self.WIDE.cells()
+        for a, b in zip(seq, par):
+            assert (a.d, a.phi, a.state) == (b.d, b.phi, b.state)
+            assert a.tv_from_uniform == b.tv_from_uniform
+            assert (a.classified_uniform, a.boundary, a.warned, a.error) == \
+                (b.classified_uniform, b.boundary, b.warned, b.error)
+            np.testing.assert_array_equal(a.probs, b.probs)
+
+    def test_one_eig_per_pack_and_one_limit_per_group(self, monkeypatch):
+        stacks = _recording_eig(monkeypatch)
+        calls = []
+        real_limit = spectral._limiting_probs
+
+        def counting_limit(cache, psis):
+            calls.append(cache.d)
+            return real_limit(cache, psis)
+
+        monkeypatch.setattr(spectral, "_limiting_probs", counting_limit)
+        records = sweep(self.WIDE, keep_probs=False)
+        assert all(r.error is None for r in records)
+        packs = spectral._packs(self.WIDE.d_values)
+        assert [len(m) for m in stacks] == [
+            sum(d // 2 + 1 for d in pack) for pack in packs] * 3
+        assert calls == list(self.WIDE.d_values) * 3
+
+    def test_wide_column_holds_one_pack_at_a_time(self):
+        # d = 2..400 is 40,399 blocks in 40 packs.  One pack of about
+        # 1,024 blocks peaks near 2 MiB; all of the column's blocks at
+        # once take about 30 MiB, and would grow as d^2.
+        grid = SweepGrid.named(range(2, 401), (0.5,), ("psi_a",))
+        tracemalloc.start()
+        try:
+            records = sweep(grid, keep_probs=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in records)
+        assert peak < 8 * 2 ** 20
+
+    def test_bad_blocks_fail_only_their_group(self, monkeypatch):
+        grid = SweepGrid.named(range(2, 51), (0.5,), STATE_NAMES)
+        clean = sweep(grid)
+        nan = np.full((4, 4), np.nan)
+        _corrupt_groups(monkeypatch, {20: lambda m: nan,
+                                      33: lambda m: 1.5 * m})
+        stacks = _recording_eig(monkeypatch)
+        records = sweep(grid)
+        assert [len(m) for m in stacks] == [674]
+        for a, b in zip(clean, records):
+            if a.d in (20, 33):
+                assert b.error.startswith("momentum block lost unitarity")
+                assert b.classified_uniform is None and not b.warned
+            else:
+                assert b.error is None
+                assert b.tv_from_uniform == a.tv_from_uniform
+                np.testing.assert_array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("factor", [0.5, math.nan])
+    def test_eigenvalues_off_the_circle_fail_only_their_group(
+            self, factor, monkeypatch):
+        grid = SweepGrid.named(range(2, 51), (0.5,), ("psi_a",))
+        real = spectral._eig
+
+        def one_moved(mats):
+            lams, vecs = real(mats)
+            lams[sum(d // 2 + 1 for d in range(2, 20)) + 1, 0] *= factor
+            return lams, vecs
+
+        monkeypatch.setattr(spectral, "_eig", one_moved)
+        records = sweep(grid)
+        assert [r.d for r in records if r.error is not None] == [20]
+        assert "unit circle" in records[18].error
 
 
 class TestMixing:

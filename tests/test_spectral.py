@@ -120,6 +120,10 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="unitary"):
             eigensystem(np.diag([1.0, 1.0, 1.0, 0.5]))
 
+    def test_nan_block_rejected(self):
+        with pytest.raises(ValueError, match=r"not unitary \(deviation nan\)"):
+            eigensystem(np.diag([1.0, 1.0, 1.0, np.nan]))
+
     def test_near_tolerance_gap_warns(self):
         mat = np.diag([1.0, np.exp(5e-10j), 1j, -1j])
         with pytest.warns(DegenerateClusterWarning):
@@ -138,7 +142,7 @@ class TestEigensystem:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             lams, vecs = spectral._eig(mats)
-            spectral._screen_blocks(lams, range(5))
+            spectral._screen_blocks(spectral._block_screen(lams), range(5))
         assert len(rec) == 1
         assert rec[0].category is DegenerateClusterWarning
         assert "block k=2" in str(rec[0].message)
@@ -315,6 +319,20 @@ class TestSpectralCache:
 
         monkeypatch.setattr(np.linalg, "eig", one_eigenvalue_shrunk)
         with pytest.raises(RuntimeError, match="unit circle"):
+            spectral_cache(8, CoinConfig(1.0))
+
+    def test_nan_block_fails_the_unitarity_screen(self, monkeypatch):
+        # NaN compares false with everything: the screen must reject it
+        # rather than pass it to eig.
+        real = _kernels._half_blocks
+
+        def with_nan(ds, spec):
+            mats = real(ds, spec)
+            mats[1, 2, 3] = np.nan
+            return mats
+
+        monkeypatch.setattr(_kernels, "_half_blocks", with_nan)
+        with pytest.raises(RuntimeError, match=r"lost unitarity \(nan\)"):
             spectral_cache(8, CoinConfig(1.0))
 
 
