@@ -278,6 +278,19 @@ def _sweep_pack(task):
             for d, build in zip(ds, builders)]
 
 
+def _run(fn, tasks, jobs, chunksize=1) -> list:
+    """[fn(task) for task in tasks], in order.
+
+    In process for jobs = 1 or a single task, else on a pool of jobs
+    processes, which hands each worker chunksize tasks at a time; fn
+    must then be a module-level function, so that it pickles.
+    """
+    if jobs == 1 or len(tasks) == 1:
+        return list(map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
 def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     """Classify every grid cell against the uniform distribution.
 
@@ -300,13 +313,9 @@ def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     packs = spectral._packs(grid.d_values)
     tasks = [(phi, ds, state_items, grid.epsilon, keep_probs)
              for phi in grid.phi_values for ds in packs]
-    if jobs == 1 or len(tasks) == 1:
-        done = map(_sweep_pack, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_sweep_pack, tasks))
     # Groups arrive phi by phi, each phi's d in grid order.
-    groups = list(itertools.chain.from_iterable(done))
+    groups = list(itertools.chain.from_iterable(_run(_sweep_pack, tasks,
+                                                     jobs)))
     nd = len(grid.d_values)
     records = []
     for i, d in enumerate(grid.d_values):
@@ -411,7 +420,7 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     """TV between the spectral limiting distribution and a long average.
 
     Both sides come from one walk description.  The running average is
-    (1/T) sum_{t=1}^{T} p(., t), from ``_kernels.evolve_accumulate``:
+    (1/T) sum_{t=1}^{T} p(., t), from ``_kernels.sums`` after one step:
     the momentum Gram doubled by powers of the blocks on small cycles
     at long horizons, the stream of states (block products or site
     steps) otherwise.  Neither route takes an eigendecomposition or
@@ -428,5 +437,7 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
     pbar = spectral._limiting(spec, d, init, None)
-    _, acc = _kernels.evolve_accumulate(amps, t_horizon, spec)
+    # The states t = 1..T are those t' = 0..T-1 after one step.
+    acc = _kernels.sums(_kernels._site_step(amps, spec), (t_horizon,),
+                        spec)[0]
     return total_variation(pbar.probs, acc / t_horizon)

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: evolve, limiting, sweep, mixing, verify, residue.  Every
-command validates its configuration, runs the experiment, and writes
-one deterministic table (CSV or JSON) to --out or stdout.  Exit codes:
-0 success, 1 experiment-level failure (a theorem deviation above
-threshold, a failed sweep cell or a failed numerical check), 2 usage
-error.
+command validates its configuration, runs the experiment, and returns
+one deterministic table with the failure message of the experiment, if
+any; `main` writes the table (CSV or JSON) to --out or stdout, then
+prints that message.  Exit codes: 0 success, 1 experiment-level failure
+(a theorem deviation above threshold, a failed sweep cell or a failed
+numerical check), 2 usage error.
 
 Flags override an optional JSON --config file; the effective
 scientific configuration is echoed into the output metadata.  The
@@ -22,7 +23,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -78,17 +78,24 @@ def parse_phi_grid(text: str) -> list:
         start, step, end = (float(p) for p in parts)
     except ValueError:
         raise UsageError("bad --phi-grid %r (expected numbers)" % text) from None
+    if not all(map(math.isfinite, (start, step, end))):
+        raise UsageError("bad --phi-grid %r (expected finite numbers)" % text)
     if step <= 0:
         raise UsageError("--phi-grid step must be positive")
     if end < start:
         raise UsageError("empty --phi-grid %r" % text)
-    n = int(round((end - start) / step))
+    # The first point at or past 8 lies below 8 + step, so a farther end
+    # cannot change the verdict; the grid is checked before it is built.
+    end = min(end, 8.0 + step)
+    count = (end - start) / step
+    if not math.isfinite(count):
+        raise UsageError("bad --phi-grid %r (step too small)" % text)
+    n = int(round(count))
     if start + n * step > end + 1e-9:
         n -= 1
-    values = [round(start + i * step, 10) for i in range(n + 1)]
-    if any(not 0.0 <= v < 8.0 for v in values):
+    if not 0.0 <= round(start, 10) <= round(start + n * step, 10) < 8.0:
         raise UsageError("phi grid must stay inside [0, 8)")
-    return values
+    return [round(start + i * step, 10) for i in range(n + 1)]
 
 
 def parse_state(text: str) -> InitialState:
@@ -136,29 +143,35 @@ def _state_config(init: InitialState):
     return [[float(c.real), float(c.imag)] for c in init.coin4]
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("CYCLEWALK_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError("CYCLEWALK_JOBS=%r is not an integer" % raw) from None
-    if jobs < 1:
-        raise UsageError("CYCLEWALK_JOBS must be >= 1")
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format (default csv)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output file (default stdout)")
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="JSON file with defaults; flags take precedence")
+#: argparse keywords of every flag, by name; every default is None, so a
+#: config file value fills exactly the flags left unset.
+_FLAGS = {
+    "d": {"type": int},
+    "d-range": {"metavar": "A..B"},
+    "phi": {"type": float},
+    "phi-grid": {"metavar": "START:STEP:END"},
+    "state": {},
+    "t": {"type": int},
+    "t-max": {"type": int},
+    "epsilon": {"type": float},
+    "jobs": {"type": int},
+    "model": {"choices": (MODEL_RECYCLED, MODEL_MEMORY)},
+    "format": {"choices": ("csv", "json"),
+               "help": "output format (default csv)"},
+    "out": {"metavar": "PATH", "help": "output file (default stdout)"},
+    "config": {"metavar": "PATH",
+               "help": "JSON file with defaults; flags take precedence"},
+}
+
+#: Flags that every command takes, after its own.
+_COMMON = ("format", "out", "config")
+
+#: A --state that may be given several times; the namespace holds a list.
+_STATES = ("state", {"action": "append",
+                     "help": "repeatable; default: all four named states"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,73 +180,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze the recycled-coin and memory "
                     "quantum walks on the d-cycle.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", help="position distribution after t steps")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--model", choices=(MODEL_RECYCLED, MODEL_MEMORY),
-                   default=None)
-    _add_common(p)
-
-    p = sub.add_parser("limiting", help="time-averaged limiting distribution")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--model", choices=(MODEL_RECYCLED, MODEL_MEMORY),
-                   default=None)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="classify limiting distributions "
-                                     "against uniform over a grid")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--d-range", default=None, metavar="A..B")
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--phi-grid", default=None, metavar="START:STEP:END")
-    p.add_argument("--state", action="append", default=None,
-                   help="repeatable; default: all four named states")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("mixing", help="SD(T) of the running average "
-                                      "against uniform")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--model", choices=(MODEL_RECYCLED, MODEL_MEMORY),
-                   default=None)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run both equivalence checks over "
-                                      "a grid; nonzero exit on deviation")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--d-range", default=None, metavar="A..B")
-    p.add_argument("--phi-grid", default=None, metavar="START:STEP:END")
-    p.add_argument("--state", action="append", default=None)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="deviation threshold (default 1e-10)")
-    p.add_argument("--jobs", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("residue", help="TV(pbar(0; psi), pbar(2; Q psi)) "
-                                       "per cycle size")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--d-range", default=None, metavar="A..B")
-    p.add_argument("--state", default=None)
-    _add_common(p)
-
+    for command, (text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in flags + _COMMON:
+            name, extra = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument("--" + name, default=None,
+                           **{**_FLAGS[name], **extra})
     return parser
 
 
-_CONFIG_KEYS = {"d", "d_range", "phi", "phi_grid", "state", "t", "t_max",
-                "epsilon", "format", "out", "jobs", "model"}
-
-#: commands whose --state is repeatable; their namespace holds a list.
-_LIST_STATE_COMMANDS = {"sweep", "verify"}
+@functools.cache
+def _config_flags() -> dict:
+    """dest -> {command: argparse action} of every flag a config may set."""
+    commands = next(a for a in _parser()._actions if a.dest == "command")
+    flags = {}
+    for command, p in commands.choices.items():
+        for action in p._actions:
+            if action.dest not in ("help", "config"):
+                flags.setdefault(action.dest, {})[command] = action
+    return flags
 
 
 def _apply_config_file(ns: argparse.Namespace):
@@ -250,17 +215,18 @@ def _apply_config_file(ns: argparse.Namespace):
         raise UsageError("config file must hold a JSON object")
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in _CONFIG_KEYS:
+        flags = _config_flags().get(dest)
+        if flags is None:
             raise UsageError("unknown config key %r" % key)
-        if not hasattr(ns, dest):
+        if ns.command not in flags:
             raise UsageError("config key %r does not apply to %r"
                              % (key, ns.command))
-        value = _config_value(ns.command, key, dest, value)
+        value = _config_value(key, flags[ns.command], value)
         if getattr(ns, dest) is None:
             setattr(ns, dest, value)
 
 
-def _config_value(command, key, dest, value):
+def _config_value(key, flag, value):
     """A config file value, held to the type and choices of its flag.
 
     JSON has its own types, so argparse's conversion does not apply:
@@ -268,9 +234,6 @@ def _config_value(command, key, dest, value):
     number, a flag with choices one of them, and every other flag a
     string; a repeatable --state takes a string or a list of strings.
     """
-    subcommands = next(a for a in _parser()._actions if a.dest == "command")
-    flag = next(a for a in subcommands.choices[command]._actions
-                if a.dest == dest)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if flag.choices is not None:
         want = "one of %s" % ", ".join(flag.choices)
@@ -282,7 +245,7 @@ def _config_value(command, key, dest, value):
         want = "a number"
         ok = number and (isinstance(value, float)
                          or abs(value) <= sys.float_info.max)
-    elif dest == "state" and command in _LIST_STATE_COMMANDS:
+    elif isinstance(flag, argparse._AppendAction):
         want = "a string or a list of strings"
         value = [value] if isinstance(value, str) else value
         ok = isinstance(value, list) and all(isinstance(v, str)
@@ -344,10 +307,20 @@ def _check_d(d: int) -> int:
 
 
 def _jobs(ns) -> int:
-    jobs = ns.jobs if getattr(ns, "jobs", None) is not None else _default_jobs()
+    """--jobs, else CYCLEWALK_JOBS, else 1."""
+    jobs, source = ns.jobs, "--jobs"
+    if jobs is None:
+        raw = os.environ.get("CYCLEWALK_JOBS", "").strip()
+        if not raw:
+            return 1
+        try:
+            jobs, source = int(raw), "CYCLEWALK_JOBS"
+        except ValueError:
+            raise UsageError("CYCLEWALK_JOBS=%r is not an integer"
+                             % raw) from None
     if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    return int(jobs)
+        raise UsageError("%s must be >= 1" % source)
+    return jobs
 
 
 def _coin_config(ns, config) -> CoinConfig | None:
@@ -361,8 +334,11 @@ def _coin_config(ns, config) -> CoinConfig | None:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each returns (table, failure): failure is None, or the message that
+# main prints after writing the table, with exit code 1.
 
-def cmd_evolve(ns) -> int:
+def cmd_evolve(ns):
     d = _check_d(ns.d)
     model = _fallback(ns.model, MODEL_RECYCLED)
     t = _need(ns, "t", "--t")
@@ -375,13 +351,11 @@ def cmd_evolve(ns) -> int:
     state = evolve(WalkState.localized(d, init, model), t, cfg)
     dist = position_distribution(state)
     rows = list(zip(range(d), dist.probs.tolist()))
-    write_table(Table(schema="evolve.v1", config=config,
-                      columns=("n", "probability"), rows=rows),
-                _fallback(ns.format, "csv"), ns.out)
-    return 0
+    return Table(schema="evolve.v1", config=config,
+                 columns=("n", "probability"), rows=rows), None
 
 
-def cmd_limiting(ns) -> int:
+def cmd_limiting(ns):
     d = _check_d(ns.d)
     model = _fallback(ns.model, MODEL_RECYCLED)
     init = _single_state(ns)
@@ -401,14 +375,12 @@ def cmd_limiting(ns) -> int:
             _diag("warning: %s" % w.message)
     tv = analysis.tv_from_uniform(dist)
     rows = list(zip(range(d), dist.probs.tolist(), [warned] * d))
-    write_table(Table(schema="limiting.v1", config=config,
-                      columns=("n", "pbar", "warned"), rows=rows,
-                      meta={"tv_from_uniform": tv}),
-                _fallback(ns.format, "csv"), ns.out)
-    return 0
+    return Table(schema="limiting.v1", config=config,
+                 columns=("n", "pbar", "warned"), rows=rows,
+                 meta={"tv_from_uniform": tv}), None
 
 
-def cmd_sweep(ns) -> int:
+def cmd_sweep(ns):
     d_values = _d_values(ns)
     phi_values = _phi_values(ns)
     states = _state_list(ns)
@@ -431,19 +403,16 @@ def cmd_sweep(ns) -> int:
         rows.append((r.d, r.phi, r.state, r.tv_from_uniform,
                      r.classified_uniform, r.boundary, r.warned,
                      r.d_mod_4, r.divisible_by_12, r.error))
-    write_table(Table(schema="sweep.v1", config=config,
-                      columns=("d", "phi", "state", "tv_from_uniform",
-                               "uniform", "boundary", "warned", "d_mod_4",
-                               "divisible_by_12", "error"),
-                      rows=rows, meta={"cells": len(rows)}),
-                _fallback(ns.format, "csv"), ns.out)
-    if failures:
-        _diag("%d of %d sweep cells failed" % (failures, len(rows)))
-        return 1
-    return 0
+    table = Table(schema="sweep.v1", config=config,
+                  columns=("d", "phi", "state", "tv_from_uniform",
+                           "uniform", "boundary", "warned", "d_mod_4",
+                           "divisible_by_12", "error"),
+                  rows=rows, meta={"cells": len(rows)})
+    return table, ("%d of %d sweep cells failed" % (failures, len(rows))
+                   if failures else None)
 
 
-def cmd_mixing(ns) -> int:
+def cmd_mixing(ns):
     d = _check_d(ns.d)
     model = _fallback(ns.model, MODEL_RECYCLED)
     t_max = _need(ns, "t_max", "--t-max")
@@ -456,10 +425,8 @@ def cmd_mixing(ns) -> int:
     curve = analysis.mixing_curve(d, None if cfg is None else cfg.phi, init,
                                   t_max, model=model)
     rows = list(zip(curve.horizons, curve.sd))
-    write_table(Table(schema="mixing.v1", config=config,
-                      columns=("T", "sd"), rows=rows),
-                _fallback(ns.format, "csv"), ns.out)
-    return 0
+    return Table(schema="mixing.v1", config=config,
+                 columns=("T", "sd"), rows=rows), None
 
 
 def _verify_cell(task):
@@ -469,7 +436,7 @@ def _verify_cell(task):
     return analysis.theorem2_max_deviation(d, t_max, coin4, position)
 
 
-def cmd_verify(ns) -> int:
+def cmd_verify(ns):
     d_values = _d_values(ns) if (ns.d is not None or ns.d_range is not None) \
         else list(range(3, 13))
     phi_values = parse_phi_grid(str(ns.phi_grid)) if ns.phi_grid is not None \
@@ -488,12 +455,7 @@ def cmd_verify(ns) -> int:
              for label, coin4 in items]
     tasks += [("theorem2", d, None, label, coin4, t_max, 0)
               for d in d_values for label, coin4 in items]
-    jobs = _jobs(ns)
-    if jobs == 1:
-        devs = [_verify_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            devs = list(pool.map(_verify_cell, tasks, chunksize=4))
+    devs = analysis._run(_verify_cell, tasks, _jobs(ns), chunksize=4)
     config = {"command": "verify", "d_values": d_values,
               "phi_values": phi_values,
               "states": [_state_config(s) for s in states],
@@ -504,38 +466,44 @@ def cmd_verify(ns) -> int:
         ok = dev < threshold
         failures += 0 if ok else 1
         rows.append((check, d, phi, label, dev, ok))
-    write_table(Table(schema="verify.v1", config=config,
-                      columns=("check", "d", "phi", "state",
-                               "max_deviation", "pass"),
-                      rows=rows, meta={"failures": failures}),
-                _fallback(ns.format, "csv"), ns.out)
-    if failures:
-        _diag("%d of %d verification cells exceeded %g"
-              % (failures, len(rows), threshold))
-        return 1
-    return 0
+    table = Table(schema="verify.v1", config=config,
+                  columns=("check", "d", "phi", "state", "max_deviation",
+                           "pass"),
+                  rows=rows, meta={"failures": failures})
+    return table, ("%d of %d verification cells exceeded %g"
+                   % (failures, len(rows), threshold) if failures else None)
 
 
-def cmd_residue(ns) -> int:
+def cmd_residue(ns):
     d_values = _d_values(ns)
     init = _single_state(ns)
     config = {"command": "residue", "d_values": d_values,
               "state": _state_config(init)}
     curve = analysis.residue_distance_curve(d_values, init.coin4)
     rows = [(d, r, tv) for d, r, tv in curve]
-    write_table(Table(schema="residue.v1", config=config,
-                      columns=("d", "d_mod_4", "tv"), rows=rows),
-                _fallback(ns.format, "csv"), ns.out)
-    return 0
+    return Table(schema="residue.v1", config=config,
+                 columns=("d", "d_mod_4", "tv"), rows=rows), None
 
 
+#: Each command's help line, its own flags (a name of _FLAGS, or a name
+#: with keywords that differ for this command) and its function.
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "limiting": cmd_limiting,
-    "sweep": cmd_sweep,
-    "mixing": cmd_mixing,
-    "verify": cmd_verify,
-    "residue": cmd_residue,
+    "evolve": ("position distribution after t steps",
+               ("d", "phi", "state", "t", "model"), cmd_evolve),
+    "limiting": ("time-averaged limiting distribution",
+                 ("d", "phi", "state", "model"), cmd_limiting),
+    "sweep": ("classify limiting distributions against uniform over a grid",
+              ("d", "d-range", "phi", "phi-grid", _STATES, "epsilon",
+               "jobs"), cmd_sweep),
+    "mixing": ("SD(T) of the running average against uniform",
+               ("d", "phi", "state", "t-max", "model"), cmd_mixing),
+    "verify": ("run both equivalence checks over a grid; nonzero exit on "
+               "deviation",
+               ("d", "d-range", "phi-grid", _STATES, "t-max",
+                ("epsilon", {"help": "deviation threshold (default 1e-10)"}),
+                "jobs"), cmd_verify),
+    "residue": ("TV(pbar(0; psi), pbar(2; Q psi)) per cycle size",
+                ("d", "d-range", "state"), cmd_residue),
 }
 
 
@@ -552,7 +520,8 @@ def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
         _apply_config_file(ns)
-        return _COMMANDS[ns.command](ns)
+        table, failure = _COMMANDS[ns.command][2](ns)
+        write_table(table, _fallback(ns.format, "csv"), ns.out)
     except (UsageError, ValueError, OSError) as exc:
         _diag("error: %s" % exc)
         return 2
@@ -562,7 +531,7 @@ def main(argv=None) -> int:
         # is a RuntimeError).
         _diag("error: %s" % exc)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    if failure is None:
+        return 0
+    _diag(failure)
+    return 1

@@ -194,7 +194,7 @@ def _warn_ambiguous(gaps, context):
 
 def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
     """Largest entry of |U^dag U - 1| per 4x4 block of a stack."""
-    utu = np.einsum("...ji,...jl->...il", mats.conj(), mats)
+    utu = np.matmul(mats.conj().swapaxes(-1, -2), mats)
     utu -= np.eye(4)
     return np.abs(utu).max(axis=(-2, -1))
 

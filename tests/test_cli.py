@@ -80,10 +80,21 @@ class TestParsers:
         assert parse_phi_grid("0:0.3:1") == [0.0, 0.3, 0.6, 0.9]
 
     @pytest.mark.parametrize("bad", ["0:0:1", "2:0.5:1", "0:0.5", "x:1:2",
-                                     "7:0.5:8", "0:-1:5"])
+                                     "7:0.5:8", "0:-1:5", "0:1:inf",
+                                     "nan:1:2", "0:nan:2", "-inf:1:2",
+                                     "0:inf:1", "-0.5:1:2", "0:3:9",
+                                     "0:1:1e7", "0:1:1e12", "0:1:1e308",
+                                     "0:1e-320:1"])
     def test_phi_grid_rejects(self, bad):
+        # A far-off end is rejected from the last point, before the grid
+        # is built: 0:1:1e12 once took minutes, 0:1:inf a traceback.
         with pytest.raises(UsageError):
             parse_phi_grid(bad)
+
+    def test_phi_grid_end_past_eight(self):
+        # The end may lie past 8 as long as the last point stays below.
+        assert parse_phi_grid("0:3:8") == [0.0, 3.0, 6.0]
+        assert parse_phi_grid("7:2:8.5") == [7.0]
 
     def test_named_state(self):
         st = parse_state("psi_b")
@@ -680,21 +691,66 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert "config key %r" % next(iter(config)) in err
 
+    # Configurations that, together, give every flag of every command
+    # (except --config itself) a value.  An integer for a float flag is
+    # that float, and a single state of a repeatable --state is a list
+    # of one.
+    _PARITY = (
+        ("evolve", {"d": 5, "phi": 1, "t": 3, "state": "psi_b",
+                    "model": "recycled", "format": "json"}),
+        ("evolve", {"d": 4, "t": 2, "model": "memory", "out": "table"}),
+        ("limiting", {"d": 6, "phi": 0.5, "state": "psi_c",
+                      "model": "recycled", "format": "csv"}),
+        ("limiting", {"d": 5, "model": "memory", "out": "table"}),
+        ("sweep", {"d": 6, "phi": 2, "state": "psi_c", "epsilon": 1,
+                   "jobs": 1}),
+        ("sweep", {"d-range": "3..5", "phi-grid": "0:2:4",
+                   "state": ["psi_a", "psi_b"], "format": "json",
+                   "out": "table"}),
+        ("mixing", {"d": 5, "phi": 0.5, "state": "psi_d", "t-max": 16,
+                    "format": "json"}),
+        ("mixing", {"d": 4, "model": "memory", "t-max": 8, "out": "table"}),
+        ("verify", {"d": 4, "phi-grid": "0:2:2", "state": "psi_a",
+                    "t-max": 5, "epsilon": 1e-8, "jobs": 1}),
+        ("verify", {"d-range": "3..4", "phi-grid": "1:1:1",
+                    "state": ["psi_b", "psi_d"], "t-max": 3,
+                    "format": "json", "out": "table"}),
+        ("residue", {"d-range": "4..6", "state": "psi_b", "format": "json"}),
+        ("residue", {"d": 5, "out": "table"}),
+    )
+
+    def test_parity_cases_cover_every_flag(self):
+        subcommands = next(a for a in cli._parser()._actions
+                           if a.dest == "command").choices
+        for command, p in subcommands.items():
+            flags = {a.option_strings[0][2:] for a in p._actions
+                     if a.dest not in ("help", "config")}
+            given = set().union(*(config for name, config in self._PARITY
+                                  if name == command))
+            assert given == flags, command
+
     def test_values_read_as_their_flags(self, tmp_path):
-        # An integer for a float flag is that float, and a single state
-        # of a repeatable --state is a list of one.
-        for command, config, flags in (
-                ("evolve", {"d": 5, "phi": 1, "t": 3, "state": "psi_b"},
-                 ("--d", "5", "--phi", "1", "--t", "3", "--state", "psi_b")),
-                ("sweep", {"d": 6, "phi": 2, "state": "psi_c",
-                           "epsilon": 1},
-                 ("--d", "6", "--phi", "2", "--state", "psi_c",
-                  "--epsilon", "1"))):
-            cfg = tmp_path / "run.json"
-            cfg.write_text(json.dumps(config))
-            by_file = run_cli(command, "--config", str(cfg))
-            assert by_file[0] == 0
-            assert by_file == run_cli(command, *flags)
+        # A value from the config file gives the same exit code, stdout,
+        # stderr and --out file as the same value given as a flag.
+        for index, (command, config) in enumerate(self._PARITY):
+            flags = []
+            for key, value in config.items():
+                for v in value if isinstance(value, list) else [value]:
+                    flags += ["--" + key, str(v)]
+            results = []
+            for where, args in (("file", ("--config", "run.json")),
+                                ("flags", flags)):
+                run_dir = tmp_path / ("%d-%s" % (index, where))
+                run_dir.mkdir()
+                (run_dir / "run.json").write_text(json.dumps(config))
+                with contextlib.chdir(run_dir):
+                    code, out, err = run_cli(command, *args)
+                table = run_dir / "table"
+                results.append((code, out, err, table.exists()
+                                and table.read_text()))
+            assert results[0][0] == 0, (command, config)
+            assert results[0] == results[1], (command, config)
+            assert bool(results[0][3]) == ("out" in config)
 
 
 class TestDeterminismAndFormats:
