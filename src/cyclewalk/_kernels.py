@@ -156,15 +156,6 @@ def _half_blocks(ds, spec):
     return _complex_blocks(_momentum_blocks(k, np.repeat(ds, stops), spec))
 
 
-def _mirrored(x, d):
-    """All d entries from the entries k <= d/2 of blocks or spectra.
-
-    x holds entries k = 0..d // 2 along its first axis; entry k > d/2
-    is conj(x[d - k]), as for the blocks of a real pair.
-    """
-    return np.concatenate((x, x[d - len(x):0:-1].conj()))
-
-
 # Squaring doubles a power's distance from the unitary group and adds
 # rounding, so M^(2^m) sits about 2^m ulps off it; from this level on
 # each square is polished back (_polish), which holds the distance at

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import _kernels, spectral
 from .walk import (CoinConfig, Distribution, InitialState, WalkState,
-                   MODEL_MEMORY, MODEL_RECYCLED, _walk_spec, apply_P_adjoint,
-                   apply_Q, evolve, position_distribution)
+                   MODEL_MEMORY, MODEL_RECYCLED, _probs_error, _walk_spec,
+                   apply_P_adjoint, apply_Q, evolve, position_distribution)
 
 
 def total_variation(p, q) -> float:
@@ -148,9 +147,9 @@ def residue_distance_curve(d_values, psi) -> list:
     for d in d_values:
         # One stack per d for both walks; a column of d per walk would
         # move the small tables onto the polynomial route.
-        build0, build2 = spectral._spectral_caches([(spec0, d), (spec2, d)])
-        p0 = spectral._limiting(spec0, d, psi0, build0())
-        p2 = spectral._limiting(spec2, d, qpsi, build2())
+        built0, built2 = spectral._spectral_caches([(spec0, d), (spec2, d)])
+        p0 = spectral._limiting(spec0, d, psi0, spectral._checked(built0))
+        p2 = spectral._limiting(spec2, d, qpsi, spectral._checked(built2))
         out.append((int(d), int(d) % 4, total_variation(p0, p2)))
     return out
 
@@ -230,52 +229,64 @@ def _failed_row(label, exc):
     return (label, math.nan, None, False, False, str(exc), None)
 
 
-def _sweep_cell_group(d, build, psis, state_items, epsilon, keep_probs):
-    """All states of one (d, phi) cell, from its cache builder.
+def _limit_rows(ds, warned, probs, labels, epsilon, keep_probs):
+    """The rows of groups whose limits sit side by side in probs.
 
-    One cache and one batched limit serve every state.  An error there
-    fails every row of the group, an invalid distribution only its own;
-    a DegenerateClusterWarning from either marks every row warned.
+    probs is (S, sum of ds), as spectral._limiting_probs returns it for
+    caches of the cycle lengths ds; warned holds each group's flag.
+    Each row is checked as Distribution checks it (walk._probs_error)
+    and its TV from uniform taken as tv_from_uniform takes it, on
+    (groups, states) arrays; only the two sums run group by group, so
+    every bit is the one-group path's.  A row that fails the check
+    fails alone.
     """
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", spectral.DegenerateClusterWarning)
-            batch = spectral._limiting_probs(build(), psis)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return [_failed_row(label, exc) for label, _ in state_items]
-    warned = any(issubclass(w.category, spectral.DegenerateClusterWarning)
-                 for w in caught)
-    rows = []
-    for (label, _), probs in zip(state_items, batch):
-        try:
-            dist = Distribution(d=d, probs=probs)
-        except ValueError as exc:
-            rows.append(_failed_row(label, exc))
-            continue
-        tv = tv_from_uniform(dist)
-        rows.append((label, tv, bool(tv < epsilon),
-                     bool(epsilon / 10.0 <= tv <= epsilon * 10.0),
-                     warned, None, dist.probs.copy() if keep_probs else None))
-    return rows
+    firsts = list(itertools.accumulate(ds[:-1], initial=0))
+    low = np.minimum.reduceat(probs, firsts, axis=1).T.tolist()
+    probs = np.clip(probs, 0.0, None)
+    dev = np.abs(probs - np.repeat(1.0 / np.array(ds), ds))
+    groups = list(zip(firsts, ds))
+    totals = np.array([probs[:, lo:lo + d].sum(axis=-1) for lo, d in groups])
+    tv = 0.5 * np.array([dev[:, lo:lo + d].sum(axis=-1) for lo, d in groups])
+    uniform = (tv < epsilon).tolist()
+    boundary = ((epsilon / 10.0 <= tv) & (tv <= epsilon * 10.0)).tolist()
+    tv, totals = tv.tolist(), totals.tolist()
+    out = []
+    for g, (lo, d) in enumerate(groups):
+        rows = []
+        for s, label in enumerate(labels):
+            error = _probs_error(low[g][s], totals[g][s])
+            rows.append(_failed_row(label, error) if error is not None else
+                        (label, tv[g][s], uniform[g][s], boundary[g][s],
+                         warned[g], None,
+                         probs[s, lo:lo + d] if keep_probs else None))
+        out.append(rows)
+    return out
 
 
 def _sweep_pack(task):
     """The (d, phi) groups of one pack of d at one phi; runs in workers.
 
-    One spectral._spectral_caches call diagonalizes the whole pack; each
-    group then finishes its own cache and limit (_sweep_cell_group).
+    One spectral._spectral_caches call builds the caches of every group
+    and one spectral._limiting_probs call takes their limits for every
+    state (_limit_rows turns them into rows).  A group whose cache fails
+    fails its rows; an error in the pack-wide steps fails every row of
+    the pack.
     """
     phi, ds, state_items, epsilon, keep_probs = task
+    labels = [label for label, _ in state_items]
     spec = _walk_spec(MODEL_RECYCLED, CoinConfig(phi))
-    try:
-        builders = spectral._spectral_caches([(spec, d) for d in ds])
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return [[_failed_row(label, exc) for label, _ in state_items]
-                for _ in ds]
     psis = np.array([coin4 for _, coin4 in state_items], dtype=np.complex128)
-    return [_sweep_cell_group(d, build, psis, state_items, epsilon,
-                              keep_probs)
-            for d, build in zip(ds, builders)]
+    try:
+        built = spectral._spectral_caches([(spec, d) for d in ds])
+        good = [b for b in built if b.error is None]
+        rows = iter(_limit_rows(
+            [b.cache.d for b in good], [b.warned for b in good],
+            spectral._limiting_probs([b.cache for b in good], psis),
+            labels, epsilon, keep_probs) if good else ())
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+        return [[_failed_row(label, exc) for label in labels] for _ in ds]
+    return [next(rows) if b.error is None else
+            [_failed_row(label, b.error) for label in labels] for b in built]
 
 
 def _run(fn, tasks, jobs, chunksize=1) -> list:
@@ -296,15 +307,16 @@ def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
 
     Cells are processed in deterministic (d, phi, state) order and the
     result order never depends on jobs.  Each phi's d values are cut
-    into packs (spectral._packs, which depends on the grid alone), and
-    each pack is one diagonalization of all of its blocks; with
-    jobs > 1 the packs are distributed over processes.  Each (d, phi)
-    group then finishes its cache and takes one batched limit for all
-    of its states, so an error there, or a DegenerateClusterWarning,
-    applies to every row of the group and to no other group; a row
-    whose distribution fails validation fails alone.  Eigenvalues
-    count as equal within spectral.PHASE_TOL; a group with a phase gap
-    within a decade of it is warned.
+    into packs (spectral._packs, which depends on the grid alone); with
+    jobs > 1 the packs are distributed over processes.  Each pack takes
+    one diagonalization of all of its blocks, which builds the caches
+    of all of its (d, phi) groups, and one limit for all of its groups
+    and states, whose rows are the one-group path's bit for bit.  A
+    group whose cache fails fails every row of the group and no other
+    group; a row whose distribution fails validation fails alone.
+    Eigenvalues count as equal within spectral.PHASE_TOL; a group with
+    a block or cluster phase gap within a decade of it is warned, as a
+    single limit would warn of it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)

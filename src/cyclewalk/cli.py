@@ -69,7 +69,8 @@ def parse_phi_grid(text: str) -> list:
     """Inclusive arithmetic grid 'start:step:end', rounded to 10 places.
 
     The rounding pins grid points like 0.1 * k to their decimal values
-    so integer phi cells are exactly integers.
+    so integer phi cells are exactly integers.  A step below 1e-10, or a
+    grid whose rounded points do not strictly increase, is rejected.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -82,6 +83,10 @@ def parse_phi_grid(text: str) -> list:
         raise UsageError("bad --phi-grid %r (expected finite numbers)" % text)
     if step <= 0:
         raise UsageError("--phi-grid step must be positive")
+    # Below the rounding's resolution, points would repeat.
+    if step < 1e-10:
+        raise UsageError("--phi-grid step %r is below 1e-10, the grid's "
+                         "resolution" % step)
     if end < start:
         raise UsageError("empty --phi-grid %r" % text)
     # The first point at or past 8 lies below 8 + step, so a farther end
@@ -95,7 +100,11 @@ def parse_phi_grid(text: str) -> list:
         n -= 1
     if not 0.0 <= round(start, 10) <= round(start + n * step, 10) < 8.0:
         raise UsageError("phi grid must stay inside [0, 8)")
-    return [round(start + i * step, 10) for i in range(n + 1)]
+    grid = [round(start + i * step, 10) for i in range(n + 1)]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise UsageError("--phi-grid %r repeats points once rounded to 10 "
+                         "places" % text)
+    return grid
 
 
 def parse_state(text: str) -> InitialState:

@@ -13,11 +13,12 @@ column of plain floats maps one bound "%.17g".__mod__ over its values,
 and its NaN cells ("nan", whatever the sign) become empty; "%.17g" % x
 and format(x, ".17g") are the same double-to-string call, so the bytes
 are those of the per-cell writer ``_csv_cell``.  A column of plain ints
-maps str, one of plain bools a true/false lookup; every other column
-(mixed types, None, strings, numpy scalars) takes ``_csv_cell`` per
-cell.  JSON runs ``_clean`` only on the columns that hold a NaN or a
-value that is not a plain float, int, bool, str or None.  Tables are
-rectangular: every row has one value per column.
+maps str, one of plain bools a true/false lookup, one of plain strings
+the quoting and one of None only empty cells; every other column
+(mixed types, numpy scalars) takes ``_csv_cell`` per cell.  JSON runs
+``_clean`` only on the columns that hold a NaN or a value that is not
+a plain float, int, bool, str or None.  Tables are rectangular: every
+row has one value per column.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _clean(value):
 
 def _quote(text: str) -> str:
     # A text that holds the separator, a quote or a line break is quoted.
-    if any(ch in text for ch in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
@@ -90,6 +91,10 @@ def _csv_column(column) -> list:
         return list(map(str, column))
     if kinds == {bool}:
         return list(map(_BOOL_CELL, column))
+    if kinds == {str}:
+        return list(map(_quote, column))
+    if kinds == {type(None)}:
+        return [""] * len(column)
     return list(map(_csv_cell, column))
 
 

@@ -40,13 +40,17 @@ The test suite holds this against a full double loop over all pairs.
 A SpectralCache holds what depends only on the walk and the cycle: the
 block eigensystems and the clustering of their phases.
 The start state enters only through alpha, so one cache serves every
-state and every time step.  The limit takes a stack of S start states:
-their alphas come from one einsum, the cluster bookkeeping (sizes,
-routes, members, pair indices and frequencies) is built once for all
-of them, the pair route takes one inverse FFT per state along the last
-axis of an (S, d) array, and each transform batch holds columns of
-every state.  A sweep group is one such call; limiting_distribution
-passes a stack of one.  A+ and A- are real for both walks, so
+state and every time step.  The limit (_limiting_probs) takes a list
+of caches and a stack of S start states.  Their blocks are joined into
+one stack: the alphas come from one einsum, and the cluster
+bookkeeping (sizes, routes, members, pair indices and frequencies) and
+the pair terms are built once for every cache and state.  Each cache
+then takes its own sums, those whose order sets the bits: the lone
+eigenvalues' |alpha|^2, one inverse FFT per state along the last axis
+of its (S, d) share, and its transform batches, each holding columns
+of every state.  A sweep pack is one such call;
+limiting_distribution passes one cache and one state, and gets the
+same bits as in any pack.  A+ and A- are real for both walks, so
 M_{d-k} = conj(M_k): only the blocks k <= d/2 are diagonalized, and
 block d - k takes the conjugate eigenvalues and eigenvectors, with
 exactly negated phases.  The per-block warnings are then issued for all
@@ -72,14 +76,19 @@ stay independent witnesses of the polynomial route.
 Caches are built a pack at a time (_spectral_caches).  A pack is a
 list of (walk, d) groups whose blocks k <= d/2 form one stack: one
 unitarity screen, one diagonalization and one screen of the block
-phase gaps serve the whole stack, and each group then finishes its own
-cache (mirroring, its warnings, the unit-circle check, the clustering)
-and fails alone.  A sweep diagonalizes one pack per run of consecutive
-d of a phi column, up to _POLY_CHUNK blocks (_packs), so one C07
-column, d = 2..50, is a single stack of 674 blocks on the polynomial
-route, although each of its caches alone would take LAPACK.  A single
-cache is the one-group pack, so its route and its bits do not depend
-on the packs.
+phase gaps serve the whole stack.  One gather mirrors the blocks of
+every group, one sort clusters the phases of every group, each apart
+(_segment_clusters), and the unit-circle check and the warned flag (a
+block or cluster gap within a decade of PHASE_TOL) are taken per group
+by reduceat.  A group that fails a check fails alone, and a pack warns
+of nothing: its groups carry the flags.  A sweep diagonalizes one pack
+per run of consecutive d of a phi column, up to _POLY_CHUNK blocks
+(_packs), so one C07 column, d = 2..50, is a single stack of 674
+blocks on the polynomial route, although each of its caches alone
+would take LAPACK, and then takes one limit for all of its groups and
+states.  A single cache is the one-group pack (_checked issues its
+warnings and raises its error), so its route and its bits do not
+depend on the packs.
 """
 
 from __future__ import annotations
@@ -88,7 +97,7 @@ import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,25 +169,55 @@ def _sorted_gaps(sp: np.ndarray) -> np.ndarray:
 def _phase_clusters(phases: np.ndarray, tol: float):
     """Label the phases that agree within tol, along the last axis.
 
-    Sort, split where a gap (_sorted_gaps) exceeds tol, and give the
-    last cluster the first one's label when the two meet across the
-    branch cut.  Returns (labels, gaps): labels[..., i] names the
-    cluster of phases[..., i]; gaps are the _sorted_gaps.
+    Each row is one segment of _segment_clusters; returns its (labels,
+    gaps) in the shape of phases.
     """
-    order = np.argsort(phases, axis=-1, kind="stable")
-    gaps = _sorted_gaps(np.take_along_axis(phases, order, axis=-1))
+    n = phases.shape[-1]
+    labels, gaps = _segment_clusters(phases.reshape(-1),
+                                     np.full(phases.size // n, n), tol)
+    return labels.reshape(phases.shape), gaps.reshape(phases.shape)
+
+
+def _segment_clusters(phases: np.ndarray, sizes: np.ndarray, tol: float):
+    """Label the phases that agree within tol, in each segment apart.
+
+    phases is flat and holds consecutive segments of the given sizes.
+    Each segment is sorted (one stable lexsort on (segment, phase) sorts
+    them all), split where a gap (_sorted_gaps) exceeds tol, and its
+    last cluster takes its first one's label when the two meet across
+    the branch cut.  Returns (labels, gaps): labels[i] names the cluster
+    of phases[i] within its segment, counting from 0 in phase order;
+    gaps holds the _sorted_gaps of each segment in turn.
+    """
+    ends = np.cumsum(sizes)
+    starts, last = ends - sizes, ends - 1
+    order = np.lexsort((phases, np.repeat(np.arange(len(sizes)), sizes)))
+    sp = phases[order]
+    gaps = np.empty_like(sp)
+    np.subtract(sp[1:], sp[:-1], out=gaps[:-1])
+    gaps[last] = 2.0 * np.pi - (sp[last] - sp[starts])
     split = gaps > tol
-    sorted_labels = np.cumsum(split, axis=-1) - split
-    last = sorted_labels[..., -1:]
-    sorted_labels[(gaps[..., -1:] <= tol) & (sorted_labels == last)] = 0
+    sorted_labels = np.cumsum(split) - split
+    sorted_labels -= np.repeat(sorted_labels[starts], sizes)
+    wrap = (np.repeat(gaps[last] <= tol, sizes)
+            & (sorted_labels == np.repeat(sorted_labels[last], sizes)))
+    sorted_labels[wrap] = 0
     labels = np.empty_like(sorted_labels)
-    np.put_along_axis(labels, order, sorted_labels, axis=-1)
+    labels[order] = sorted_labels
     return labels, gaps
 
 
+def _near(gaps: np.ndarray) -> np.ndarray:
+    """Where gaps lie within a decade of PHASE_TOL.
+
+    There the equality call is unreliable: such a gap warns
+    (_warn_ambiguous) and marks a sweep group warned.
+    """
+    return (gaps >= 0.1 * PHASE_TOL) & (gaps <= 10.0 * PHASE_TOL)
+
+
 def _warn_ambiguous(gaps, context):
-    # Gaps within a decade of PHASE_TOL make the equality call unreliable.
-    near = gaps[(gaps >= 0.1 * PHASE_TOL) & (gaps <= 10.0 * PHASE_TOL)]
+    near = gaps[_near(gaps)]
     if near.size:
         # The warning points at the first line outside this module, the
         # call into it (skip_file_prefixes needs Python 3.12).
@@ -216,15 +255,16 @@ def _lapack_eig(mats: np.ndarray):
     return lams, vecs
 
 
-def _matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_t(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """a @ b for stacks of 4x4 matrices held block-last, shape (4, 4, n).
 
     numpy's matmul loops over small stacked matrices one at a time;
     block-last, each term is one broadcast product over all n blocks.
+    The product goes to out and each term through tmp, when given.
     """
-    out = a[:, :1] * b[0]
+    out = np.multiply(a[:, :1], b[0], out=out)
     for j in range(1, 4):
-        out += a[:, j:j + 1] * b[j]
+        out += np.multiply(a[:, j:j + 1], b[j], out=tmp)
     return out
 
 
@@ -232,19 +272,27 @@ def _charpoly(mats: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack (..., 4, 4) of blocks.
 
     Returns c (..., 5) with det(z - M) = z^4 + c1 z^3 + c2 z^2 + c3 z
-    + c4 and c0 = 1, each row as np.poly gives it for its block.  By
-    Faddeev-LeVerrier, from the power traces p_k = tr M^k through
-    Newton's identities k c_k = -(p_k + c1 p_{k-1} + ... + c_{k-1} p1).
+    + c4 and c0 = 1, each row as np.poly gives it for its block.
     """
     mt = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
-    m2 = _matmul_t(mt, mt)
+    return np.moveaxis(_charpoly_t(mt), 0, -1)
+
+
+def _charpoly_t(mt: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """_charpoly of blocks held block-last (4, 4, ...), rows c0..c4 first.
+
+    By Faddeev-LeVerrier, from the power traces p_k = tr M^k through
+    Newton's identities k c_k = -(p_k + c1 p_{k-1} + ... + c_{k-1} p1).
+    M^2 goes to out, its terms through tmp (_matmul_t).
+    """
+    m2 = _matmul_t(mt, mt, out, tmp)
     p = (np.einsum("ii...->...", mt), np.einsum("ii...->...", m2),
          np.einsum("ij...,ji...->...", m2, mt),
          np.einsum("ij...,ji...->...", m2, m2))
     c = [np.ones_like(p[0])]
     for k in range(1, 5):
         c.append(-sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
-    return np.stack(c, axis=-1)
+    return np.stack(c)
 
 
 # Column q of _PAIRS is the pair a < b of roots, +1 at a and -1 at b:
@@ -304,32 +352,44 @@ def _poly_eig(mats: np.ndarray):
     when r is nearly orthogonal to an eigenvector; NaN fails too.
     """
     n = len(mats)
-    # Each (4, 4, n) temporary is dropped once used: a sweep's pack
-    # passes up to _POLY_CHUNK blocks at once.
-    c = np.ascontiguousarray(_charpoly(mats).T)
-    mt = np.ascontiguousarray(mats.transpose(1, 2, 0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A sweep's pack passes up to _POLY_CHUNK blocks at once, so
+        # every (4, 4, n) product goes into one of four arrays: the
+        # block-last copy mt, the eigenvectors and two scratch arrays.
+        # Broadcasting ufuncs would each add buffers of up to 8192
+        # elements; the errstate block restores the buffer size.
+        np.setbufsize(256)
+        mt = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        buf, vecs = np.empty_like(mt), np.empty_like(mt)
+        c = _charpoly_t(mt, buf, vecs)
         lam = _quartic_roots(c)
         krylov = [np.broadcast_to(_KRYLOV_START[:, None], (4, n))]
         for _ in range(3):
-            krylov.append((mt * krylov[-1]).sum(axis=1))
-        a1 = c[1] + lam
-        a2 = c[2] + lam * a1
-        a3 = c[3] + lam * a2
-        vecs = krylov[3][:, None] + a1 * krylov[2][:, None]
-        vecs += a2 * krylov[1][:, None]
-        vecs += a3 * krylov[0][:, None]
-        del c, krylov, a1, a2, a3
-        vecs /= np.sqrt((vecs.real ** 2 + vecs.imag ** 2).sum(axis=0))
-        mv = _matmul_t(mt, vecs)
-        del mt
-        lam = np.einsum("ij...,ij...->j...", vecs.conj(), mv)
-        mv -= vecs * lam
-        ok = np.abs(mv).max(axis=(0, 1)) <= _POLY_EIG_TOL
-        del mv
-        gram = _matmul_t(vecs.conj().swapaxes(0, 1), vecs)
+            krylov.append(np.multiply(mt, krylov[-1], out=buf).sum(axis=1))
+        # a1, a2, a3 in turn, and their terms of q_j(M) r.
+        a = c[1] + lam
+        np.multiply(a, krylov[2][:, None], out=vecs)
+        vecs += krylov[3][:, None]
+        a = c[2] + lam * a
+        vecs += np.multiply(a, krylov[1][:, None], out=buf)
+        a = c[3] + lam * a
+        vecs += np.multiply(a, krylov[0][:, None], out=buf)
+        del c, krylov, a
+        # Squared moduli, in buf's memory as floats.
+        sq = buf.view(np.float64).reshape(2, 4, 4, n)
+        np.square(vecs.real, out=sq[0])
+        sq[0] += np.square(vecs.imag, out=sq[1])
+        vecs /= np.sqrt(sq[0].sum(axis=0))
+        tmp = np.empty_like(mt)
+        mv = _matmul_t(mt, vecs, buf, tmp)
+        lam = np.einsum("ij...,ij...->j...", np.conjugate(vecs, out=tmp), mv)
+        mv -= np.multiply(vecs, lam, out=tmp)
+        ok = np.abs(mv, out=tmp.real).max(axis=(0, 1)) <= _POLY_EIG_TOL
+        # The Gram V^H V goes into mv's memory, its terms through mt's.
+        gram = _matmul_t(np.conjugate(vecs, out=tmp).swapaxes(0, 1), vecs,
+                         mv, mt)
         gram -= np.eye(4)[..., None]
-        ok &= np.abs(gram).max(axis=(0, 1)) <= _POLY_EIG_TOL
+        ok &= np.abs(gram, out=tmp.real).max(axis=(0, 1)) <= _POLY_EIG_TOL
     return lam.T, vecs.transpose(2, 0, 1), ok
 
 
@@ -367,12 +427,19 @@ def _block_screen(lams: np.ndarray):
     """What _screen_blocks reads of each block of eigenvalues lams (n, 4).
 
     Returns the block's sorted phase gaps (n, 4) (_sorted_gaps), whether
-    one of them is at most 10 PHASE_TOL (n,), and how far its
+    one of them lies within a decade of PHASE_TOL (n,), and how far its
     eigenvalues leave the unit circle (n,).
     """
     gaps = _sorted_gaps(np.sort(np.angle(lams), axis=-1))
-    near = (gaps <= 10.0 * PHASE_TOL).any(axis=-1)
-    return gaps, near, np.abs(np.abs(lams) - 1.0).max(axis=-1)
+    moddev = np.abs(np.abs(lams) - 1.0).max(axis=-1)
+    return gaps, _near(gaps).any(axis=-1), moddev
+
+
+def _off_circle(moddev):
+    """The error for eigenvalues that leave the unit circle by moddev."""
+    if not moddev <= _UNITARITY_TOL:
+        return RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
+    return None
 
 
 def _screen_blocks(screen, ks):
@@ -385,9 +452,9 @@ def _screen_blocks(screen, ks):
     gaps, near, moddev = screen
     for b in np.flatnonzero(near):
         _warn_ambiguous(gaps[b], "block k=%d" % ks[b])
-    moddev = moddev.max()
-    if not moddev <= _UNITARITY_TOL:
-        raise RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
+    error = _off_circle(moddev.max())
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -439,7 +506,8 @@ class SpectralCache:
     clusters of s members with s^2 <= d as pairs and transforms the
     larger ones.  theta is None for the memory walk.  The cache holds no
     start state: every consumer takes one, and the limit a stack of
-    them, so a sweep group's states share one cache and one batch.
+    them for a list of caches, so a sweep pack's groups and states share
+    one batch.
     """
 
     d: int
@@ -461,12 +529,28 @@ def _coin4_or_initial(psi) -> np.ndarray:
     return _as_coin4(psi)
 
 
-def _alphas(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
+def _conj_t(stacks) -> np.ndarray:
+    """The conjugated eigenvector stacks (K, 4, 4) joined, laid out (i, k, j).
+
+    Returns (4, sum of K, 4): conj(vecs[k, i, j]) of each stack in turn.
+    """
+    conj = np.empty((4, sum(map(len, stacks)), 4), dtype=np.complex128)
+    lo = 0
+    for vecs in stacks:
+        np.conjugate(vecs.transpose(1, 0, 2), out=conj[:, lo:lo + len(vecs)])
+        lo += len(vecs)
+    return conj
+
+
+def _alphas(conj: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Overlaps alphas[..., k, j] = <phi_j(k)|psi> of position-0 starts.
 
-    psis is one coin 4-vector or a stack (S, 4) of them.
+    conj holds the eigenvectors as _conj_t lays them out; psis is one
+    coin 4-vector or a stack (S, 4) of them.  Laid out (i, k, j), the
+    einsum takes the same sums as on the stack itself ("kij"), in half
+    the time for a stack of states.
     """
-    return np.einsum("kij,...i->...kj", cache.eigenvectors.conj(), psis)
+    return np.einsum("ikj,...i->...kj", conj, psis)
 
 
 def _packs(ds) -> list:
@@ -486,25 +570,43 @@ def _packs(ds) -> list:
     return packs
 
 
+class _Built(NamedTuple):
+    """One group of a pack as _spectral_caches builds it.
+
+    cache is None when error holds what fails the group.  warned is
+    _near on any of its block or cluster phase gaps, so the group's
+    limit is warned; near_blocks holds (k, gaps) for each block k whose
+    gaps lie near PHASE_TOL, in ascending k, for _checked's warnings.
+    """
+
+    cache: SpectralCache | None
+    error: Exception | None
+    warned: bool
+    near_blocks: tuple
+
+
 def _spectral_caches(groups) -> list:
     """Caches of each group (spec, d) of groups, from one stack.
 
     Blocks k <= d/2 are diagonalized; each block k > d/2 is the
     conjugate of block d - k, and so is its eigensystem.  Those blocks
-    of every group form one stack, which takes one unitarity screen,
-    one _eig call and one _block_screen.  Returns one builder per
-    group, in order: calling it finishes that group's cache
-    (mirroring, the block warnings and unit-circle check of
-    _screen_blocks, the clustering) or raises what fails that group
-    alone.  The blocks of a group that fails the unitarity screen (NaN
-    fails it) enter _eig as identities, so they cannot fail the stack.
-    _spectral_cache is the one-group case.
+    of every group form one stack, which takes one unitarity screen
+    (per group, by reduceat), one _eig call and one _block_screen.  One
+    gather mirrors the eigensystems of every group, one
+    _segment_clusters call clusters the phases of each, and the
+    unit-circle check and the warned flag are taken per group by
+    reduceat.  Returns one _Built per group, in order: a group that
+    fails either check fails alone.  The blocks of a group that fails
+    the unitarity screen (NaN fails it) enter _eig as identities, so
+    they cannot fail the stack.  A single cache is the one-group case
+    (_spectral_cache).
     """
     for _, d in groups:
         if d < 2:
             raise ValueError("cycle length d must be >= 2, got %d" % d)
-    stops = [d // 2 + 1 for _, d in groups]
-    starts = list(itertools.accumulate(stops[:-1], initial=0))
+    ds = np.array([d for _, d in groups])
+    stops = ds // 2 + 1
+    starts = np.cumsum(stops) - stops
     runs = [_kernels._half_blocks([d for _, d in run], spec)
             for spec, run in itertools.groupby(groups, key=lambda g: g[0])]
     mats = runs[0] if len(runs) == 1 else np.concatenate(runs)
@@ -513,33 +615,61 @@ def _spectral_caches(groups) -> list:
     if not unitary.all():
         mats[np.repeat(~unitary, stops)] = np.eye(4)
     lams, vecs = _eig(mats)
-    screen = _block_screen(lams)
-    return [partial(_finish_cache, spec, d, dev, lams[lo:lo + n],
-                    vecs[lo:lo + n], [x[lo:lo + n] for x in screen])
-            for (spec, d), dev, lo, n in zip(groups, devs, starts, stops)]
+    bgaps, bnear, moddev = _block_screen(lams)
+    moddev = np.maximum.reduceat(moddev, starts)
+    # All d blocks of every group, one after the other: block k of a
+    # group takes half block min(k, d - k), conjugated for k > d/2.
+    firsts = np.cumsum(ds) - ds
+    dk = np.repeat(ds, ds)
+    k = np.arange(len(dk)) - np.repeat(firsts, ds)
+    src = np.repeat(starts, ds) + np.minimum(k, dk - k)
+    flip = 2 * k > dk
+    lams, vecs = lams[src], vecs[src]
+    np.conjugate(lams, out=lams, where=flip[:, None])
+    np.conjugate(vecs, out=vecs, where=flip[:, None, None])
+    labels, gaps = _segment_clusters(np.angle(lams.reshape(-1)), 4 * ds,
+                                     PHASE_TOL)
+    near = np.logical_or.reduceat(bnear, starts)
+    warned = near | np.logical_or.reduceat(_near(gaps), 4 * firsts)
+    built = []
+    for g, (spec, d) in enumerate(groups):
+        if not unitary[g]:
+            built.append(_Built(None, RuntimeError(
+                "momentum block lost unitarity (%.3g)" % devs[g]), False, ()))
+            continue
+        lo, hi = firsts[g], firsts[g] + d
+        blocks = ()
+        if near[g]:
+            blocks = tuple((i, bgaps[b]) for i, b in enumerate(src[lo:hi])
+                           if bnear[b])
+        error = _off_circle(moddev[g])
+        if error is not None:
+            built.append(_Built(None, error, False, blocks))
+            continue
+        built.append(_Built(
+            SpectralCache(d=d, theta=spec.theta, eigenvalues=lams[lo:hi],
+                          eigenvectors=vecs[lo:hi],
+                          labels=labels[4 * lo:4 * hi],
+                          gaps=gaps[4 * lo:4 * hi]),
+            None, bool(warned[g]), blocks))
+    return built
 
 
-def _finish_cache(spec: _WalkSpec, d: int, dev: float, lams: np.ndarray,
-                  vecs: np.ndarray, screen) -> SpectralCache:
-    """One group's cache from its share of _spectral_caches' stack."""
-    if not dev <= _UNITARITY_TOL:
-        raise RuntimeError("momentum block lost unitarity (%.3g)" % dev)
-    gaps, near, moddev = screen
-    if near.any():
-        # Block k > d/2 holds the screen of block d - k: its phases are
-        # the negated ones, so its gaps are the same numbers in another
-        # order.
-        mirror = _kernels._mirrored(np.arange(len(lams)), d)
-        gaps, near = gaps[mirror], near[mirror]
-    _screen_blocks((gaps, near, moddev), range(d))
-    lams, vecs = (_kernels._mirrored(x, d) for x in (lams, vecs))
-    labels, gaps = _phase_clusters(np.angle(lams.reshape(-1)), PHASE_TOL)
-    return SpectralCache(d=d, theta=spec.theta, eigenvalues=lams,
-                         eigenvectors=vecs, labels=labels, gaps=gaps)
+def _checked(built: _Built) -> SpectralCache:
+    """A group's cache as a single call gives it.
+
+    Warns of its blocks' phase gaps near PHASE_TOL, in ascending k, and
+    then raises what failed the group, if anything did.
+    """
+    for k, gaps in built.near_blocks:
+        _warn_ambiguous(gaps, "block k=%d" % k)
+    if built.error is not None:
+        raise built.error
+    return built.cache
 
 
 def _spectral_cache(spec: _WalkSpec, d: int) -> SpectralCache:
-    return _spectral_caches([(spec, d)])[0]()
+    return _checked(_spectral_caches([(spec, d)])[0])
 
 
 def spectral_cache(d: int, cfg: CoinConfig) -> SpectralCache:
@@ -581,7 +711,8 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
     # drift off the unit circle linearly in t.
     phases = np.exp(1j * t * np.angle(cache.eigenvalues))
     amps = np.einsum("kij,kj->ki", cache.eigenvectors,
-                     phases * _alphas(cache, _coin4_or_initial(psi)))
+                     phases * _alphas(_conj_t([cache.eigenvectors]),
+                                      _coin4_or_initial(psi)))
     sites = np.fft.ifft(amps, axis=0)
     return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 
@@ -596,60 +727,112 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
     return float(dist.probs[n])
 
 
-def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
-    """Limiting distributions (S, d) of the position-0 starts psis (S, 4).
+def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
+    """Limiting distributions of the position-0 starts psis (S, 4).
 
-    The cluster bookkeeping depends only on the cache, so it is built
-    once and serves every state of the stack.
+    Returns (S, D), D the sum of the caches' d: the distributions on
+    each cache of caches side by side, in order.  The caches' blocks
+    are joined into one stack, and each cache's cluster labels are
+    moved into the flat indices it owns there: the alphas, the cluster
+    bookkeeping and the pair terms are built once for every cache and
+    every state.  The sums whose order sets the bits (the lone
+    eigenvalues' |alpha|^2, the inverse FFTs and the transform batches)
+    are taken cache by cache, so each cache's distributions are its
+    one-cache limit bit for bit.
     """
-    d, labels = cache.d, cache.labels
     ns = len(psis)
-    alphas = _alphas(cache, psis).reshape(ns, -1)
-    _warn_ambiguous(cache.gaps, "d=%d limiting distribution" % d)
-    counts = np.bincount(labels)
+    ds = [c.d for c in caches]
+    firsts = list(itertools.accumulate(ds[:-1], initial=0))
+    sizes, starts = [4 * d for d in ds], [4 * lo for lo in firsts]
+    conj = _conj_t([c.eigenvectors for c in caches])
+    alphas = _alphas(conj, psis).reshape(ns, -1)
+    conj = conj.reshape(4, -1)
+    labels = np.concatenate([c.labels for c in caches])
+    # Flat index K = 4k + j is eigenvector j of block k of the joined
+    # stack; a cache with its first block at first owns K = 4 first to
+    # 4 (first + d) - 1.  Its labels are below 4d, so they move there.
+    dflat = np.repeat(ds, sizes)
+    offset = np.repeat(starts, sizes)
+    labels = labels + offset
+    counts = np.bincount(labels, minlength=labels.size)
     # A cluster of s takes s^2 pair terms on the pair route, or one
     # length-d transform: the larger ones take the transform.
-    wide = counts * counts > d
+    wide = counts * counts > dflat
     big = wide[labels]
-    # Flat index K = 4k + j is eigenvector j of block k.  Only members
-    # of clusters of two or more need amplitudes v = alpha phi.  Sorted
-    # by route, then by cluster, the pair route's members come first and
-    # each cluster's members sit side by side.
+    # Only members of clusters of two or more need amplitudes
+    # v = alpha phi.  Sorted by route, then by cluster, the pair route's
+    # members come first and each cluster's members sit side by side.
     members = np.flatnonzero(counts[labels] > 1)
     key = labels[members] + big[members] * labels.size
     order = np.argsort(key, kind="stable")
     members, key = members[order], key[order]
     split = np.searchsorted(key, labels.size)
-    k, j = divmod(members, 4)
-    amps = cache.eigenvectors[k, :, j] * alphas[:, members, None]
+    k = members // 4
+
+    def amps(flat):
+        # v = alpha phi (S, len(flat), 4) of the flat indices, phi the
+        # conjugate of conj's column.  take, not alphas[:, flat]: that
+        # one comes out in column order.
+        phi = np.conjugate(conj.take(flat, axis=1).T)
+        return phi * alphas.take(flat, axis=1)[..., None]
 
     # Pair route: each eigenvalue outside the big clusters adds |alpha|^2
     # at frequency 0, each pair a < b of a small cluster 2 <v_a|v_b> at
-    # frequency k_b - k_a; one inverse FFT per state sums them all.  The
-    # member at a has later[a] partners after it, up to the end of its
-    # cluster: its pairs are numbered on from cumsum(later)[a] - later[a],
-    # and the first takes b = a + 1.
-    sk, sv, sl = k[:split], amps[:, :split], key[:split]
+    # frequency k_b - k_a mod d of its cache, whose blocks own columns
+    # first..first + d - 1 of z; one inverse FFT per cache and state
+    # sums them all.  The member at a has later[a] partners after it, up
+    # to the end of its cluster: its pairs are numbered on from
+    # cumsum(later)[a] - later[a], and the first takes b = a + 1.
+    sk, sl = k[:split], key[:split]
     end = np.searchsorted(sl, sl, side="right")
     later = end - 1 - np.arange(split)
     a = np.repeat(np.arange(split), later)
     b = np.arange(a.size) + (end - np.cumsum(later))[a]
-    w = 2.0 * np.einsum("spc,spc->sp", sv[:, a].conj(), sv[:, b])
-    f = (sk[b] - sk[a]) % d
-    z = np.zeros((ns, d), dtype=np.complex128)
+    va = amps(members[a])
+    w = 2.0 * np.einsum("spc,spc->sp", np.conjugate(va, out=va),
+                        amps(members[b]))
+    ka = sk[a]
+    f = (sk[b] - ka) % dflat[::4][ka] + offset[::4][ka] // 4
+    # A pack's arrays are dropped once used: they bound its peak.
+    del va, a, b, ka, dflat, offset
+    z = np.zeros((ns, len(labels) // 4), dtype=np.complex128)
     np.add.at(z, (slice(None), f), w)
-    # einsum, not vdot: OpenBLAS's threaded dot costs milliseconds on
-    # rows of 16,384 and more.
-    rest = np.ascontiguousarray(alphas[:, ~big]).view(np.float64)
-    z[:, 0] += np.einsum("sm,sm->s", rest, rest)
-    probs = np.fft.ifft(z, axis=-1).real / d
+    del f, w
+    lone = ~big
+    probs = np.empty(z.shape)
+    for lo, d in zip(firsts, ds):
+        flat = slice(4 * lo, 4 * (lo + d))
+        rest = np.ascontiguousarray(alphas[:, flat][:, lone[flat]])
+        rest = rest.view(np.float64)
+        # einsum, not vdot: OpenBLAS's threaded dot costs milliseconds
+        # on rows of 16,384 and more.
+        z[:, lo] += np.einsum("sm,sm->s", rest, rest)
+        np.divide(np.fft.ifft(z[:, lo:lo + d], axis=-1).real, d,
+                  out=probs[:, lo:lo + d])
+    del z
 
-    # Transform route: the big clusters are numbered cid = 0, 1, ... in
-    # turn.  A batch holds at most `per` columns, one per (state,
-    # cluster): nst states of ncl clusters.
-    k, amps = k[split:], amps[:, split:]
-    cid = np.cumsum(wide)[labels[members[split:]]] - 1
-    nbig = np.count_nonzero(wide)
+    # Transform route: the big clusters are numbered cid = 0, 1, ...
+    # across the caches, nbig[g] of them in cache g from cid0[g] on.
+    k, members = k[split:], members[split:]
+    cid = np.cumsum(wide)[labels[members]] - 1
+    nbig = np.add.reduceat(wide, starts).tolist()
+    cid0 = itertools.accumulate(nbig[:-1], initial=0)
+    for first, d, n, c0 in zip(firsts, ds, nbig, cid0):
+        if n:
+            lo, hi = np.searchsorted(cid, (c0, c0 + n))
+            _add_flat_bands(probs[:, first:first + d], d, k[lo:hi] - first,
+                            amps(members[lo:hi]), cid[lo:hi] - c0, n)
+    return probs
+
+
+def _add_flat_bands(probs, d, k, amps, cid, nbig):
+    """Add the big clusters cid = 0..nbig-1 of one cache to probs (S, d).
+
+    Member i of cluster cid[i] is on block k[i] with amplitudes
+    amps[:, i].  A batch holds at most `per` columns, one per (state,
+    cluster): nst states of ncl clusters.
+    """
+    ns = len(probs)
     per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
     nst = min(ns, per)
     ncl = per // nst
@@ -666,7 +849,6 @@ def _limiting_probs(cache: SpectralCache, psis: np.ndarray) -> np.ndarray:
             np.fft.ifft(buf, axis=0, out=buf)
             parts = buf.view(np.float64)
             probs[s:s + nst] += np.einsum("nscj,nscj->sn", parts, parts)
-    return probs
 
 
 def _limiting(spec: _WalkSpec, d: int, psi,
@@ -676,7 +858,8 @@ def _limiting(spec: _WalkSpec, d: int, psi,
     else:
         _cache_matches(cache, d, spec.theta)
     psis = _coin4_or_initial(psi)[None]
-    return Distribution(d=d, probs=_limiting_probs(cache, psis)[0])
+    _warn_ambiguous(cache.gaps, "d=%d limiting distribution" % d)
+    return Distribution(d=d, probs=_limiting_probs([cache], psis)[0])
 
 
 def limiting_distribution(cfg: CoinConfig, d: int, psi,

@@ -178,24 +178,34 @@ class Distribution:
         if arr.shape != (self.d,):
             raise ValueError("probability vector must have shape (%d,), got %s"
                              % (self.d, arr.shape))
-        if arr.min(initial=0.0) < -1e-9:
-            raise ValueError("negative probability %.3g" % arr.min())
+        low = arr.min(initial=0.0)
         arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        # NaN passes every comparison above; a NaN or inf entry makes the
-        # sum NaN or inf.
-        if not math.isfinite(total):
-            raise ValueError("probabilities must be finite, sum to %r"
-                             % float(total))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("probabilities sum to %.17g, expected 1" % total)
-        arr = arr.copy()
+        error = _probs_error(low, arr.sum())
+        if error is not None:
+            raise ValueError(error)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
     @classmethod
     def uniform(cls, d: int) -> "Distribution":
         return cls(d=d, probs=np.full(d, 1.0 / d))
+
+
+def _probs_error(low, total):
+    """Why a probability vector is not a distribution, or None if it is.
+
+    low is its smallest entry, total the sum of its entries once
+    clipped at 0.
+    """
+    if low < -1e-9:
+        return "negative probability %.3g" % low
+    # NaN passes every comparison above; a NaN or inf entry makes the
+    # sum NaN or inf.
+    if not math.isfinite(total):
+        return "probabilities must be finite, sum to %r" % float(total)
+    if abs(total - 1.0) > 1e-9:
+        return "probabilities sum to %.17g, expected 1" % total
+    return None
 
 
 def position_distribution(state: WalkState) -> Distribution:

@@ -1,5 +1,6 @@
 """Distances, equivalence checks, sweeps and time averages."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -369,14 +370,14 @@ class TestSweep:
             sweep(grid, jobs=0)
 
     def test_cell_errors_are_isolated(self, monkeypatch):
-        real = spectral._finish_cache
+        real = spectral._spectral_caches
 
-        def flaky(spec, d, *args):
-            if d == 7:
-                raise RuntimeError("injected failure")
-            return real(spec, d, *args)
+        def flaky(groups):
+            return [b._replace(cache=None,
+                               error=RuntimeError("injected failure"))
+                    if d == 7 else b for (_, d), b in zip(groups, real(groups))]
 
-        monkeypatch.setattr(spectral, "_finish_cache", flaky)
+        monkeypatch.setattr(spectral, "_spectral_caches", flaky)
         grid = SweepGrid.named((6, 7, 8), (0.5,), ("psi_a",))
         records = sweep(grid, jobs=1)
         bad = [r for r in records if r.d == 7]
@@ -391,8 +392,8 @@ class TestSweep:
     def test_invalid_distribution_fails_only_its_row(self, monkeypatch):
         real = spectral._limiting_probs
 
-        def second_row_doubled(cache, psis):
-            probs = real(cache, psis)
+        def second_row_doubled(caches, psis):
+            probs = real(caches, psis)
             probs[1] *= 2.0
             return probs
 
@@ -413,14 +414,15 @@ class TestSweep:
         assert all(r.error is None for r in records)
 
     def test_one_limit_and_one_spec_per_sweep(self, monkeypatch):
-        # Structural guard, no timing: one batched limit per (d, phi)
-        # group, and the walk's (A+, A-) built once for the sweep.
+        # Structural guard, no timing: one batched limit per pack, here
+        # the one pack of d = 2..12, and the walk's (A+, A-) built once
+        # for the sweep.
         calls = {"limit": 0, "spec": 0}
         real_limit, real_spec = spectral._limiting_probs, walk._WalkSpec
 
-        def counting_limit(cache, psis):
+        def counting_limit(caches, psis):
             calls["limit"] += 1
-            return real_limit(cache, psis)
+            return real_limit(caches, psis)
 
         def counting_spec(*args):
             calls["spec"] += 1
@@ -431,7 +433,7 @@ class TestSweep:
         walk._walk_spec.cache_clear()
         records = sweep(SweepGrid.named(range(2, 13), (0.5,), STATE_NAMES))
         assert len(records) == 11 * len(STATE_NAMES)
-        assert calls == {"limit": 11, "spec": 1}
+        assert calls == {"limit": 1, "spec": 1}
 
     def test_four_state_group_peak_memory(self):
         # A flat-band group at d = 4096: the transform batches stay
@@ -448,9 +450,9 @@ class TestSweep:
         assert all(row[5] is None and row[6].shape == (4096,) for row in rows)
 
 
-# The C07 column's integer phi, three generic phi and one with phase gaps
-# just outside the tolerance (d = 16).
-PACK_PHIS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.5, 3.3, 6.1, 3 + 2e-9)
+# The C07 grid's 80 phi and one with phase gaps just outside the
+# tolerance (d = 16).
+PACK_PHIS = tuple(round(0.1 * m, 10) for m in range(80)) + (3 + 2e-9,)
 
 
 def _recording_eig(monkeypatch):
@@ -490,42 +492,98 @@ class TestPacks:
     """A sweep diagonalizes each pack of a phi column in one stack."""
 
     def test_pack_path_matches_per_group_path(self, monkeypatch):
+        # Each group of a pack against the one-group path (its own
+        # spectral_cache and limit) on the same eigensystems: _eig then
+        # serves the group's share of the pack's stack.  Caches, rows and
+        # warned flags agree bit for bit.
         d_values = range(2, 51)
-        stacks = _recording_eig(monkeypatch)
-        records = sweep(SweepGrid.named(d_values, PACK_PHIS, STATE_NAMES),
-                        keep_probs=False)
+        eigs, packed = [], []
+        real_eig, real_limit = spectral._eig, spectral._limiting_probs
+
+        def recording_eig(mats):
+            lams, vecs = real_eig(mats)
+            eigs.append((mats.copy(), lams.copy(), vecs.copy()))
+            return lams, vecs
+
+        def recording_limit(caches, psis):
+            packed.extend(caches)
+            return real_limit(caches, psis)
+
+        monkeypatch.setattr(spectral, "_eig", recording_eig)
+        monkeypatch.setattr(spectral, "_limiting_probs", recording_limit)
+        records = sweep(SweepGrid.named(d_values, PACK_PHIS, STATE_NAMES))
         monkeypatch.undo()
         # One stack per column, 674 blocks: the polynomial route.
-        assert [len(m) for m in stacks] == [674] * len(PACK_PHIS)
+        assert [len(m) for m, _, _ in eigs] == [674] * len(PACK_PHIS)
+        assert len(packed) == len(PACK_PHIS) * len(d_values)
         by_cell = {(r.d, r.phi, r.state): r for r in records}
         psis = np.array([named_coin4(n) for n in STATE_NAMES])
-        for phi, stack in zip(PACK_PHIS, stacks):
-            spec, lo = _recycled_spec(phi), 0
+        packed = iter(packed)
+        for phi, (stack, lams, vecs) in zip(PACK_PHIS, eigs):
+            cfg, lo = CoinConfig(phi), 0
             for d in d_values:
-                blocks = _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
-                assert stack[lo:lo + len(blocks)].tobytes() == blocks.tobytes()
-                lo += len(blocks)
-                # The per-group path: its own cache (LAPACK for d <= 50)
-                # and limit; warned as _warn_ambiguous decides.
+                hi = lo + d // 2 + 1
+                blocks = _kernels._fourier_blocks(d, _recycled_spec(phi),
+                                                  stop=d // 2 + 1)
+                assert stack[lo:hi].tobytes() == blocks.tobytes()
+
+                def share(mats, lo=lo, hi=hi):
+                    assert mats.tobytes() == stack[lo:hi].tobytes()
+                    return lams[lo:hi].copy(), vecs[lo:hi].copy()
+
+                monkeypatch.setattr(spectral, "_eig", share)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter(
                         "always", spectral.DegenerateClusterWarning)
-                    probs = spectral._limiting_probs(
-                        spectral.spectral_cache(d, CoinConfig(phi)), psis)
+                    cache = spectral.spectral_cache(d, cfg)
+                    spectral.limiting_distribution(cfg, d, psis[0],
+                                                   cache=cache)
+                monkeypatch.undo()
+                lo = hi
+                pack_cache = next(packed)
+                assert pack_cache.d == d
+                assert pack_cache.labels.tobytes() == cache.labels.tobytes()
+                assert pack_cache.gaps.tobytes() == cache.gaps.tobytes()
+                probs = spectral._limiting_probs([cache], psis)
                 for name, p in zip(STATE_NAMES, probs):
                     r = by_cell[(d, phi, name)]
-                    tv = tv_from_uniform(Distribution(d=d, probs=p))
-                    assert abs(r.tv_from_uniform - tv) <= 1e-14
+                    dist = Distribution(d=d, probs=p)
+                    tv = tv_from_uniform(dist)
+                    assert r.tv_from_uniform == tv
                     assert r.classified_uniform == (tv < 1e-6)
                     assert r.boundary == (1e-7 <= tv <= 1e-5)
                     assert r.warned == bool(caught)
                     assert r.error is None
+                    assert r.probs.tobytes() == dist.probs.tobytes()
         # Exact in-block degeneracies (gaps far below PHASE_TOL) do not
         # warn; the gaps just outside it at phi = 3 + 2e-9 do.
         for name in STATE_NAMES:
             assert not by_cell[(16, 3.0, name)].warned
             assert not by_cell[(16, 7.0, name)].warned
             assert by_cell[(16, 3 + 2e-9, name)].warned
+
+    def test_pack_path_stays_near_lapack(self):
+        # The pack takes the polynomial route, each group alone would
+        # take LAPACK (d <= 50); the two agree to rounding.
+        phis = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.5, 3.3, 6.1,
+                3 + 2e-9)
+        records = sweep(SweepGrid.named(range(2, 51), phis, STATE_NAMES),
+                        keep_probs=False)
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        for (d, phi), rows in itertools.groupby(
+                records, key=lambda r: (r.d, r.phi)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(
+                    "always", spectral.DegenerateClusterWarning)
+                cache = spectral.spectral_cache(d, CoinConfig(phi))
+                spectral.limiting_distribution(CoinConfig(phi), d, psis[0],
+                                               cache=cache)
+            probs = spectral._limiting_probs([cache], psis)
+            for r, p in zip(rows, probs):
+                tv = tv_from_uniform(Distribution(d=d, probs=p))
+                assert abs(r.tv_from_uniform - tv) <= 1e-14
+                assert r.classified_uniform == (tv < 1e-6)
+                assert r.warned == bool(caught)
 
     def test_packs_cut_by_the_block_budget(self):
         ds = list(range(2, 81)) + [2050, 3, 4]
@@ -558,13 +616,14 @@ class TestPacks:
             np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_one_eig_per_pack_and_one_limit_per_group(self, monkeypatch):
+        # One limit per pack, which holds the cache of every group.
         stacks = _recording_eig(monkeypatch)
         calls = []
         real_limit = spectral._limiting_probs
 
-        def counting_limit(cache, psis):
-            calls.append(cache.d)
-            return real_limit(cache, psis)
+        def counting_limit(caches, psis):
+            calls.append([c.d for c in caches])
+            return real_limit(caches, psis)
 
         monkeypatch.setattr(spectral, "_limiting_probs", counting_limit)
         records = sweep(self.WIDE, keep_probs=False)
@@ -572,7 +631,7 @@ class TestPacks:
         packs = spectral._packs(self.WIDE.d_values)
         assert [len(m) for m in stacks] == [
             sum(d // 2 + 1 for d in pack) for pack in packs] * 3
-        assert calls == list(self.WIDE.d_values) * 3
+        assert calls == packs * 3
 
     def test_wide_column_holds_one_pack_at_a_time(self):
         # d = 2..400 is 40,399 blocks in 40 packs.  One pack of about

@@ -40,3 +40,17 @@ def test_every_op_passes_its_gate(name):
     failed = {op.name: gate for op in ops
               if (gate := op.check(op.run())) is not None}
     assert failed == {}
+
+
+def test_full_size_sweep_ops_pass_their_gates():
+    # At smoke size (d = 2..8, 23 blocks) a sweep column stays below
+    # spectral._POLY_MIN_BLOCKS; at full size (d = 2..50, 674 blocks) it
+    # takes the pack and polynomial route that the benchmark times.
+    build, _ = WORKLOADS["sweep-grid"]
+    ops = {op.name: op for op in build(cyclewalk, np.random.default_rng(3))}
+    generic = [name for name in ops
+               if not float(name.split("=")[1]).is_integer()]
+    assert "sweep phi=0" in ops and generic
+    for name in ("sweep phi=0", generic[0]):
+        op = ops[name]
+        assert op.check(op.run()) is None, name

@@ -84,12 +84,29 @@ class TestParsers:
                                      "nan:1:2", "0:nan:2", "-inf:1:2",
                                      "0:inf:1", "-0.5:1:2", "0:3:9",
                                      "0:1:1e7", "0:1:1e12", "0:1:1e308",
-                                     "0:1e-320:1"])
+                                     "0:1e-320:1", "0:3e-11:2e-10",
+                                     "0:9.9e-11:1e-9", "0:1e-12:7.9",
+                                     "5e-11:1e-10:2.05e-9"])
     def test_phi_grid_rejects(self, bad):
         # A far-off end is rejected from the last point, before the grid
-        # is built: 0:1:1e12 once took minutes, 0:1:inf a traceback.
+        # is built: 0:1:1e12 once took minutes, 0:1:inf a traceback.  A
+        # step below the 1e-10 rounding is rejected before the grid is
+        # built (0:3e-11:2e-10 once gave 8 points, 3 of them distinct),
+        # and a grid whose rounded points repeat after it: from 5e-11 in
+        # steps of 1e-10 the points sit on the rounding's midpoints.
         with pytest.raises(UsageError):
             parse_phi_grid(bad)
+
+    def test_phi_grid_at_its_resolution(self):
+        assert parse_phi_grid("0:1e-10:1e-9") == [
+            round(i * 1e-10, 10) for i in range(11)]
+
+    def test_phi_grid_repeats_exit_2(self):
+        code, out, err = run_cli("sweep", "--d-range", "3..4",
+                                 "--phi-grid", "0:3e-11:2e-10")
+        assert code == 2
+        assert out == ""
+        assert "1e-10" in err
 
     def test_phi_grid_end_past_eight(self):
         # The end may lie past 8 as long as the last point stays below.
@@ -266,6 +283,20 @@ class TestColumnRenderer:
         assert calls == []
         assert text.splitlines()[-1] == "999,142.71428571428572,true"
         assert json.loads(json_text)["rows"][-1] == [999, 999 / 7.0, True]
+
+    def test_text_and_none_columns_skip_the_per_cell_path(self, monkeypatch):
+        # The sweep table's state column holds only str, its error
+        # column only None.
+        calls = []
+        inner = output._csv_cell
+        monkeypatch.setattr(output, "_csv_cell",
+                            lambda v: calls.append(v) or inner(v))
+        rows = [("psi_a", None), ('a,"b"', None), ("two\nlines", None)]
+        text = render_csv(Table("t.v1", {}, ("state", "error"), rows))
+        assert calls == []
+        body = [line for line in text.splitlines(keepends=True)
+                if not line.startswith("#")]
+        assert list(csv.reader(body))[1:] == [[s, ""] for s, _ in rows]
 
     def test_header_cells_quoted_like_data_cells(self):
         names = ("n", "a,b", 'say "x"', "two\nlines")

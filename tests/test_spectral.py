@@ -240,7 +240,7 @@ class TestSpectralCache:
     def test_completeness_and_alpha_recompute(self, random_coin4):
         psi = random_coin4()
         cache = spectral_cache(9, CoinConfig(0.7))
-        alphas = spectral._alphas(cache, psi)
+        alphas = spectral._alphas(spectral._conj_t([cache.eigenvectors]), psi)
         weights = np.sum(np.abs(alphas) ** 2, axis=1)
         assert np.allclose(weights, 1.0, atol=1e-12)
         for k in (0, 4, 8):
@@ -343,6 +343,12 @@ def _blocks(d, phi):
     return _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
 
 
+def _mirrored(x, d):
+    """All d entries from the entries k <= d/2 of blocks or spectra:
+    entry k > d/2 is conj(x[d - k]), as for the blocks of a real pair."""
+    return np.concatenate((x, x[d - len(x):0:-1].conj()))
+
+
 def _cache(d, phi):
     return (spectral_cache_memory(d) if phi is None
             else spectral_cache(d, CoinConfig(phi)))
@@ -430,9 +436,9 @@ class TestPolyRoute:
         psis = np.array([named_coin4(n) for n in STATE_NAMES])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateClusterWarning)
-            got = spectral._limiting_probs(_cache(d, phi), psis)
+            got = spectral._limiting_probs([_cache(d, phi)], psis)
             _lapack_everywhere(monkeypatch)
-            ref = spectral._limiting_probs(_cache(d, phi), psis)
+            ref = spectral._limiting_probs([_cache(d, phi)], psis)
         assert np.abs(got - ref).max() <= 1e-14
 
     @pytest.mark.parametrize("d,phi", [(4096, 0.5), (4096, 3.7),
@@ -466,10 +472,8 @@ class TestPolyRoute:
         for phi in (0.0, 3.0, 0.7, None):
             lams, vecs = spectral._lapack_eig(_blocks(d, phi))
             cache = _cache(d, phi)
-            assert np.array_equal(cache.eigenvalues,
-                                  _kernels._mirrored(lams, d))
-            assert np.array_equal(cache.eigenvectors,
-                                  _kernels._mirrored(vecs, d))
+            assert np.array_equal(cache.eigenvalues, _mirrored(lams, d))
+            assert np.array_equal(cache.eigenvectors, _mirrored(vecs, d))
 
     @pytest.mark.parametrize("d", [62, 4096])
     def test_large_stacks_take_the_polynomial_route(self, d, monkeypatch):
@@ -484,6 +488,22 @@ class TestPolyRoute:
         spectral_cache(d, CoinConfig(0.7))
         assert sum(calls) == d // 2 + 1
         assert max(calls) <= spectral._POLY_CHUNK
+
+    def test_pack_pass_peak_memory(self):
+        # One pass over the 674 blocks of a C07 column (d = 2..50), as a
+        # sweep pack makes it.  Every (4, 4, n) product goes into one of
+        # four arrays, so the traced peak stays below 5.5 times the
+        # input; a fresh temporary per product takes it to 6.6 times.
+        spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(3.7))
+        mats = _kernels._half_blocks(list(range(2, 51)), spec)
+        assert len(mats) == 674
+        tracemalloc.start()
+        try:
+            spectral._poly_eig(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * mats.nbytes
 
     def test_fully_degenerate_blocks_fall_back(self):
         # A stack of identity blocks: every root repeated four times.
@@ -685,7 +705,7 @@ class TestBatchedLimit:
             cache = spectral_cache(d, CoinConfig(phi))
             singles = [limiting_distribution(CoinConfig(phi), d, psi,
                                              cache=cache) for psi in psis]
-        batch = spectral._limiting_probs(cache, psis)
+        batch = spectral._limiting_probs([cache], psis)
         assert batch.shape == (len(psis), d)
         for got, single in zip(batch, singles):
             assert np.abs(got - single.probs).max() < 1e-15
@@ -701,20 +721,26 @@ class TestBatchedLimit:
         psis = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
         psis /= np.linalg.norm(psis, axis=1)[:, None]
         cache = spectral_cache(d, CoinConfig(0.0))
-        want = spectral._limiting_probs(cache, psis)
+        want = spectral._limiting_probs([cache], psis)
         monkeypatch.setattr(_kernels, "_SCAN_CHUNK_AMPS", 3 * 4 * d)
-        got = spectral._limiting_probs(cache, psis)
+        got = spectral._limiting_probs([cache], psis)
         assert np.abs(got - want).max() < 1e-15
 
     def test_one_warning_per_batch(self):
+        # A pack's batch warns not at all: its groups carry the warned
+        # flag instead.  A single limit warns once.
         cfg = CoinConfig(3 + 2e-9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateClusterWarning)
-            cache = spectral_cache(16, cfg)
+        spec = walk._walk_spec(MODEL_RECYCLED, cfg)
         psis = np.array([named_coin4(n) for n in STATE_NAMES])
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            spectral._limiting_probs(cache, psis)
+            built = spectral._spectral_caches([(spec, 15), (spec, 16)])
+            spectral._limiting_probs([b.cache for b in built], psis)
+        assert rec == []
+        assert [b.warned for b in built] == [False, True]
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            limiting_distribution(cfg, 16, psis[0], cache=built[1].cache)
         assert [str(w.message).split(":")[0] for w in rec] == [
             "d=16 limiting distribution"]
 
