@@ -41,8 +41,22 @@ exponentiation (square the power, multiply the state in for each set
 bit of t) on the blocks k <= d/2 only, and one inverse real FFT
 returns.  ``_squarings`` is the one squaring ladder; from level
 ``_POLISH_LEVEL`` on it polishes each square back onto the unitary
-group, so the norm holds to about 1e-13 at t = 10^6.  The independent
-reference for both routes is the dense operator of tests/oracles.py.
+group, so the norm holds to about 1e-13 at t = 10^6.
+
+Each step moves the walker one site, so after t steps only the sites
+within t of the start's support can be occupied: the light cone.  On
+the power route with 2t + 1 < d, ``_support_arc`` finds the shortest
+circular arc of w sites that holds every nonzero row.  If
+L = w + 2t < d, the power runs on the L sites of the arc and t sites
+either side, as an L-cycle, and every other site is exactly 0: during
+t steps the support never wraps the L-cycle, so there it steps as on
+the d-cycle.  When every nonzero row sits an even number of sites
+along the arc from its first, the rows of the other parity on that
+path are exactly 0 too.  Below the crossover, and for 2t + 1 >= d, no
+support is looked for: site steps leave exact zeros anyway, and a cone
+of at least d sites covers the cycle.  At d = 4096, t = 400 from one
+site the power runs on 801 sites rather than 4096.  The independent
+reference for every route is the dense operator of tests/oracles.py.
 
 The stream of states, ``_scan``, serves the per-step readers.  On
 cycles up to ``_FOURIER_SCAN_MAX_D`` sites it runs in momentum space:
@@ -209,6 +223,26 @@ def _site_step(a, spec):
     return out.view(np.complex128)
 
 
+def _support_arc(amps):
+    """(start, width, even) of the shortest circular arc of nonzero rows.
+
+    The arc holds every nonzero row of a (d, 4) table and runs from row
+    start through width rows (mod d); width is 0 for a zero table.
+    even is True when every nonzero row sits an even number of rows
+    past start along the arc.
+    """
+    d = amps.shape[0]
+    rows = np.flatnonzero(amps.any(axis=1))
+    if not rows.size:
+        return 0, 0, True
+    # The arc leaves out the widest gap between circularly consecutive
+    # rows.
+    gaps = np.diff(rows, append=rows[0] + d)
+    j = int(gaps.argmax())
+    start = int(rows[(j + 1) % rows.size])
+    return start, d + 1 - int(gaps[j]), not ((rows - start) % d & 1).any()
+
+
 def evolve(amps, steps, spec):
     """The state after `steps` steps of the walk (module docstring)."""
     d = amps.shape[0]
@@ -217,6 +251,29 @@ def evolve(amps, steps, spec):
         for _ in range(steps):
             a = _site_step(a, spec)
         return a
+    if 2 * steps + 1 < d:
+        # The light cone: each step moves the walker one site, so on the
+        # arc and `steps` sites either side, taken as a cycle of its own,
+        # the support never wraps and the walk is the d-cycle's.
+        # _power_min_steps grows with d, so the window's own rule would
+        # take the power too.
+        start, width, even = _support_arc(amps)
+        size = width + 2 * steps
+        if size < d:
+            sites = np.arange(start - steps, start - steps + size) % d
+            window = _power(amps[sites], steps, spec)
+            if even:
+                # Each step flips the parity of a site on the path.
+                window[1::2] = 0
+            out = np.zeros_like(amps)
+            out[sites] = window
+            return out
+    return _power(amps, steps, spec)
+
+
+def _power(amps, steps, spec):
+    """evolve's power route on the whole cycle (module docstring)."""
+    d = amps.shape[0]
     # The pair is real, so it steps the real and imaginary parts of the
     # table apart: two real rows per site, whose transforms are fixed by
     # k <= d/2 (rfft).  There each row, as 8 floats, takes B_k^(2^m) for

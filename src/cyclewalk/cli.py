@@ -36,6 +36,9 @@ from .walk import (CoinConfig, InitialState, WalkState, MODEL_MEMORY,
 #: probe the distinguished integer parameters, the rest are generic.
 VERIFY_PHI_DEFAULT = (0.0, 0.7, 1.0, 2.0, 3.3)
 THEOREM_TOL = 1e-10
+#: Most points a --phi grid may hold, far beyond any grid of the paper
+#: (C07 takes 80).
+PHI_GRID_MAX_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -69,8 +72,9 @@ def parse_phi_grid(text: str) -> list:
     """Inclusive arithmetic grid 'start:step:end', rounded to 10 places.
 
     The rounding pins grid points like 0.1 * k to their decimal values
-    so integer phi cells are exactly integers.  A step below 1e-10, or a
-    grid whose rounded points do not strictly increase, is rejected.
+    so integer phi cells are exactly integers.  A step below 1e-10, a
+    grid of more than PHI_GRID_MAX_POINTS points, or one whose rounded
+    points do not strictly increase, is rejected.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -100,6 +104,9 @@ def parse_phi_grid(text: str) -> list:
         n -= 1
     if not 0.0 <= round(start, 10) <= round(start + n * step, 10) < 8.0:
         raise UsageError("phi grid must stay inside [0, 8)")
+    if n + 1 > PHI_GRID_MAX_POINTS:
+        raise UsageError("--phi-grid %r has %d points, more than %d"
+                         % (text, n + 1, PHI_GRID_MAX_POINTS))
     grid = [round(start + i * step, 10) for i in range(n + 1)]
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise UsageError("--phi-grid %r repeats points once rounded to 10 "

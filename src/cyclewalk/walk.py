@@ -295,9 +295,14 @@ def evolve(state: WalkState, steps: int,
     (A+, A-) steps the table site by site, O(d) per step.  From it on,
     the steps are one power of the real 8x8 momentum blocks k <= d/2,
     by repeated squaring, in O(d log t) time and O(d) memory: a million
-    steps at d = 10^4 take well under a second.  Both routes match the dense
-    operator of the test oracles to 1e-12, and the power route holds
-    the norm to about 1e-13 even at t = 10^6.
+    steps at d = 10^4 take well under a second.  When the shortest arc
+    of sites that holds the start, and t sites either side of it, fill
+    fewer than d sites, the power runs on that window alone, and every
+    site the walk cannot reach in t steps is exactly 0: those outside
+    the window and, when the start's sites lie an even distance apart
+    along the arc, those of the other parity.  Every route matches the
+    dense operator of the test oracles to 1e-12, and the power route
+    holds the norm to about 1e-13 even at t = 10^6.
     """
     steps = _check_steps(steps)
     if steps == 0:

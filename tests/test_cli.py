@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import cyclewalk
 import oracles
 from cyclewalk import cli, output
-from cyclewalk.cli import (UsageError, main, parse_d_range, parse_phi_grid,
-                           parse_state)
+from cyclewalk.cli import (PHI_GRID_MAX_POINTS, UsageError, main,
+                           parse_d_range, parse_phi_grid, parse_state)
 from cyclewalk.output import Table, render_csv, render_json
 
 
@@ -107,6 +107,19 @@ class TestParsers:
         assert code == 2
         assert out == ""
         assert "1e-10" in err
+
+    def test_phi_grid_point_cap(self):
+        # The points are counted before any is built: 0:1e-9:7 would
+        # be 7e9 of them.
+        assert len(parse_phi_grid("0:1e-4:7.9999")) == 80000
+        assert len(parse_phi_grid("0:1e-5:0.99999")) == PHI_GRID_MAX_POINTS
+        with pytest.raises(UsageError, match="100001 points"):
+            parse_phi_grid("0:1e-5:1")
+        code, out, err = run_cli("sweep", "--d-range", "3..4",
+                                 "--phi-grid", "0:1e-9:7")
+        assert code == 2
+        assert out == ""
+        assert "7000000001 points" in err
 
     def test_phi_grid_end_past_eight(self):
         # The end may lie past 8 as long as the last point stays below.

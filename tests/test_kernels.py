@@ -374,3 +374,122 @@ class TestPowerRoute:
         # here the walk out[n] = 1j a[n+1].
         with pytest.raises(ValueError, match="real shift"):
             walk._WalkSpec(1j * np.eye(4), np.zeros((4, 4)), None)
+
+
+def _site_stepped(a, steps, spec):
+    """steps full-cycle site steps, without evolve."""
+    for _ in range(steps):
+        a = _kernels._site_step(a, spec)
+    return a
+
+
+class TestWindowRoute:
+    """evolve's power route on the arc that the walk can reach."""
+
+    @staticmethod
+    def _ladders(monkeypatch):
+        """Record the block stack of each squaring ladder."""
+        ladders = []
+        squarings = _kernels._squarings
+        monkeypatch.setattr(_kernels, "_squarings",
+                            lambda p: ladders.append(p.shape) or squarings(p))
+        return ladders
+
+    @pytest.mark.parametrize("d", [40, 41, 1024, 1025])
+    def test_matches_oracles_and_site_steps(self, d, rng, monkeypatch):
+        # A start at site 0, one at d - 1 and a mixed-parity one whose
+        # arc wraps past d - 1 -> 0; the arc and t steps either side
+        # fill d - 2 or d - 1 sites (window), d or d + 1 (whole cycle).
+        ladders = self._ladders(monkeypatch)
+        starts = ([0], [d - 1], [d - 2, 0, 1])
+        for spec, op in TestPowerRoute._walks(d):
+            for rows in starts:
+                width = 1 if len(rows) == 1 else 4
+                a = np.zeros((d, 4), dtype=np.complex128)
+                a[rows] = _random_state(rng, len(rows))
+                before = a.copy()
+                for size in (d - 2, d - 1, d, d + 1):
+                    if (size - width) % 2:
+                        continue
+                    t = (size - width) // 2
+                    assert t >= _kernels._power_min_steps(d)
+                    got = _kernels.evolve(a, t, spec)
+                    window = size < d
+                    assert ladders.pop() == (
+                        (size if window else d) // 2 + 1, 8, 8)
+                    assert not ladders
+                    want = oracles.dense_evolve(a, op, t)
+                    assert np.abs(got - want).max() < 1e-12, (d, rows, t)
+                    stepped = _site_stepped(a, t, spec)
+                    assert np.abs(got - stepped).max() < 1e-12, (d, rows, t)
+                    assert np.array_equal(a, before)
+                    if not window:
+                        continue
+                    # Outside the cone, and off parity for a start on
+                    # one site, every row is exactly 0.
+                    first = rows[0] - t
+                    reach = np.zeros(d, dtype=bool)
+                    offsets = np.arange(size)
+                    if len(rows) == 1:
+                        offsets = offsets[::2]
+                    reach[(first + offsets) % d] = True
+                    assert np.all(got[~reach] == 0.0)
+                    assert np.count_nonzero(got.any(axis=1)) == reach.sum()
+
+    def test_far_rows_share_one_window(self, rng, monkeypatch):
+        # Rows 0, 2 and 6 of 64: one parity, arc width 7; at t = 20 the
+        # window holds 47 sites, its odd offsets exactly 0.
+        ladders = self._ladders(monkeypatch)
+        d, t = 64, 20
+        a = np.zeros((d, 4), dtype=np.complex128)
+        a[[0, 2, 6]] = _random_state(rng, 3)
+        for spec, op in TestPowerRoute._walks(d):
+            got = _kernels.evolve(a, t, spec)
+            assert ladders.pop() == (47 // 2 + 1, 8, 8)
+            assert np.abs(got - oracles.dense_evolve(a, op, t)).max() < 1e-12
+            sites = np.arange(-t, 7 + t) % d
+            assert np.all(np.delete(got, sites[::2], axis=0) == 0.0)
+            assert np.all(got[sites[::2]].any(axis=1))
+
+    def test_zero_table_stays_zero(self):
+        a = np.zeros((64, 4), dtype=np.complex128)
+        assert np.all(_kernels.evolve(a, 20, RECYCLED) == 0.0)
+
+    @pytest.mark.parametrize("rows, start, width, even", [
+        ([0], 0, 1, True), ([63], 63, 1, True), ([62, 0, 1], 62, 4, False),
+        ([0, 2, 6], 0, 7, True), ([10, 40], 10, 31, True),
+        ([0, 22, 43], 22, 43, False), ([], 0, 0, True)])
+    def test_support_arc(self, rows, start, width, even):
+        # The widest gap is left out: on the 64-cycle, rows 10 and 40
+        # are 30 apart one way and 34 the other.  Rows 0, 22 and 43
+        # have gaps 22, 21, 21, so the arc runs from 22 past the wrap.
+        a = np.zeros((64, 4), dtype=np.complex128)
+        a[rows, 2] = 1j
+        assert _kernels._support_arc(a) == (start, width, even)
+
+    def test_odd_cycle_parity_runs_along_the_arc(self):
+        # On the 63-cycle, rows 61 and 0 are two steps apart along the
+        # arc, though 61 is odd and 0 even.
+        a = np.zeros((63, 4), dtype=np.complex128)
+        a[[61, 0], 0] = 1.0
+        assert _kernels._support_arc(a) == (61, 3, True)
+
+    def test_guard_skips_the_scan(self, rng, monkeypatch):
+        # Below the crossover (single steps included) and where the cone
+        # of one site covers the cycle, evolve never looks for the
+        # support; a localized start just inside both bounds does.
+        scans = []
+        arc = _kernels._support_arc
+        monkeypatch.setattr(_kernels, "_support_arc",
+                            lambda a: scans.append(a.shape[0]) or arc(a))
+        for d in (8, 40, 353, 4096):
+            cross = _kernels._power_min_steps(d)
+            a = np.zeros((d, 4), dtype=np.complex128)
+            a[0] = _random_state(rng, 1)
+            for t in {1, cross - 1, (d - 1) // 2, d // 2, d}:
+                if t < cross or 2 * t + 1 >= d:
+                    _kernels.evolve(a, t, MEMORY)
+            assert not scans
+            if 2 * cross + 1 < d:
+                _kernels.evolve(a, cross, MEMORY)
+                assert scans.pop() == d
