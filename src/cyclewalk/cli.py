@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import warnings
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -366,9 +367,9 @@ def cmd_evolve(ns):
     cfg = _coin_config(ns, config)
     state = evolve(WalkState.localized(d, init, model), t, cfg)
     dist = position_distribution(state)
-    rows = list(zip(range(d), dist.probs.tolist()))
     return Table(schema="evolve.v1", config=config,
-                 columns=("n", "probability"), rows=rows), None
+                 columns=("n", "probability"),
+                 data=(range(d), dist.probs)), None
 
 
 def cmd_limiting(ns):
@@ -390,9 +391,9 @@ def cmd_limiting(ns):
             warned = True
             _diag("warning: %s" % w.message)
     tv = analysis.tv_from_uniform(dist)
-    rows = list(zip(range(d), dist.probs.tolist(), [warned] * d))
     return Table(schema="limiting.v1", config=config,
-                 columns=("n", "pbar", "warned"), rows=rows,
+                 columns=("n", "pbar", "warned"),
+                 data=(range(d), dist.probs, [warned] * d),
                  meta={"tv_from_uniform": tv}), None
 
 
@@ -409,22 +410,22 @@ def cmd_sweep(ns):
               "phi_values": list(grid.phi_values),
               "states": [_state_config(s) for s in states],
               "epsilon": epsilon}
-    rows = []
     failures = 0
     for r in records:
         if r.error is not None:
             failures += 1
             _diag("cell d=%d phi=%g state=%s failed: %s"
                   % (r.d, r.phi, r.state, r.error))
-        rows.append((r.d, r.phi, r.state, r.tv_from_uniform,
-                     r.classified_uniform, r.boundary, r.warned,
-                     r.d_mod_4, r.divisible_by_12, r.error))
+    fields = ("d", "phi", "state", "tv_from_uniform", "classified_uniform",
+              "boundary", "warned", "d_mod_4", "divisible_by_12", "error")
     table = Table(schema="sweep.v1", config=config,
                   columns=("d", "phi", "state", "tv_from_uniform",
                            "uniform", "boundary", "warned", "d_mod_4",
                            "divisible_by_12", "error"),
-                  rows=rows, meta={"cells": len(rows)})
-    return table, ("%d of %d sweep cells failed" % (failures, len(rows))
+                  data=tuple(list(map(attrgetter(f), records))
+                             for f in fields),
+                  meta={"cells": len(records)})
+    return table, ("%d of %d sweep cells failed" % (failures, len(records))
                    if failures else None)
 
 
@@ -440,9 +441,8 @@ def cmd_mixing(ns):
     cfg = _coin_config(ns, config)
     curve = analysis.mixing_curve(d, None if cfg is None else cfg.phi, init,
                                   t_max, model=model)
-    rows = list(zip(curve.horizons, curve.sd))
-    return Table(schema="mixing.v1", config=config,
-                 columns=("T", "sd"), rows=rows), None
+    return Table(schema="mixing.v1", config=config, columns=("T", "sd"),
+                 data=(list(curve.horizons), list(curve.sd))), None
 
 
 def _verify_cell(task):
@@ -476,18 +476,17 @@ def cmd_verify(ns):
               "phi_values": phi_values,
               "states": [_state_config(s) for s in states],
               "t_max": t_max, "threshold": threshold}
-    rows = []
-    failures = 0
-    for (check, d, phi, label, _, _, _), dev in zip(tasks, devs):
-        ok = dev < threshold
-        failures += 0 if ok else 1
-        rows.append((check, d, phi, label, dev, ok))
+    checks, ds, phis, labels = (list(map(itemgetter(i), tasks))
+                                for i in range(4))
+    passed = [dev < threshold for dev in devs]
+    failures = passed.count(False)
     table = Table(schema="verify.v1", config=config,
                   columns=("check", "d", "phi", "state", "max_deviation",
                            "pass"),
-                  rows=rows, meta={"failures": failures})
+                  data=(checks, ds, phis, labels, list(devs), passed),
+                  meta={"failures": failures})
     return table, ("%d of %d verification cells exceeded %g"
-                   % (failures, len(rows), threshold) if failures else None)
+                   % (failures, len(tasks), threshold) if failures else None)
 
 
 def cmd_residue(ns):
@@ -496,9 +495,10 @@ def cmd_residue(ns):
     config = {"command": "residue", "d_values": d_values,
               "state": _state_config(init)}
     curve = analysis.residue_distance_curve(d_values, init.coin4)
-    rows = [(d, r, tv) for d, r, tv in curve]
     return Table(schema="residue.v1", config=config,
-                 columns=("d", "d_mod_4", "tv"), rows=rows), None
+                 columns=("d", "d_mod_4", "tv"),
+                 data=tuple(list(map(itemgetter(i), curve))
+                            for i in range(3))), None
 
 
 #: Each command's help line, its own flags (a name of _FLAGS, or a name

@@ -7,18 +7,30 @@ carries the tool version, schema tag, config echo and any extra
 metadata in leading '#' comment lines; JSON carries the same fields in
 the document.
 
-Both writers work a column at a time: the rows are transposed once
-with zip(*rows) and each column's value types are checked once.  A CSV
-column of plain floats maps one bound "%.17g".__mod__ over its values,
-and its NaN cells ("nan", whatever the sign) become empty; "%.17g" % x
-and format(x, ".17g") are the same double-to-string call, so the bytes
-are those of the per-cell writer ``_csv_cell``.  A column of plain ints
-maps str, one of plain bools a true/false lookup, one of plain strings
-the quoting and one of None only empty cells; every other column
-(mixed types, numpy scalars) takes ``_csv_cell`` per cell.  JSON runs
-``_clean`` only on the columns that hold a NaN or a value that is not
-a plain float, int, bool, str or None.  Tables are rectangular: every
-row has one value per column.
+A table is held as columns: ``Table.columns`` names them and
+``Table.data`` holds one sequence per name, all of one length.  A
+column is one of three kinds:
+
+- a ``range`` (row indices), written with str;
+- a float64 ndarray (probabilities), written by ``_float_cells``;
+- a list, whose value types are checked once.  A list of plain floats
+  goes through ``_float_cells`` too, one of plain ints maps str, one of
+  plain bools a true/false lookup, one of plain strings the quoting
+  and one of None only empty cells; any other list (mixed types, numpy
+  scalars) takes ``_csv_cell`` per cell.
+
+``_float_cells`` formats with "%.17g" only the cells that are not
++0.0 (``(x != 0) | signbit(x)``, so -0.0, NaN and inf are kept).  The
++0.0 cells are "0", which is what "%.17g" writes for them, and NaN
+cells ("nan", whatever the sign) become empty.  "%.17g" % x and
+format(x, ".17g") are the same double-to-string call, so every cell
+has the bytes of the per-cell writer ``_csv_cell``; only the exact
+zeros of a sparse column, such as the cells outside an ``evolve``
+light cone, skip the call.  JSON turns each column into a list once
+(``tolist`` or ``list``) and runs ``_clean`` only on the columns that
+hold a NaN or a value that is not a plain float, int, bool, str or
+None.  Tables are rectangular: ``Table`` raises ValueError when the
+columns do not match the names in number or differ in length.
 """
 
 from __future__ import annotations
@@ -26,7 +38,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+
+import numpy as np
 
 from . import __version__ as TOOL_VERSION
 
@@ -35,13 +49,31 @@ TOOL_NAME = "cyclewalk"
 
 @dataclass
 class Table:
-    """One rectangular result set plus identifying metadata."""
+    """One rectangular result set plus identifying metadata.
+
+    ``data`` holds one column per name in ``columns``.  ``rows`` takes
+    row tuples from callers written for the earlier row layout; they
+    are transposed into ``data`` once and not kept.
+    """
 
     schema: str
     config: dict
     columns: tuple
-    rows: list
+    data: tuple = ()
     meta: dict = field(default_factory=dict)
+    rows: InitVar[list | None] = None
+
+    def __post_init__(self, rows):
+        if rows is not None:
+            self.data = (tuple(map(list, zip(*rows, strict=True)))
+                         or tuple([] for _ in self.columns))
+        if len(self.data) != len(self.columns):
+            raise ValueError("table has %d columns for %d names"
+                             % (len(self.data), len(self.columns)))
+        lengths = sorted(set(map(len, self.data)))
+        if len(lengths) > 1:
+            raise ValueError("table columns differ in length: %s"
+                             % ", ".join(map(str, lengths)))
 
 
 def _clean(value):
@@ -79,14 +111,28 @@ _BOOL_CELL = {True: "true", False: "false"}.__getitem__
 _JSON_AS_IS = frozenset((int, bool, str, type(None)))
 
 
+def _float_cells(x) -> list:
+    """The CSV cells of a float64 array; "%.17g" only off +0.0."""
+    keep = (x != 0) | np.signbit(x)  # NaN != 0 holds
+    texts = list(map(_FLOAT_CELL, x[keep].tolist()))
+    if "nan" in texts:
+        texts = ["" if c == "nan" else c for c in texts]
+    if len(texts) == len(x):
+        return texts
+    cells = np.full(len(x), "0", dtype=object)
+    cells[keep] = texts
+    return cells.tolist()
+
+
 def _csv_column(column) -> list:
     """The CSV cells of one column, as _csv_cell would write them."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _float_cells(column)
+    if isinstance(column, range):
+        return list(map(str, column))
     kinds = set(map(type, column))
     if kinds == {float}:
-        cells = list(map(_FLOAT_CELL, column))
-        if "nan" in cells:
-            cells = ["" if c == "nan" else c for c in cells]
-        return cells
+        return _float_cells(np.array(column, dtype=np.float64))
     if kinds == {int}:
         return list(map(str, column))
     if kinds == {bool}:
@@ -98,8 +144,10 @@ def _csv_column(column) -> list:
     return list(map(_csv_cell, column))
 
 
-def _json_column(column):
-    """One column with NaN as None and numpy scalars as Python values."""
+def _json_column(column) -> list:
+    """One column as a list, NaN as None, numpy scalars as Python values."""
+    column = (column.tolist() if isinstance(column, np.ndarray)
+              else list(column))
     kinds = set(map(type, column))
     if kinds == {float}:
         clean = any(map(math.isnan, column))
@@ -118,7 +166,7 @@ def render_csv(table: Table) -> str:
     for key in sorted(table.meta):
         lines.append("# %s=%s" % (key, _csv_cell(table.meta[key])))
     lines.append(",".join(map(_quote, table.columns)))
-    lines.extend(map(",".join, zip(*map(_csv_column, zip(*table.rows)))))
+    lines.extend(map(",".join, zip(*map(_csv_column, table.data))))
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +178,7 @@ def render_json(table: Table) -> str:
         "config": table.config,
         "meta": table.meta,
         "columns": list(table.columns),
-        "rows": list(map(list, zip(*map(_json_column, zip(*table.rows))))),
+        "rows": list(map(list, zip(*map(_json_column, table.data)))),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1, allow_nan=False) + "\n"

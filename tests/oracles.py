@@ -220,7 +220,7 @@ def render_csv_per_cell(table, name, version):
     for key in sorted(table.meta):
         lines.append("# %s=%s" % (key, _csv_cell(table.meta[key])))
     lines.append(",".join(_csv_cell(c) for c in table.columns))
-    for row in table.rows:
+    for row in zip(*table.data):
         lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -230,6 +230,7 @@ def render_json_per_cell(table, name, version):
     doc = {"tool": name, "version": version, "schema": table.schema,
            "config": table.config, "meta": table.meta,
            "columns": list(table.columns),
-           "rows": [[_clean_cell(v) for v in row] for row in table.rows]}
+           "rows": [[_clean_cell(v) for v in row]
+                    for row in zip(*table.data)]}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1, allow_nan=False) + "\n"

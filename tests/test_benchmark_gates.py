@@ -54,3 +54,23 @@ def test_full_size_sweep_ops_pass_their_gates():
     for name in ("sweep phi=0", generic[0]):
         op = ops[name]
         assert op.check(op.run()) is None, name
+
+
+def test_full_size_large_d_ops_pass_their_gates():
+    # The d = 4096 ops print the largest tables the benchmark times: a
+    # dense limit column, and evolve columns that are exact zeros
+    # outside the light cone.  A writer that changes a value fails here.
+    # phi = 0.5 at d = 4096 has gaps near PHASE_TOL, so the reference
+    # limit warns, as the workload says.
+    build, _ = WORKLOADS["large-d"]
+    with pytest.warns(spectral.DegenerateClusterWarning):
+        ops = {op.name: op
+               for op in build(cyclewalk, np.random.default_rng(3))}
+    names = [name for name in ops
+             if name.startswith(("limiting recycled d=4096",
+                                 "evolve recycled d=4096",
+                                 "evolve memory d=4096"))]
+    assert len(names) == 3
+    for name in names:
+        op = ops[name]
+        assert op.check(op.run()) is None, name

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -21,6 +22,8 @@ from cyclewalk import cli, output
 from cyclewalk.cli import (PHI_GRID_MAX_POINTS, UsageError, main,
                            parse_d_range, parse_phi_grid, parse_state)
 from cyclewalk.output import Table, render_csv, render_json
+from cyclewalk.walk import (MODEL_MEMORY, MODEL_RECYCLED, InitialState,
+                            WalkState)
 
 
 def run_cli(*args):
@@ -179,7 +182,7 @@ class TestOutput:
 
     def test_csv_layout(self):
         table = Table(schema="demo.v1", config={"b": 2, "a": 1},
-                      columns=("x", "y"), rows=[(1, 0.5)], meta={"k": 3})
+                      columns=("x", "y"), data=([1], [0.5]), meta={"k": 3})
         lines = render_csv(table).splitlines()
         assert lines[0] == "# cyclewalk 0.1.0 schema=demo.v1"
         assert lines[1] == '# config={"a":1,"b":2}'
@@ -189,15 +192,33 @@ class TestOutput:
 
     def test_json_valid_and_nan_safe(self):
         table = Table(schema="demo.v1", config={"a": 1}, columns=("x",),
-                      rows=[(float("nan"),)])
+                      data=([float("nan")],))
         doc = json.loads(render_json(table))
         assert doc["schema"] == "demo.v1"
         assert doc["rows"] == [[None]]
 
     def test_unknown_format(self):
-        table = Table(schema="s", config={}, columns=("x",), rows=[])
+        table = Table(schema="s", config={}, columns=("x",), data=([],))
         with pytest.raises(ValueError, match="format"):
             output.render(table, "yaml")
+
+    def test_ragged_tables_raise(self):
+        with pytest.raises(ValueError, match="2 columns for 3 names"):
+            Table("t.v1", {}, ("n", "p", "flag"), (range(3), [0.5] * 3))
+        with pytest.raises(ValueError, match="differ in length: 3, 4"):
+            Table("t.v1", {}, ("n", "p"), (range(3), np.zeros(4)))
+        with pytest.raises(ValueError):
+            Table("t.v1", {}, ("n", "p"), rows=[(0, 0.5), (1,)])
+
+    def test_rows_are_transposed_once(self):
+        # The row layout still constructs: the rows become columns.
+        table = Table(schema="s", config={}, columns=("n", "p"),
+                      rows=[(0, 0.5), (1, 0.25)])
+        assert "rows" not in {f.name for f in dataclasses.fields(Table)}
+        assert table.data == ([0, 1], [0.5, 0.25])
+        assert render_csv(table) == render_csv(
+            Table("s", {}, ("n", "p"), (range(2), np.array([0.5, 0.25]))))
+        assert Table("s", {}, ("n",), rows=[]).data == ([],)
 
     def test_version_single_source(self):
         tomllib = pytest.importorskip("tomllib")
@@ -229,19 +250,39 @@ _CELLS = {
 _CELLS["any"] = st.one_of(*_CELLS.values())
 
 
+# Array cells come in runs of one value, as the exact zeros outside an
+# evolve light cone do.
+_ARRAY_CELLS = st.one_of(st.just(0.0), _floats)
+
+
+@st.composite
+def _column(draw, kind, n):
+    """One column of n cells: a list of a _CELLS kind, a range or a
+    float64 array."""
+    if kind == "range":
+        start = draw(st.integers(-3, 3))
+        return range(start, start + n)
+    if kind == "ndarray":
+        cells = []
+        while len(cells) < n:
+            cells += [draw(_ARRAY_CELLS)] * draw(st.integers(1, 5))
+        return np.array(cells[:n], dtype=np.float64)
+    return draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+
+
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
-                          max_size=5))
-    n = draw(st.integers(0, 12))
-    columns = [draw(st.lists(_CELLS[k], min_size=n, max_size=n))
-               for k in kinds]
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS) + ["ndarray",
+                                                            "range"]),
+                          min_size=1, max_size=5))
+    n = draw(st.integers(0, 16))
+    data = tuple(draw(_column(k, n)) for k in kinds)
     names = tuple(draw(st.one_of(st.sampled_from(("n", "p")), _texts))
                   for _ in kinds)
     meta = draw(st.dictionaries(st.sampled_from("ab"), _CELLS["any"],
                                 max_size=2))
-    return Table(schema="t.v1", config={"k": 1}, columns=names,
-                 rows=list(zip(*columns)), meta=meta)
+    return Table(schema="t.v1", config={"k": 1}, columns=names, data=data,
+                 meta=meta)
 
 
 def _outcome(render, table):
@@ -258,8 +299,10 @@ class TestColumnRenderer:
 
     @settings(max_examples=300, deadline=None)
     @given(_tables())
-    @example(Table("t.v1", {}, ("x",), []))
-    @example(Table("t.v1", {}, ("flag",), [(True,), (1,), (False,), (0,)]))
+    @example(Table("t.v1", {}, ("x",), ([],)))
+    @example(Table("t.v1", {}, ("flag",), ([True, 1, False, 0],)))
+    @example(Table("t.v1", {}, ("n", "p"), (range(6), np.array(
+        [0.0, -0.0, math.nan, -math.nan, math.inf, 5e-324]))))
     def test_matches_per_cell_oracle(self, table):
         version = output.TOOL_VERSION
         assert render_csv(table) == oracles.render_csv_per_cell(
@@ -269,18 +312,20 @@ class TestColumnRenderer:
             table)
 
     def test_bool_stays_bool_beside_int(self):
-        table = Table("t.v1", {}, ("flag",), [(True,), (1,), (False,), (0,)])
+        table = Table("t.v1", {}, ("flag",), ([True, 1, False, 0],))
         assert render_csv(table).splitlines()[-4:] == ["true", "1", "false",
                                                        "0"]
         assert json.loads(render_json(table))["rows"] == [[True], [1],
                                                           [False], [0]]
 
     def test_nan_cells_are_empty_and_null(self):
-        table = Table("t.v1", {}, ("p",),
-                      [(0.5,), (math.nan,), (-math.nan,), (-0.0,)])
-        assert render_csv(table).splitlines()[-4:] == ["0.5", "", "", "-0"]
-        assert json.loads(render_json(table))["rows"] == [[0.5], [None],
-                                                          [None], [-0.0]]
+        cells = [0.5, math.nan, -math.nan, -0.0, 0.0]
+        for column in (cells, np.array(cells)):
+            table = Table("t.v1", {}, ("p",), (column,))
+            assert render_csv(table).splitlines()[-5:] == ["0.5", "", "",
+                                                           "-0", "0"]
+            assert json.loads(render_json(table))["rows"] == [
+                [0.5], [None], [None], [-0.0], [0.0]]
 
     def test_plain_columns_skip_the_per_cell_path(self, monkeypatch):
         calls = []
@@ -289,13 +334,29 @@ class TestColumnRenderer:
             monkeypatch.setattr(output, name,
                                 lambda v, inner=inner: calls.append(v)
                                 or inner(v))
-        rows = [(n, n / 7.0, n % 3 == 0) for n in range(1000)]
-        table = Table("t.v1", {}, ("n", "p", "flag"), rows)
-        text = render_csv(table)
-        json_text = render_json(table)
-        assert calls == []
-        assert text.splitlines()[-1] == "999,142.71428571428572,true"
-        assert json.loads(json_text)["rows"][-1] == [999, 999 / 7.0, True]
+        ns = list(range(1000))
+        columns = (ns, [n / 7.0 for n in ns], [n % 3 == 0 for n in ns])
+        for data in (columns, (range(1000), np.array(columns[1]),
+                               columns[2])):
+            table = Table("t.v1", {}, ("n", "p", "flag"), data)
+            text = render_csv(table)
+            json_text = render_json(table)
+            assert calls == []
+            assert text.splitlines()[-1] == "999,142.71428571428572,true"
+            assert json.loads(json_text)["rows"][-1] == [999, 999 / 7.0, True]
+
+    def test_only_cells_off_plus_zero_are_formatted(self, monkeypatch):
+        calls = []
+        inner = output._FLOAT_CELL
+        monkeypatch.setattr(output, "_FLOAT_CELL",
+                            lambda v: calls.append(v) or inner(v))
+        p = np.zeros(12)
+        p[[2, 4, 5, 9]] = (0.25, -0.0, math.nan, 5e-324)
+        text = render_csv(Table("t.v1", {}, ("n", "p"), (range(12), p)))
+        assert len(calls) == 4
+        assert [line.split(",")[1] for line in text.splitlines()[-12:]] == [
+            "0", "0", "0.25", "0", "-0", "", "0", "0", "0",
+            "4.9406564584124654e-324", "0", "0"]
 
     def test_text_and_none_columns_skip_the_per_cell_path(self, monkeypatch):
         # The sweep table's state column holds only str, its error
@@ -304,16 +365,17 @@ class TestColumnRenderer:
         inner = output._csv_cell
         monkeypatch.setattr(output, "_csv_cell",
                             lambda v: calls.append(v) or inner(v))
-        rows = [("psi_a", None), ('a,"b"', None), ("two\nlines", None)]
-        text = render_csv(Table("t.v1", {}, ("state", "error"), rows))
+        states = ["psi_a", 'a,"b"', "two\nlines"]
+        text = render_csv(Table("t.v1", {}, ("state", "error"),
+                                (states, [None] * 3)))
         assert calls == []
         body = [line for line in text.splitlines(keepends=True)
                 if not line.startswith("#")]
-        assert list(csv.reader(body))[1:] == [[s, ""] for s, _ in rows]
+        assert list(csv.reader(body))[1:] == [[s, ""] for s in states]
 
     def test_header_cells_quoted_like_data_cells(self):
         names = ("n", "a,b", 'say "x"', "two\nlines")
-        table = Table("t.v1", {}, names, [(1, "x", "y", "z")])
+        table = Table("t.v1", {}, names, ([1], ["x"], ["y"], ["z"]))
         text = render_csv(table)
         body = [line for line in text.splitlines(keepends=True)
                 if not line.startswith("#")]
@@ -478,6 +540,37 @@ class TestEvolveCommand:
         code, ref, _ = run_cli(*args, named)
         assert code == 0
         assert parse_csv(out)[2] == parse_csv(ref)[2]
+
+
+class TestLargeEvolveCommand:
+    """evolve at d = 4096 through the CLI against the sparse oracle."""
+
+    @pytest.mark.parametrize("model", [MODEL_RECYCLED, MODEL_MEMORY])
+    def test_matches_sparse_oracle(self, model):
+        d, t, phi = 4096, 400, 0.5
+        args = ["evolve", "--model", model, "--d", str(d), "--t", str(t),
+                "--state", "psi_c"]
+        if model == MODEL_RECYCLED:
+            args += ["--phi", str(phi)]
+            op = oracles.dense_recycled_operator(d, phi, sparse=True)
+        else:
+            op = oracles.dense_memory_operator(d, sparse=True)
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [int(r[0]) for r in rows] == list(range(d))
+        cells = [r[1] for r in rows]
+        start = WalkState.localized(d, InitialState.named("psi_c"), model)
+        want = oracles.dense_distribution(
+            oracles.dense_evolve(start.amplitudes, op, t))
+        assert np.abs(np.array(cells, dtype=float) - want).max() < 1e-12
+        # Outside the light cone |n| <= t, and at the parity the walk
+        # cannot reach, every cell is written as exact zero.
+        offsets = np.arange(-t, t + 1, 2)
+        reach = np.zeros(d, dtype=bool)
+        reach[offsets % d] = True
+        assert all(c == "0" for c in np.array(cells)[~reach])
+        assert want[~reach].max() == 0.0
 
 
 class TestLimitingCommand:
