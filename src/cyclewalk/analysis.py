@@ -272,10 +272,10 @@ def _sweep_pack(task):
     fails its rows; an error in the pack-wide steps fails every row of
     the pack.
     """
-    phi, ds, state_items, epsilon, keep_probs = task
-    labels = [label for label, _ in state_items]
+    phi, ds, states, epsilon, keep_probs = task
+    labels = [_state_label(st) for st in states]
     spec = _walk_spec(MODEL_RECYCLED, CoinConfig(phi))
-    psis = np.array([coin4 for _, coin4 in state_items], dtype=np.complex128)
+    psis = np.array([st.coin4 for st in states], dtype=np.complex128)
     try:
         built = spectral._spectral_caches([(spec, d) for d in ds])
         good = [b for b in built if b.error is None]
@@ -320,10 +320,8 @@ def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)
-    state_items = tuple((_state_label(st), tuple(complex(c) for c in st.coin4))
-                        for st in grid.states)
     packs = spectral._packs(grid.d_values)
-    tasks = [(phi, ds, state_items, grid.epsilon, keep_probs)
+    tasks = [(phi, ds, grid.states, grid.epsilon, keep_probs)
              for phi in grid.phi_values for ds in packs]
     # Groups arrive phi by phi, each phi's d in grid order.
     groups = list(itertools.chain.from_iterable(_run(_sweep_pack, tasks,

@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 from operator import attrgetter, itemgetter
@@ -30,7 +29,7 @@ import numpy as np
 from . import analysis, spectral
 from .output import Table, write_table
 from .walk import (CoinConfig, InitialState, WalkState, MODEL_MEMORY,
-                   MODEL_RECYCLED, STATE_NAMES, evolve, named_coin4,
+                   MODEL_RECYCLED, STATE_NAMES, evolve,
                    position_distribution)
 
 #: phi values exercised by `verify` when no grid is given; 0, 1 and 2
@@ -275,15 +274,19 @@ def _config_value(key, flag, value):
     return float(value) if flag.type is float else value
 
 
-def _need(ns, attr, flag):
-    value = getattr(ns, attr)
-    if value is None:
-        raise UsageError("missing required flag %s" % flag)
-    return value
-
-
 def _fallback(value, default):
     return default if value is None else value
+
+
+def _at_least(ns, attr, low, default=None) -> int:
+    """Integer flag attr, else default (required if None), at least low."""
+    flag = "--" + attr.replace("_", "-")
+    value = _fallback(getattr(ns, attr), default)
+    if value is None:
+        raise UsageError("missing required flag %s" % flag)
+    if value < low:
+        raise UsageError("%s must be >= %d" % (flag, low))
+    return value
 
 
 def _single_state(ns) -> InitialState:
@@ -323,30 +326,27 @@ def _check_d(d: int) -> int:
     return int(d)
 
 
-def _jobs(ns) -> int:
-    """--jobs, else CYCLEWALK_JOBS, else 1."""
-    jobs, source = ns.jobs, "--jobs"
-    if jobs is None:
-        raw = os.environ.get("CYCLEWALK_JOBS", "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs, source = int(raw), "CYCLEWALK_JOBS"
-        except ValueError:
-            raise UsageError("CYCLEWALK_JOBS=%r is not an integer"
-                             % raw) from None
-    if jobs < 1:
-        raise UsageError("%s must be >= 1" % source)
-    return jobs
+def _single_walk(ns, **lows):
+    """(d, model, start, cfg, config) of a command on one walk.
 
-
-def _coin_config(ns, config) -> CoinConfig | None:
-    """--phi for config's model, echoed into config; None for memory."""
-    if config["model"] == MODEL_MEMORY:
-        return None
-    cfg = CoinConfig(_need(ns, "phi", "--phi"))
-    config["phi"] = cfg.phi
-    return cfg
+    Reads --d, --model, the integer flag of each keyword (required, and
+    at least the keyword's value), --state and, for the recycled walk
+    only, --phi, in that order, and echoes them into config in that
+    order; cfg is None for the memory walk.
+    """
+    d = _check_d(ns.d)
+    model = _fallback(ns.model, MODEL_RECYCLED)
+    fields = {attr: _at_least(ns, attr, low) for attr, low in lows.items()}
+    start = _single_state(ns)
+    config = {"command": ns.command, "model": model, "d": d,
+              "state": _state_config(start), **fields}
+    cfg = None
+    if model == MODEL_RECYCLED:
+        if ns.phi is None:
+            raise UsageError("missing required flag --phi")
+        cfg = CoinConfig(ns.phi)
+        config["phi"] = cfg.phi
+    return d, model, start, cfg, config
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +356,8 @@ def _coin_config(ns, config) -> CoinConfig | None:
 # main prints after writing the table, with exit code 1.
 
 def cmd_evolve(ns):
-    d = _check_d(ns.d)
-    model = _fallback(ns.model, MODEL_RECYCLED)
-    t = _need(ns, "t", "--t")
-    if t < 0:
-        raise UsageError("--t must be >= 0")
-    init = _single_state(ns)
-    config = {"command": "evolve", "model": model, "d": d,
-              "state": _state_config(init), "t": t}
-    cfg = _coin_config(ns, config)
-    state = evolve(WalkState.localized(d, init, model), t, cfg)
+    d, model, start, cfg, config = _single_walk(ns, t=0)
+    state = evolve(WalkState.localized(d, start, model), config["t"], cfg)
     dist = position_distribution(state)
     return Table(schema="evolve.v1", config=config,
                  columns=("n", "probability"),
@@ -373,18 +365,13 @@ def cmd_evolve(ns):
 
 
 def cmd_limiting(ns):
-    d = _check_d(ns.d)
-    model = _fallback(ns.model, MODEL_RECYCLED)
-    init = _single_state(ns)
-    config = {"command": "limiting", "model": model, "d": d,
-              "state": _state_config(init)}
-    cfg = _coin_config(ns, config)
+    d, _, start, cfg, config = _single_walk(ns)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", spectral.DegenerateClusterWarning)
         if cfg is None:
-            dist = spectral.limiting_distribution_memory(d, init.coin4)
+            dist = spectral.limiting_distribution_memory(d, start.coin4)
         else:
-            dist = spectral.limiting_distribution(cfg, d, init.coin4)
+            dist = spectral.limiting_distribution(cfg, d, start.coin4)
     warned = False
     for w in caught:
         if issubclass(w.category, spectral.DegenerateClusterWarning):
@@ -405,7 +392,8 @@ def cmd_sweep(ns):
     grid = analysis.SweepGrid(d_values=tuple(d_values),
                               phi_values=tuple(phi_values),
                               states=tuple(states), epsilon=epsilon)
-    records = analysis.sweep(grid, jobs=_jobs(ns), keep_probs=False)
+    records = analysis.sweep(grid, jobs=_at_least(ns, "jobs", 1, 1),
+                             keep_probs=False)
     config = {"command": "sweep", "d_values": list(grid.d_values),
               "phi_values": list(grid.phi_values),
               "states": [_state_config(s) for s in states],
@@ -430,26 +418,18 @@ def cmd_sweep(ns):
 
 
 def cmd_mixing(ns):
-    d = _check_d(ns.d)
-    model = _fallback(ns.model, MODEL_RECYCLED)
-    t_max = _need(ns, "t_max", "--t-max")
-    if t_max < 1:
-        raise UsageError("--t-max must be >= 1")
-    init = _single_state(ns)
-    config = {"command": "mixing", "model": model, "d": d,
-              "state": _state_config(init), "t_max": t_max}
-    cfg = _coin_config(ns, config)
-    curve = analysis.mixing_curve(d, None if cfg is None else cfg.phi, init,
-                                  t_max, model=model)
+    d, model, start, cfg, config = _single_walk(ns, t_max=1)
+    curve = analysis.mixing_curve(d, None if cfg is None else cfg.phi, start,
+                                  config["t_max"], model=model)
     return Table(schema="mixing.v1", config=config, columns=("T", "sd"),
                  data=(list(curve.horizons), list(curve.sd))), None
 
 
 def _verify_cell(task):
-    check, d, phi, _, coin4, t_max, position = task
+    check, d, phi, start, t_max = task
     if check == "theorem1":
-        return analysis.theorem1_max_deviation(d, t_max, phi, coin4, position)
-    return analysis.theorem2_max_deviation(d, t_max, coin4, position)
+        return analysis.theorem1_max_deviation(d, t_max, phi, start.coin4)
+    return analysis.theorem2_max_deviation(d, t_max, start.coin4)
 
 
 def cmd_verify(ns):
@@ -458,32 +438,30 @@ def cmd_verify(ns):
     phi_values = parse_phi_grid(str(ns.phi_grid)) if ns.phi_grid is not None \
         else list(VERIFY_PHI_DEFAULT)
     states = _state_list(ns)
-    t_max = _fallback(ns.t_max, 40)
-    if t_max < 0:
-        raise UsageError("--t-max must be >= 0")
+    t_max = _at_least(ns, "t_max", 0, 40)
     threshold = _fallback(ns.epsilon, THEOREM_TOL)
     if not (math.isfinite(threshold) and threshold > 0):
         raise UsageError("--epsilon must be positive and finite")
-    items = [(s.name or "custom", tuple(complex(c) for c in s.coin4))
-             for s in states]
-    tasks = [("theorem1", d, phi, label, coin4, t_max, 0)
-             for d in d_values for phi in phi_values
-             for label, coin4 in items]
-    tasks += [("theorem2", d, None, label, coin4, t_max, 0)
-              for d in d_values for label, coin4 in items]
-    devs = analysis._run(_verify_cell, tasks, _jobs(ns), chunksize=4)
+    tasks = [("theorem1", d, phi, s, t_max)
+             for d in d_values for phi in phi_values for s in states]
+    tasks += [("theorem2", d, None, s, t_max)
+              for d in d_values for s in states]
+    devs = analysis._run(_verify_cell, tasks, _at_least(ns, "jobs", 1, 1),
+                         chunksize=4)
     config = {"command": "verify", "d_values": d_values,
               "phi_values": phi_values,
               "states": [_state_config(s) for s in states],
               "t_max": t_max, "threshold": threshold}
-    checks, ds, phis, labels = (list(map(itemgetter(i), tasks))
+    checks, ds, phis, starts = (list(map(itemgetter(i), tasks))
                                 for i in range(4))
     passed = [dev < threshold for dev in devs]
     failures = passed.count(False)
     table = Table(schema="verify.v1", config=config,
                   columns=("check", "d", "phi", "state", "max_deviation",
                            "pass"),
-                  data=(checks, ds, phis, labels, list(devs), passed),
+                  data=(checks, ds, phis,
+                        list(map(analysis._state_label, starts)),
+                        list(devs), passed),
                   meta={"failures": failures})
     return table, ("%d of %d verification cells exceeded %g"
                    % (failures, len(tasks), threshold) if failures else None)

@@ -133,14 +133,11 @@ class FourierBlock:
     matrix: np.ndarray = field(repr=False)
 
 
-def _block_stack(spec: _WalkSpec, d: int) -> np.ndarray:
-    return _kernels._fourier_blocks(d, spec)
-
-
 def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
     _check_k(k, d)
+    block = _kernels._momentum_blocks(np.array([k]), d, spec)
     return FourierBlock(k=k, d=d, theta=spec.theta,
-                        matrix=_block_stack(spec, d)[k])
+                        matrix=_kernels._complex_blocks(block)[0])
 
 
 def build_Mk(k: int, d: int, cfg: CoinConfig) -> FourierBlock:
@@ -904,8 +901,9 @@ def memory_spectrum_mismatch(d: int) -> float:
     The memory-walk block is unitarily equivalent to the recycled-coin
     block at phi = 2, so this should vanish to rounding error.
     """
-    ms = _block_stack(_walk_spec(MODEL_RECYCLED, CoinConfig(2.0)), d)
-    ns = _block_stack(_walk_spec(MODEL_MEMORY), d)
+    ms = _kernels._fourier_blocks(d, _walk_spec(MODEL_RECYCLED,
+                                                CoinConfig(2.0)))
+    ns = _kernels._fourier_blocks(d, _walk_spec(MODEL_MEMORY))
     lam_m = np.linalg.eigvals(ms)
     lam_n = np.linalg.eigvals(ns)
     return max(eigenvalue_multiset_distance(lam_n[k], lam_m[k])

@@ -438,10 +438,10 @@ class TestSweep:
     def test_four_state_group_peak_memory(self):
         # A flat-band group at d = 4096: the transform batches stay
         # bounded, so the whole group fits the single-limit budget.
-        items = tuple((n, tuple(named_coin4(n))) for n in STATE_NAMES)
+        states = tuple(InitialState.named(n) for n in STATE_NAMES)
         tracemalloc.start()
         try:
-            rows, = analysis._sweep_pack((0.0, [4096], items, 1e-6, True))
+            rows, = analysis._sweep_pack((0.0, [4096], states, 1e-6, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cyclewalk
 import oracles
-from cyclewalk import cli, output
+from cyclewalk import _kernels, cli, output
 from cyclewalk.cli import (PHI_GRID_MAX_POINTS, UsageError, main,
                            parse_d_range, parse_phi_grid, parse_state)
 from cyclewalk.output import Table, render_csv, render_json
@@ -890,6 +890,98 @@ class TestConfigFile:
             assert bool(results[0][3]) == ("out" in config)
 
 
+#: Usage errors on one bad input: (argv, config file body or None, the
+#: message after "cyclewalk: error: ").
+_USAGE_ERRORS = {
+    "negative-t": (("evolve", "--d", "9", "--phi", "0.5", "--t", "-1"),
+                   None, "--t must be >= 0"),
+    "evolve-without-d": (("evolve", "--phi", "0.5", "--t", "3"), None,
+                         "missing required flag --d"),
+    "negative-t-max": (("verify", "--d", "4", "--t-max", "-1"), None,
+                       "--t-max must be >= 0"),
+    "phi-and-grid": (("sweep", "--d", "5", "--phi", "0.5",
+                      "--phi-grid", "0:1:2"), None,
+                     "give either --phi or --phi-grid, not both"),
+    "sweep-without-phi": (("sweep", "--d", "5"), None,
+                          "missing required flag --phi or --phi-grid"),
+    "sweep-without-d": (("sweep", "--phi", "0.5"), None,
+                        "missing required flag --d or --d-range"),
+    "zero-jobs": (("sweep", "--d", "5", "--phi", "0.5", "--jobs", "0"),
+                  None, "--jobs must be >= 1"),
+    # argparse reads a bare "-1e308:..." as an option, hence the "=".
+    "grid-count-overflows": (("sweep", "--d", "5",
+                              "--phi-grid=-1e308:1e-10:5"), None,
+                             "bad --phi-grid '-1e308:1e-10:5' "
+                             "(step too small)"),
+    "config-key-of-other-command": (("sweep", "--d", "5", "--phi", "0.5"),
+                                    '{"t": 5}',
+                                    "config key 't' does not apply to "
+                                    "'sweep'"),
+    "config-not-an-object": (("evolve", "--d", "5"), "[1, 2]",
+                             "config file must hold a JSON object"),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("name", sorted(_USAGE_ERRORS))
+    def test_single_bad_input(self, name, tmp_path):
+        args, config, message = _USAGE_ERRORS[name]
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config)
+            args += ("--config", str(path))
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err == "cyclewalk: error: %s\n" % message
+
+    def test_failed_sweep_cell_keeps_the_other_rows(self, monkeypatch):
+        args = ("sweep", "--d-range", "3..4", "--phi", "0.5",
+                "--state", "psi_a")
+        _, clean, _ = run_cli(*args)
+        real = _kernels._half_blocks
+
+        def scaled(ds, spec):
+            mats = real(ds, spec)
+            mats[0] *= 1.1
+            return mats
+
+        monkeypatch.setattr(_kernels, "_half_blocks", scaled)
+        code, out, err = run_cli(*args)
+        assert code == 1
+        assert err == ("cyclewalk: cell d=3 phi=0.5 state=psi_a failed: "
+                       "momentum block lost unitarity (0.21)\n"
+                       "cyclewalk: 1 of 2 sweep cells failed\n")
+        _, _, rows = parse_csv(out)
+        _, _, clean_rows = parse_csv(clean)
+        assert [r[:3] for r in rows] == [["3", "0.5", "psi_a"],
+                                          ["4", "0.5", "psi_a"]]
+        assert rows[0][9] != "" and rows[1] == clean_rows[1]
+
+
+#: SHA-256 of each command's --help at 80 columns.
+_HELP_DIGESTS = {
+    "evolve": "938e98260e3313ffc0f97fb9ebdd25c479b0f82ad40ca53176c2118629ce33d5",
+    "limiting": "d2f4423c90b37a98bcd5482731addd473eaae45206263b99e9cadd7469673470",
+    "sweep": "21a28b225349da93cde46a3d37bdfaa15a4c3480def8fb032929002d2dca6128",
+    "mixing": "919502332af0667df09cde07b5fdc717c38c6d25fffcffe7a22aeedf70415451",
+    "verify": "60667f98fe6150dab44f139c723af97319fffb2c40d8e29253b993057a0bd83a",
+    "residue": "3bca08274c4ec920b7ee08e2415d7c7c0506f2995d3f24ea9736c45fbd04285b",
+}
+
+
+class TestPinnedHelp:
+    @pytest.mark.parametrize("command", sorted(_HELP_DIGESTS))
+    def test_help_bytes(self, command, monkeypatch):
+        # argparse wraps help to the terminal width, which it reads from
+        # COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = next(a for a in cli._parser()._actions
+                        if a.dest == "command")
+        assert _sha256(commands.choices[command].format_help()) \
+            == _HELP_DIGESTS[command]
+
+
 class TestDeterminismAndFormats:
     def test_repeated_runs_byte_identical(self, tmp_path):
         args = ("limiting", "--d", "24", "--phi", "1", "--state", "psi_c")
@@ -959,10 +1051,13 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
-    def test_jobs_env_fallback(self):
+    def test_jobs_env_is_ignored(self):
+        # --jobs comes from the flag or the config file only; a
+        # CYCLEWALK_JOBS of 0 once made this run a usage error.
         args = ("sweep", "--d-range", "4..5", "--phi-grid", "0:1:2",
                 "--state", "psi_a")
-        serial = self._run(*args, "--jobs", "1")
-        from_env = self._run(*args, env={"CYCLEWALK_JOBS": "2"})
-        assert serial.returncode == from_env.returncode == 0
-        assert serial.stdout == from_env.stdout
+        plain = self._run(*args)
+        with_env = self._run(*args, env={"CYCLEWALK_JOBS": "0"})
+        assert plain.returncode == with_env.returncode == 0
+        assert plain.stdout == with_env.stdout
+        assert with_env.stderr == ""

@@ -83,6 +83,26 @@ class TestBlocks:
         with pytest.raises(ValueError, match="momentum"):
             build_Nk(k, 5)
 
+    @pytest.mark.parametrize("d", [7, 64, 1001])
+    def test_single_block_is_its_row_of_the_stack(self, d):
+        for model, build in ((MODEL_RECYCLED,
+                              lambda k: build_Mk(k, d, CoinConfig(1.3))),
+                             (MODEL_MEMORY, lambda k: build_Nk(k, d))):
+            stack = _kernels._fourier_blocks(
+                d, walk._walk_spec(model, CoinConfig(1.3)))
+            for k in range(d):
+                assert np.array_equal(build(k).matrix, stack[k])
+
+    def test_single_block_costs_no_stack(self):
+        # A stack of d = 10^6 blocks would take hundreds of MB.
+        tracemalloc.start()
+        try:
+            build_Mk(3, 10 ** 6, CoinConfig(1.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     @pytest.mark.parametrize("d", [3, 8, 13, 32])
     def test_nk_spectrum_equals_mk_phi2(self, d):
         assert memory_spectrum_mismatch(d) < 1e-9
@@ -283,7 +303,7 @@ class TestSpectralCache:
         spec = walk._walk_spec(model, CoinConfig(1.3))
         cache = spectral._spectral_cache(spec, d)
         vecs = cache.eigenvectors
-        res = (spectral._block_stack(spec, d) @ vecs
+        res = (_kernels._fourier_blocks(d, spec) @ vecs
                - vecs * cache.eigenvalues[:, None, :])
         assert np.abs(res).max() < 1e-13
 
