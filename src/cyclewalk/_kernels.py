@@ -14,8 +14,10 @@ M_k = x A+ + conj(x) A-, x = e^{2 pi i k/d}, and ``_momentum_blocks``
 alone computes it, from ``spec.terms``, as the real 8x8 B_k that steps
 the float view of a row: float(v) @ B_k = float(M_k v).  The power
 route and the scan step float views by B_k (``_real_blocks``), and
-``_fourier_blocks`` and ``_half_blocks`` are the complex views that the
-spectral module diagonalizes.  The kernels take the spec after the
+``_fourier_blocks`` and ``_rep_blocks`` are the complex views that the
+spectral module diagonalizes; ``_rep_blocks`` holds only the blocks
+that the rest mirror (k <= d/4 on even d, k <= d/2 on odd d,
+``_rep_stops``).  The kernels take the spec after the
 table and the step count:
 
     evolve(amps, steps, spec)            -> amps
@@ -159,13 +161,25 @@ def _fourier_blocks(d, spec, stop=None):
     return _complex_blocks(_real_blocks(d, spec, stop=stop))
 
 
-def _half_blocks(ds, spec):
-    """The complex blocks M_k, k <= d/2, of every cycle length d of ds.
+def _rep_stops(ds):
+    """How many blocks k = 0, 1, ... of each cycle length d give all d.
+
+    A+ and A- are real, so M_{d-k} = conj(M_k); on an even cycle x
+    changes sign when k moves by d/2, so M_{k+d/2} = -M_k and
+    M_{d/2-k} = -conj(M_k) too.  The representatives are the blocks
+    k <= d/4 of an even d and k <= d/2 of an odd d; returns their
+    counts as a list.
+    """
+    return [d // 2 + 1 if d % 2 else d // 4 + 1 for d in ds]
+
+
+def _rep_blocks(ds, spec):
+    """The complex representative blocks (_rep_stops) of every d of ds.
 
     One stack, the blocks of each d in turn; those of one d equal
-    _fourier_blocks(d, spec, stop=d // 2 + 1) bit for bit.
+    _fourier_blocks(d, spec, stop=_rep_stops([d])[0]) bit for bit.
     """
-    stops = [d // 2 + 1 for d in ds]
+    stops = _rep_stops(ds)
     k = np.concatenate([np.arange(s) for s in stops])
     return _complex_blocks(_momentum_blocks(k, np.repeat(ds, stops), spec))
 

@@ -51,15 +51,21 @@ of its (S, d) share, and its transform batches, each holding columns
 of every state.  A sweep pack is one such call;
 limiting_distribution passes one cache and one state, and gets the
 same bits as in any pack.  A+ and A- are real for both walks, so
-M_{d-k} = conj(M_k): only the blocks k <= d/2 are diagonalized, and
-block d - k takes the conjugate eigenvalues and eigenvectors, with
-exactly negated phases.  The per-block warnings are then issued for all
-d blocks in ascending k.
+M_{d-k} = conj(M_k), and block d - k takes the conjugate eigenvalues
+and eigenvectors, with exactly negated phases.  On an even cycle x
+changes sign when k moves by d/2, so M_{k+d/2} = -M_k and
+M_{d/2-k} = -conj(M_k) as well: block k + d/2 takes (-lam, v) and
+block d/2 - k takes (-conj(lam), conj(v)).  So only the representative
+blocks are diagonalized (_kernels._rep_stops): k <= d/4 on even d
+and k <= d/2 on odd d.  The eigenpairs of the others hold for the
+blocks built directly to rounding in x.  The per-block warnings are
+then issued for all d blocks in ascending k.
 
 The eigensystems take one of two routes, by a fixed rule on the number
 of blocks in the stack (_POLY_MIN_BLOCKS, the measured break-even, 32
-blocks or d >= 62 for a cache).  Smaller stacks go to LAPACK's eig,
-with a QR basis for blocks whose eigenvectors are not orthonormal.
+blocks: a cache from d = 63 on odd d, from d = 124 on even d).  Smaller
+stacks go to LAPACK's eig, with a QR basis for blocks whose
+eigenvectors are not orthonormal.
 Larger ones are read off each block's characteristic polynomial
 (_charpoly, by Faddeev-LeVerrier from tr M^1..tr M^4): the four roots
 come from a fixed number of Aberth steps over the whole stack, and each
@@ -74,8 +80,8 @@ eigensystem and memory_spectrum_mismatch always use LAPACK, so they
 stay independent witnesses of the polynomial route.
 
 Caches are built a pack at a time (_spectral_caches).  A pack is a
-list of (walk, d) groups whose blocks k <= d/2 form one stack: one
-unitarity screen, one diagonalization and one screen of the block
+list of (walk, d) groups whose representative blocks form one stack:
+one unitarity screen, one diagonalization and one screen of the block
 phase gaps serve the whole stack.  One gather mirrors the blocks of
 every group, one sort clusters the phases of every group, each apart
 (_segment_clusters), and the unit-circle check and the warned flag (a
@@ -83,7 +89,7 @@ block or cluster gap within a decade of PHASE_TOL) are taken per group
 by reduceat.  A group that fails a check fails alone, and a pack warns
 of nothing: its groups carry the flags.  A sweep diagonalizes one pack
 per run of consecutive d of a phi column, up to _POLY_CHUNK blocks
-(_packs), so one C07 column, d = 2..50, is a single stack of 674
+(_packs), so one C07 column, d = 2..50, is a single stack of 505
 blocks on the polynomial route, although each of its caches alone
 would take LAPACK, and then takes one limit for all of its groups and
 states.  A single cache is the one-group pack (_checked issues its
@@ -496,15 +502,16 @@ class SpectralCache:
     """Spectrum of one walk on one d-cycle, with its phases clustered.
 
     eigenvalues has shape (d, 4); eigenvectors (d, 4, 4) with vectors
-    in columns.  The blocks k > d/2 hold the complex conjugates of the
-    eigensystems of blocks d - k (module docstring).  labels and gaps
-    are the equal-phase clustering of the 4d eigenphases at PHASE_TOL,
-    flattened as K = 4k + j (see _phase_clusters); the limit sums
-    clusters of s members with s^2 <= d as pairs and transforms the
-    larger ones.  theta is None for the memory walk.  The cache holds no
-    start state: every consumer takes one, and the limit a stack of
-    them for a list of caches, so a sweep pack's groups and states share
-    one batch.
+    in columns.  Only the representative blocks (k <= d/4 on even d,
+    k <= d/2 on odd d) hold eigensystems of their own; the others hold
+    theirs mirrored: conjugated, and on even d negated (module
+    docstring).  labels and gaps are the equal-phase clustering of the
+    4d eigenphases at PHASE_TOL, flattened as K = 4k + j (see
+    _phase_clusters); the limit sums clusters of s members with
+    s^2 <= d as pairs and transforms the larger ones.  theta is None
+    for the memory walk.  The cache holds no start state: every
+    consumer takes one, and the limit a stack of them for a list of
+    caches, so a sweep pack's groups and states share one batch.
     """
 
     d: int
@@ -553,17 +560,17 @@ def _alphas(conj: np.ndarray, psis: np.ndarray) -> np.ndarray:
 def _packs(ds) -> list:
     """The cycle lengths ds cut, in order, into packs of one walk's groups.
 
-    A pack holds at most _POLY_CHUNK blocks k <= d/2, for one
-    _spectral_caches call; a d with more forms a pack of its own.  The
-    cut depends on ds alone.
+    A pack holds at most _POLY_CHUNK representative blocks
+    (_kernels._rep_stops), for one _spectral_caches call; a d with more
+    forms a pack of its own.  The cut depends on ds alone.
     """
     packs, size = [], 0
-    for d in ds:
-        if not packs or size + d // 2 + 1 > _POLY_CHUNK:
+    for d, stop in zip(ds, _kernels._rep_stops(ds)):
+        if not packs or size + stop > _POLY_CHUNK:
             packs.append([])
             size = 0
         packs[-1].append(d)
-        size += d // 2 + 1
+        size += stop
     return packs
 
 
@@ -585,11 +592,14 @@ class _Built(NamedTuple):
 def _spectral_caches(groups) -> list:
     """Caches of each group (spec, d) of groups, from one stack.
 
-    Blocks k <= d/2 are diagonalized; each block k > d/2 is the
-    conjugate of block d - k, and so is its eigensystem.  Those blocks
-    of every group form one stack, which takes one unitarity screen
-    (per group, by reduceat), one _eig call and one _block_screen.  One
-    gather mirrors the eigensystems of every group, one
+    The representative blocks are diagonalized (_kernels._rep_stops):
+    k <= d/2 on odd d, whose blocks k > d/2 are the conjugates of
+    blocks d - k, and k <= d/4 on even d, whose blocks k + d/2 are -M_k
+    and d/2 - k are -conj(M_k) too; the eigensystems follow the blocks.
+    The representatives of every group form one stack, which takes one
+    unitarity screen (per group, by reduceat), one _eig call and one
+    _block_screen.  One gather mirrors the eigensystems of every group
+    (a source block, a conjugate flag and a negate flag each), one
     _segment_clusters call clusters the phases of each, and the
     unit-circle check and the warned flag are taken per group by
     reduceat.  Returns one _Built per group, in order: a group that
@@ -601,10 +611,11 @@ def _spectral_caches(groups) -> list:
     for _, d in groups:
         if d < 2:
             raise ValueError("cycle length d must be >= 2, got %d" % d)
-    ds = np.array([d for _, d in groups])
-    stops = ds // 2 + 1
+    dlist = [d for _, d in groups]
+    ds = np.array(dlist)
+    stops = np.array(_kernels._rep_stops(dlist))
     starts = np.cumsum(stops) - stops
-    runs = [_kernels._half_blocks([d for _, d in run], spec)
+    runs = [_kernels._rep_blocks([d for _, d in run], spec)
             for spec, run in itertools.groupby(groups, key=lambda g: g[0])]
     mats = runs[0] if len(runs) == 1 else np.concatenate(runs)
     devs = np.maximum.reduceat(_unitarity_deviation(mats), starts)
@@ -615,14 +626,29 @@ def _spectral_caches(groups) -> list:
     bgaps, bnear, moddev = _block_screen(lams)
     moddev = np.maximum.reduceat(moddev, starts)
     # All d blocks of every group, one after the other: block k of a
-    # group takes half block min(k, d - k), conjugated for k > d/2.
+    # group takes block m = min(k, d - k), conjugated for k > d/2.
     firsts = np.cumsum(ds) - ds
     dk = np.repeat(ds, ds)
     k = np.arange(len(dk)) - np.repeat(firsts, ds)
-    src = np.repeat(starts, ds) + np.minimum(k, dk - k)
+    m = np.minimum(k, dk - k)
     flip = 2 * k > dk
+    neg = None
+    # With p = d/2 on even d, M_{p-m} = -conj(M_m), so m takes
+    # representative min(m, p - m), conjugated once more and with its
+    # eigenvalues negated where that moved it; p = d on odd d moves
+    # none.  A pack of odd d skips the step, which would cost a single
+    # cache at d <= 9 about 4% (timed with numpy on 2 vCPUs).
+    if any(d % 2 == 0 for d in dlist):
+        p = np.repeat([d if d % 2 else d // 2 for d in dlist], ds)
+        rep = np.minimum(m, p - m)
+        neg = rep < m
+        flip ^= neg
+        m = rep
+    src = np.repeat(starts, ds) + m
     lams, vecs = lams[src], vecs[src]
     np.conjugate(lams, out=lams, where=flip[:, None])
+    if neg is not None:
+        np.negative(lams, out=lams, where=neg[:, None])
     np.conjugate(vecs, out=vecs, where=flip[:, None, None])
     labels, gaps = _segment_clusters(np.angle(lams.reshape(-1)), 4 * ds,
                                      PHASE_TOL)

@@ -468,13 +468,18 @@ def _recording_eig(monkeypatch):
     return stacks
 
 
+def _stop(d):
+    """Representative blocks of a d-cycle: k <= d/4 on even d, else d/2."""
+    return d // 4 + 1 if d % 2 == 0 else d // 2 + 1
+
+
 def _corrupt_groups(monkeypatch, edits):
-    """Edit one block of some groups of every stack _half_blocks builds.
+    """Edit one block of some groups of every stack _rep_blocks builds.
 
     edits maps a cycle length d to a function applied to the 4x4 block
     k = 1 of its group.
     """
-    real = _kernels._half_blocks
+    real = _kernels._rep_blocks
 
     def corrupted(ds, spec):
         mats = real(ds, spec)
@@ -482,10 +487,10 @@ def _corrupt_groups(monkeypatch, edits):
         for d in ds:
             if d in edits:
                 mats[lo + 1] = edits[d](mats[lo + 1])
-            lo += d // 2 + 1
+            lo += _stop(d)
         return mats
 
-    monkeypatch.setattr(_kernels, "_half_blocks", corrupted)
+    monkeypatch.setattr(_kernels, "_rep_blocks", corrupted)
 
 
 class TestPacks:
@@ -513,8 +518,8 @@ class TestPacks:
         monkeypatch.setattr(spectral, "_limiting_probs", recording_limit)
         records = sweep(SweepGrid.named(d_values, PACK_PHIS, STATE_NAMES))
         monkeypatch.undo()
-        # One stack per column, 674 blocks: the polynomial route.
-        assert [len(m) for m, _, _ in eigs] == [674] * len(PACK_PHIS)
+        # One stack per column, 505 blocks: the polynomial route.
+        assert [len(m) for m, _, _ in eigs] == [505] * len(PACK_PHIS)
         assert len(packed) == len(PACK_PHIS) * len(d_values)
         by_cell = {(r.d, r.phi, r.state): r for r in records}
         psis = np.array([named_coin4(n) for n in STATE_NAMES])
@@ -522,9 +527,9 @@ class TestPacks:
         for phi, (stack, lams, vecs) in zip(PACK_PHIS, eigs):
             cfg, lo = CoinConfig(phi), 0
             for d in d_values:
-                hi = lo + d // 2 + 1
+                hi = lo + _stop(d)
                 blocks = _kernels._fourier_blocks(d, _recycled_spec(phi),
-                                                  stop=d // 2 + 1)
+                                                  stop=_stop(d))
                 assert stack[lo:hi].tobytes() == blocks.tobytes()
 
                 def share(mats, lo=lo, hi=hi):
@@ -586,21 +591,22 @@ class TestPacks:
                 assert r.warned == bool(caught)
 
     def test_packs_cut_by_the_block_budget(self):
-        ds = list(range(2, 81)) + [2050, 3, 4]
+        ds = list(range(2, 81)) + [4098, 3, 4]
         packs = spectral._packs(ds)
         assert [d for pack in packs for d in pack] == ds
-        sizes = [sum(d // 2 + 1 for d in pack) for pack in packs]
-        # 2050 alone is over the budget and forms its own pack.
-        assert packs[2] == [2050] and sizes[2] > spectral._POLY_CHUNK
+        sizes = [sum(map(_stop, pack)) for pack in packs]
+        # 4098 alone is over the budget and forms its own pack.
+        assert packs[2] == [4098] and sizes[2] > spectral._POLY_CHUNK
         assert all(size <= spectral._POLY_CHUNK
                    for pack, size in zip(packs, sizes) if len(pack) > 1)
         # No pack could have taken its successor's first d.
-        assert all(size + nxt[0] // 2 + 1 > spectral._POLY_CHUNK
+        assert all(size + _stop(nxt[0]) > spectral._POLY_CHUNK
                    for size, nxt in zip(sizes, packs[1:]))
 
-    # d = 2..80 is 1,679 blocks per phi: two packs, both on the
-    # polynomial route, of groups that alone would take LAPACK (d < 62)
-    # and groups that alone would take the polynomial route.
+    # d = 2..80 is 1,259 blocks per phi: two packs, both on the
+    # polynomial route, of groups that alone would take LAPACK (even d,
+    # and odd d < 62) and groups that alone would take the polynomial
+    # route (odd d >= 63).
     WIDE = SweepGrid.named(range(2, 81), (0.5, 2.0, 6.1), ("psi_a", "psi_c"))
 
     def test_jobs_do_not_change_records_across_packs(self):
@@ -630,12 +636,12 @@ class TestPacks:
         assert all(r.error is None for r in records)
         packs = spectral._packs(self.WIDE.d_values)
         assert [len(m) for m in stacks] == [
-            sum(d // 2 + 1 for d in pack) for pack in packs] * 3
+            sum(map(_stop, pack)) for pack in packs] * 3
         assert calls == packs * 3
 
     def test_wide_column_holds_one_pack_at_a_time(self):
-        # d = 2..400 is 40,399 blocks in 40 packs.  One pack of about
-        # 1,024 blocks peaks near 2 MiB; all of the column's blocks at
+        # d = 2..400 is 30,299 blocks in 32 packs.  One pack of about
+        # 1,024 blocks peaks near 2 MiB; all of the column's caches at
         # once take about 30 MiB, and would grow as d^2.
         grid = SweepGrid.named(range(2, 401), (0.5,), ("psi_a",))
         tracemalloc.start()
@@ -655,7 +661,7 @@ class TestPacks:
                                       33: lambda m: 1.5 * m})
         stacks = _recording_eig(monkeypatch)
         records = sweep(grid)
-        assert [len(m) for m in stacks] == [674]
+        assert [len(m) for m in stacks] == [505]
         for a, b in zip(clean, records):
             if a.d in (20, 33):
                 assert b.error.startswith("momentum block lost unitarity")
@@ -673,7 +679,7 @@ class TestPacks:
 
         def one_moved(mats):
             lams, vecs = real(mats)
-            lams[sum(d // 2 + 1 for d in range(2, 20)) + 1, 0] *= factor
+            lams[sum(map(_stop, range(2, 20))) + 1, 0] *= factor
             return lams, vecs
 
         monkeypatch.setattr(spectral, "_eig", one_moved)

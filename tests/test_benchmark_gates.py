@@ -43,8 +43,8 @@ def test_every_op_passes_its_gate(name):
 
 
 def test_full_size_sweep_ops_pass_their_gates():
-    # At smoke size (d = 2..8, 23 blocks) a sweep column stays below
-    # spectral._POLY_MIN_BLOCKS; at full size (d = 2..50, 674 blocks) it
+    # At smoke size (d = 2..8, 17 blocks) a sweep column stays below
+    # spectral._POLY_MIN_BLOCKS; at full size (d = 2..50, 505 blocks) it
     # takes the pack and polynomial route that the benchmark times.
     build, _ = WORKLOADS["sweep-grid"]
     ops = {op.name: op for op in build(cyclewalk, np.random.default_rng(3))}

@@ -300,6 +300,28 @@ class TestBlocks:
         want = np.einsum("kij,krj->kri", mats, v).view(np.float64)
         assert np.abs(got - want).max() < 1e-15
 
+    @pytest.mark.parametrize("d", [2, 4, 6, 10, 12, 64, 4098])
+    @pytest.mark.parametrize("spec", [RECYCLED, MEMORY],
+                             ids=["recycled", "memory"])
+    def test_even_cycles_mirror_half_a_turn(self, d, spec):
+        # x flips sign when k moves by d/2: M_{k+d/2} = -M_k and
+        # M_{d/2-k} = -conj(M_k), to rounding in x.
+        mats = _kernels._fourier_blocks(d, spec)
+        k = np.arange(d // 2)
+        assert np.abs(mats[k + d // 2] + mats[k]).max() <= 1e-15
+        assert np.abs(mats[d // 2 - k] + mats[k].conj()).max() <= 1e-15
+
+    @pytest.mark.parametrize("ds", [[2], [3], [4], [6], [9], [12],
+                                    list(range(2, 51)), [4097, 4098]])
+    def test_rep_blocks_are_the_first_blocks(self, ds):
+        # k <= d/4 on even d, k <= d/2 on odd d, each d in turn.
+        stops = [d // 4 + 1 if d % 2 == 0 else d // 2 + 1 for d in ds]
+        assert _kernels._rep_stops(ds) == stops
+        for spec in (RECYCLED, MEMORY):
+            want = np.concatenate([_kernels._fourier_blocks(d, spec, stop=s)
+                                   for d, s in zip(ds, stops)])
+            assert _kernels._rep_blocks(ds, spec).tobytes() == want.tobytes()
+
 
 class TestPowerRoute:
     """evolve from the crossover on: t steps as one power of the blocks."""

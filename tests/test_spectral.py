@@ -26,9 +26,13 @@ SQ2 = 1.0 / math.sqrt(2.0)
 # Limit cells held against the naive double loop.  At d = 16, phi = 3 a
 # cluster holds two eigenvectors of one block.  (9, 2.0) and (16, 0.0)
 # take both routes in one call (see test_oracle_cells_take_both_routes).
+# On d = 6, 10 and 18 (d = 2 mod 4) no block mirrors itself under
+# k -> d/2 - k.
 ORACLE_CELLS = [(5, 0.5), (5, 0.0), (8, 2.0), (12, 1.0), (7, 3.3),
-                (12, 6.0), (16, 3.0), (9, 2.0), (16, 0.0)]
-MEMORY_ORACLE_D = [5, 8, 9, 16]
+                (12, 6.0), (16, 3.0), (9, 2.0), (16, 0.0),
+                (6, 0.0), (6, 2.0), (6, 0.5), (10, 0.0), (10, 2.0),
+                (10, 0.5), (18, 0.0), (18, 2.0), (18, 0.5)]
+MEMORY_ORACLE_D = [5, 8, 9, 16, 10]
 
 
 class TestBlocks:
@@ -295,9 +299,13 @@ class TestSpectralCache:
         with pytest.raises(TypeError):
             spectral_cache(8, cfg, psi)
 
-    # Blocks k > d/2 are the conjugates of blocks d - k; these hold every
-    # block, mirrored or not, to its own eigen-equation.
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 101, 4096])
+    # Blocks k > d/2 are the conjugates of blocks d - k; on even d only
+    # the blocks k <= d/4 are diagonalized, and the others take (-lam, v)
+    # from block k - d/2 or (-conj(lam), conj(v)) from block d/2 - k, or
+    # conjugate one of those.  These hold every block, mirrored or not,
+    # to its own eigen-equation, with orthonormal eigenvectors.
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 101, 4096,
+                                   6, 10, 12, 18, 64, 124, 4098])
     @pytest.mark.parametrize("model", [MODEL_RECYCLED, MODEL_MEMORY])
     def test_every_block_satisfies_its_eigen_equation(self, d, model):
         spec = walk._walk_spec(model, CoinConfig(1.3))
@@ -306,6 +314,19 @@ class TestSpectralCache:
         res = (_kernels._fourier_blocks(d, spec) @ vecs
                - vecs * cache.eigenvalues[:, None, :])
         assert np.abs(res).max() < 1e-13
+        gram = vecs.conj().swapaxes(1, 2) @ vecs
+        assert np.abs(gram - np.eye(4)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [3, 7, 61, 63, 353, 4097])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 3.0, None])
+    def test_odd_cycles_keep_the_half_blocks(self, d, phi):
+        # Odd d has no half turn: its cache is the blocks k <= d/2, each
+        # diagonalized, and the conjugates of those, bit for bit.
+        lams, vecs = spectral._eig(_blocks(d, phi))
+        cache = _cache(d, phi)
+        want_lams, want_vecs = _mirrored(lams, vecs, d)
+        assert cache.eigenvalues.tobytes() == want_lams.tobytes()
+        assert cache.eigenvectors.tobytes() == want_vecs.tobytes()
 
     def test_complex_shift_blocks_rejected(self):
         # A coin with a complex phase makes A+ and A- complex, and then
@@ -318,7 +339,7 @@ class TestSpectralCache:
                            spec.theta)
 
     def test_mirrored_blocks_keep_their_warnings(self):
-        # Blocks 9 and 15 mirror blocks 7 and 1, and warn in turn.
+        # Blocks 7, 9 and 15 mirror block 1, and warn in turn.
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             cache = spectral_cache(16, CoinConfig(3 + 2e-9))
@@ -344,29 +365,48 @@ class TestSpectralCache:
     def test_nan_block_fails_the_unitarity_screen(self, monkeypatch):
         # NaN compares false with everything: the screen must reject it
         # rather than pass it to eig.
-        real = _kernels._half_blocks
+        real = _kernels._rep_blocks
 
         def with_nan(ds, spec):
             mats = real(ds, spec)
             mats[1, 2, 3] = np.nan
             return mats
 
-        monkeypatch.setattr(_kernels, "_half_blocks", with_nan)
+        monkeypatch.setattr(_kernels, "_rep_blocks", with_nan)
         with pytest.raises(RuntimeError, match=r"lost unitarity \(nan\)"):
             spectral_cache(8, CoinConfig(1.0))
 
 
-def _blocks(d, phi):
-    """Blocks k <= d/2 of the walk; phi = None is the memory walk."""
-    spec = (walk._walk_spec(MODEL_MEMORY) if phi is None
+def _spec(phi):
+    """The walk's spec; phi = None is the memory walk."""
+    return (walk._walk_spec(MODEL_MEMORY) if phi is None
             else walk._walk_spec(MODEL_RECYCLED, CoinConfig(phi)))
-    return _kernels._fourier_blocks(d, spec, stop=d // 2 + 1)
 
 
-def _mirrored(x, d):
-    """All d entries from the entries k <= d/2 of blocks or spectra:
-    entry k > d/2 is conj(x[d - k]), as for the blocks of a real pair."""
-    return np.concatenate((x, x[d - len(x):0:-1].conj()))
+def _blocks(d, phi, stop=None):
+    """Blocks k < stop of the walk, by default k <= d/2."""
+    return _kernels._fourier_blocks(d, _spec(phi),
+                                    stop=d // 2 + 1 if stop is None else stop)
+
+
+def _rep_stop(d):
+    """Blocks that give all d: k <= d/4 on even d, k <= d/2 on odd d."""
+    return d // 4 + 1 if d % 2 == 0 else d // 2 + 1
+
+
+def _mirrored(lams, vecs, d):
+    """All d eigensystems from those of the blocks k < _rep_stop(d).
+
+    On even d, M_{d/2-k} = -conj(M_k) gives the blocks up to d/2; then
+    M_{d-k} = conj(M_k) gives the rest, as for the blocks of a real pair.
+    """
+    half = range(len(lams), d // 2 + 1)
+    lams = np.concatenate([lams] + [-lams[d // 2 - k].conj()[None]
+                                    for k in half])
+    vecs = np.concatenate([vecs] + [vecs[d // 2 - k].conj()[None]
+                                    for k in half])
+    return (np.concatenate((lams, lams[d - len(lams):0:-1].conj())),
+            np.concatenate((vecs, vecs[d - len(vecs):0:-1].conj())))
 
 
 def _cache(d, phi):
@@ -427,11 +467,12 @@ class TestPolyRoute:
     def test_matches_naive_double_loop(self, d, phi, name, poly_everywhere):
         TestLimiting().test_matches_naive_double_loop(d, phi, name)
         # Only d = 16, phi = 3 has repeated roots: blocks 1 and 7 each
-        # hold one eigenvalue twice, and they alone fall back.
+        # hold one eigenvalue twice.  Block 7 mirrors block 1, which
+        # alone falls back.
         if (d, phi) == (16, 3.0):
             (mats,) = poly_everywhere
             lam = np.sort(np.angle(np.linalg.eigvals(mats)), axis=-1)
-            assert len(mats) == 2
+            assert len(mats) == 1
             assert spectral._sorted_gaps(lam).min(axis=-1).max() < 1e-12
         else:
             assert poly_everywhere == []
@@ -484,18 +525,20 @@ class TestPolyRoute:
             "a decade of the matching tolerance 1e-09 (smallest 7.48e-10); "
             "equal-eigenvalue pairing may be ambiguous"]
 
-    @pytest.mark.parametrize("d", [2, 16, 50, 61])
+    @pytest.mark.parametrize("d", [2, 16, 50, 61, 122])
     def test_small_stacks_stay_on_lapack(self, d, monkeypatch):
         # Every C07 sweep cell (d <= 50) and every pinned table (d <= 16)
-        # keeps LAPACK's eigensystems bit for bit.
+        # keeps LAPACK's eigensystems bit for bit: below 32 blocks, an
+        # odd d < 62 or an even d < 124.
         monkeypatch.setattr(spectral, "_poly_eig", None)
         for phi in (0.0, 3.0, 0.7, None):
-            lams, vecs = spectral._lapack_eig(_blocks(d, phi))
+            lams, vecs = spectral._lapack_eig(_blocks(d, phi, _rep_stop(d)))
             cache = _cache(d, phi)
-            assert np.array_equal(cache.eigenvalues, _mirrored(lams, d))
-            assert np.array_equal(cache.eigenvectors, _mirrored(vecs, d))
+            want_lams, want_vecs = _mirrored(lams, vecs, d)
+            assert np.array_equal(cache.eigenvalues, want_lams)
+            assert np.array_equal(cache.eigenvectors, want_vecs)
 
-    @pytest.mark.parametrize("d", [62, 4096])
+    @pytest.mark.parametrize("d", [63, 124, 4096])
     def test_large_stacks_take_the_polynomial_route(self, d, monkeypatch):
         calls = []
         poly = spectral._poly_eig
@@ -506,17 +549,17 @@ class TestPolyRoute:
 
         monkeypatch.setattr(spectral, "_poly_eig", recording)
         spectral_cache(d, CoinConfig(0.7))
-        assert sum(calls) == d // 2 + 1
+        assert sum(calls) == _rep_stop(d) >= spectral._POLY_MIN_BLOCKS
         assert max(calls) <= spectral._POLY_CHUNK
 
     def test_pack_pass_peak_memory(self):
-        # One pass over the 674 blocks of a C07 column (d = 2..50), as a
+        # One pass over the 505 blocks of a C07 column (d = 2..50), as a
         # sweep pack makes it.  Every (4, 4, n) product goes into one of
         # four arrays, so the traced peak stays below 5.5 times the
         # input; a fresh temporary per product takes it to 6.6 times.
         spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(3.7))
-        mats = _kernels._half_blocks(list(range(2, 51)), spec)
-        assert len(mats) == 674
+        mats = _kernels._rep_blocks(list(range(2, 51)), spec)
+        assert len(mats) == 505
         tracemalloc.start()
         try:
             spectral._poly_eig(mats)
