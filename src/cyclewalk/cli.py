@@ -190,31 +190,24 @@ _STATES = ("state", {"action": "append",
                      "help": "repeatable; default: all four named states"})
 
 
+def _command_flags(command: str) -> dict:
+    """Flag name -> argparse keywords of every flag that command takes."""
+    named = ((f, {}) if isinstance(f, str) else f
+             for f in _COMMANDS[command][1] + _COMMON)
+    return {name: {**_FLAGS[name], **extra} for name, extra in named}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclewalk",
         description="Simulate and analyze the recycled-coin and memory "
                     "quantum walks on the d-cycle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags, _) in _COMMANDS.items():
+    for command, (text, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        for flag in flags + _COMMON:
-            name, extra = (flag, {}) if isinstance(flag, str) else flag
-            p.add_argument("--" + name, default=None,
-                           **{**_FLAGS[name], **extra})
+        for name, keywords in _command_flags(command).items():
+            p.add_argument("--" + name, default=None, **keywords)
     return parser
-
-
-@functools.cache
-def _config_flags() -> dict:
-    """dest -> {command: argparse action} of every flag a config may set."""
-    commands = next(a for a in _parser()._actions if a.dest == "command")
-    flags = {}
-    for command, p in commands.choices.items():
-        for action in p._actions:
-            if action.dest not in ("help", "config"):
-                flags.setdefault(action.dest, {})[command] = action
-    return flags
 
 
 def _apply_config_file(ns: argparse.Namespace):
@@ -229,15 +222,16 @@ def _apply_config_file(ns: argparse.Namespace):
         raise UsageError("bad JSON in config file: %s" % exc) from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    flags = _command_flags(ns.command)
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        flags = _config_flags().get(dest)
-        if flags is None:
+        name = key.replace("_", "-")
+        if name not in _FLAGS or name == "config":
             raise UsageError("unknown config key %r" % key)
-        if ns.command not in flags:
+        if name not in flags:
             raise UsageError("config key %r does not apply to %r"
                              % (key, ns.command))
-        value = _config_value(key, flags[ns.command], value)
+        value = _config_value(key, flags[name], value)
+        dest = name.replace("-", "_")
         if getattr(ns, dest) is None:
             setattr(ns, dest, value)
 
@@ -245,23 +239,25 @@ def _apply_config_file(ns: argparse.Namespace):
 def _config_value(key, flag, value):
     """A config file value, held to the type and choices of its flag.
 
-    JSON has its own types, so argparse's conversion does not apply:
-    an integer flag takes an integer (not a bool), a float flag any
-    number, a flag with choices one of them, and every other flag a
-    string; a repeatable --state takes a string or a list of strings.
+    flag holds the flag's argparse keywords.  JSON has its own types,
+    so argparse's conversion does not apply: an integer flag takes an
+    integer (not a bool), a float flag any number, a flag with choices
+    one of them, and every other flag a string; a repeatable --state
+    takes a string or a list of strings.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if flag.choices is not None:
-        want = "one of %s" % ", ".join(flag.choices)
-        ok = isinstance(value, str) and value in flag.choices
-    elif flag.type is int:
+    choices, kind = flag.get("choices"), flag.get("type")
+    if choices is not None:
+        want = "one of %s" % ", ".join(choices)
+        ok = isinstance(value, str) and value in choices
+    elif kind is int:
         want, ok = "an integer", number and isinstance(value, int)
-    elif flag.type is float:
+    elif kind is float:
         # float() of an integer past the float range would overflow.
         want = "a number"
         ok = number and (isinstance(value, float)
                          or abs(value) <= sys.float_info.max)
-    elif isinstance(flag, argparse._AppendAction):
+    elif flag.get("action") == "append":
         want = "a string or a list of strings"
         value = [value] if isinstance(value, str) else value
         ok = isinstance(value, list) and all(isinstance(v, str)
@@ -271,7 +267,7 @@ def _config_value(key, flag, value):
     if not ok:
         raise UsageError("config key %r takes %s, got %s"
                          % (key, want, json.dumps(value)))
-    return float(value) if flag.type is float else value
+    return float(value) if kind is float else value
 
 
 def _fallback(value, default):

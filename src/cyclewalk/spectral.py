@@ -65,7 +65,7 @@ The eigensystems take one of two routes, by a fixed rule on the number
 of blocks in the stack (_POLY_MIN_BLOCKS, the measured break-even, 32
 blocks: a cache from d = 63 on odd d, from d = 124 on even d).  Smaller
 stacks go to LAPACK's eig, with a QR basis for blocks whose
-eigenvectors are not orthonormal.
+eigenvectors leave orthonormality by more than _POLY_EIG_TOL.
 Larger ones are read off each block's characteristic polynomial
 (_charpoly, by Faddeev-LeVerrier from tr M^1..tr M^4): the four roots
 come from a fixed number of Aberth steps over the whole stack, and each
@@ -241,6 +241,12 @@ def _unitarity_deviation(mats: np.ndarray) -> np.ndarray:
     return np.abs(utu).max(axis=(-2, -1))
 
 
+# Largest eigen-equation residual and orthonormality defect per block
+# that the polynomial route keeps, and the orthonormality defect past
+# which a LAPACK block gets a QR basis; LAPACK's are about 1e-15.
+_POLY_EIG_TOL = 5e-14
+
+
 def _lapack_eig(mats: np.ndarray):
     """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
 
@@ -248,11 +254,11 @@ def _lapack_eig(mats: np.ndarray):
     within degenerate subspaces, and returns nearly parallel vectors
     for phases just apart, while the projections alpha_j phi_j assume
     <phi_j|phi_l> = delta_jl inside a block.  So every block whose
-    eigenvectors are not orthonormal gets a QR basis, in one batched
-    call.
+    eigenvectors leave orthonormality by more than _POLY_EIG_TOL, the
+    polynomial route's bar, gets a QR basis, in one batched call.
     """
     lams, vecs = np.linalg.eig(mats)
-    skew = _unitarity_deviation(vecs) > _UNITARITY_TOL
+    skew = _unitarity_deviation(vecs) > _POLY_EIG_TOL
     if skew.any():
         vecs[skew] = np.linalg.qr(vecs[skew])[0]
     return lams, vecs
@@ -337,9 +343,6 @@ def _quartic_roots(c: np.ndarray) -> np.ndarray:
 _KRYLOV_START = np.array([0.07 - 0.29j, -0.07 + 0.19j, 0.34 + 0.70j,
                           0.06 + 0.51j])
 _KRYLOV_START /= np.linalg.norm(_KRYLOV_START)
-# Largest eigen-equation residual and orthonormality defect per block
-# that the polynomial route keeps; LAPACK's are about 1e-15.
-_POLY_EIG_TOL = 5e-14
 
 
 def _poly_eig(mats: np.ndarray):
@@ -427,7 +430,9 @@ def _eig(mats: np.ndarray):
 
 
 def _block_screen(lams: np.ndarray):
-    """What _screen_blocks reads of each block of eigenvalues lams (n, 4).
+    """What the screens read of each block of eigenvalues lams (n, 4).
+
+    eigensystem screens its one block, _spectral_caches a whole stack.
 
     Returns the block's sorted phase gaps (n, 4) (_sorted_gaps), whether
     one of them lies within a decade of PHASE_TOL (n,), and how far its
@@ -443,21 +448,6 @@ def _off_circle(moddev):
     if not moddev <= _UNITARITY_TOL:
         return RuntimeError("eigenvalue left the unit circle by %.3g" % moddev)
     return None
-
-
-def _screen_blocks(screen, ks):
-    """Warn of each block's phase gaps near PHASE_TOL; check |lam| = 1.
-
-    screen is _block_screen's output for the blocks, which warn in
-    order, labelled by ks.  Raises RuntimeError when an eigenvalue
-    leaves the unit circle.
-    """
-    gaps, near, moddev = screen
-    for b in np.flatnonzero(near):
-        _warn_ambiguous(gaps[b], "block k=%d" % ks[b])
-    error = _off_circle(moddev.max())
-    if error is not None:
-        raise error
 
 
 @dataclass(frozen=True)
@@ -492,7 +482,12 @@ def eigensystem(block) -> EigenSystem:
     if not dev <= _UNITARITY_TOL:
         raise ValueError("block is not unitary (deviation %.3g)" % dev)
     lams, vecs = _lapack_eig(mat[None])
-    _screen_blocks(_block_screen(lams), (k,))
+    gaps, near, moddev = _block_screen(lams)
+    if near[0]:
+        _warn_ambiguous(gaps[0], "block k=%d" % k)
+    error = _off_circle(moddev[0])
+    if error is not None:
+        raise error
     return EigenSystem(k=k, d=d, theta=theta,
                        eigenvalues=lams[0], eigenvectors=vecs[0])
 
@@ -611,9 +606,8 @@ def _spectral_caches(groups) -> list:
     for _, d in groups:
         if d < 2:
             raise ValueError("cycle length d must be >= 2, got %d" % d)
-    dlist = [d for _, d in groups]
-    ds = np.array(dlist)
-    stops = np.array(_kernels._rep_stops(dlist))
+    ds = np.array([d for _, d in groups])
+    stops = np.array(_kernels._rep_stops(ds))
     starts = np.cumsum(stops) - stops
     runs = [_kernels._rep_blocks([d for _, d in run], spec)
             for spec, run in itertools.groupby(groups, key=lambda g: g[0])]
@@ -631,24 +625,18 @@ def _spectral_caches(groups) -> list:
     dk = np.repeat(ds, ds)
     k = np.arange(len(dk)) - np.repeat(firsts, ds)
     m = np.minimum(k, dk - k)
-    flip = 2 * k > dk
-    neg = None
     # With p = d/2 on even d, M_{p-m} = -conj(M_m), so m takes
     # representative min(m, p - m), conjugated once more and with its
     # eigenvalues negated where that moved it; p = d on odd d moves
-    # none.  A pack of odd d skips the step, which would cost a single
-    # cache at d <= 9 about 4% (timed with numpy on 2 vCPUs).
-    if any(d % 2 == 0 for d in dlist):
-        p = np.repeat([d if d % 2 else d // 2 for d in dlist], ds)
-        rep = np.minimum(m, p - m)
-        neg = rep < m
-        flip ^= neg
-        m = rep
-    src = np.repeat(starts, ds) + m
+    # none, so every cycle takes the same gather.
+    p = np.repeat(np.where(ds % 2, ds, ds // 2), ds)
+    rep = np.minimum(m, p - m)
+    neg = rep < m
+    flip = (2 * k > dk) ^ neg
+    src = np.repeat(starts, ds) + rep
     lams, vecs = lams[src], vecs[src]
     np.conjugate(lams, out=lams, where=flip[:, None])
-    if neg is not None:
-        np.negative(lams, out=lams, where=neg[:, None])
+    np.negative(lams, out=lams, where=neg[:, None])
     np.conjugate(vecs, out=vecs, where=flip[:, None, None])
     labels, gaps = _segment_clusters(np.angle(lams.reshape(-1)), 4 * ds,
                                      PHASE_TOL)

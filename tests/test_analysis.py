@@ -406,6 +406,19 @@ class TestSweep:
         assert math.isnan(records[1].tv_from_uniform)
         assert records[0].classified_uniform and records[2].classified_uniform
 
+    def test_pack_wide_error_fails_every_row(self, monkeypatch):
+        def boom(caches, psis):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(analysis.spectral, "_limiting_probs", boom)
+        states = tuple(InitialState.named(n) for n in ("psi_a", "psi_c"))
+        groups = analysis._sweep_pack((0.5, [5, 6, 7], states, 1e-6, False))
+        assert len(groups) == 3
+        for rows in groups:
+            assert [row[0] for row in rows] == ["psi_a", "psi_c"]
+            assert all(row[5] == "boom" and math.isnan(row[1])
+                       for row in rows)
+
     def test_group_warning_marks_every_row(self):
         # d = 16, phi near 3 has phase gaps just outside the tolerance.
         grid = SweepGrid.named((16,), (3 + 2e-9, 0.5), STATE_NAMES)

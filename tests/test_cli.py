@@ -892,6 +892,51 @@ class TestConfigFile:
             assert results[0] == results[1], (command, config)
             assert bool(results[0][3]) == ("out" in config)
 
+    # A value that each flag accepts, from a config file as on the
+    # command line.
+    _VALID = {"d": 5, "d-range": "3..5", "phi": 0.5, "phi-grid": "0:1:2",
+              "state": "psi_b", "t": 3, "t-max": 4, "epsilon": 1e-6,
+              "jobs": 1, "model": "memory", "format": "json", "out": "table"}
+
+    @staticmethod
+    def _apply(tmp_path, command, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        ns = cli._parser().parse_args([command, "--config", str(path)])
+        cli._apply_config_file(ns)
+        return ns
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_keys_apply_where_the_command_has_the_flag(self, tmp_path,
+                                                       command):
+        # Every flag name, spelled with "-" or "_", is taken exactly
+        # when the command's parser has that flag, and read as it.
+        assert set(self._VALID) == set(cli._FLAGS) - {"config"}
+        subcommands = next(a for a in cli._parser()._actions
+                           if a.dest == "command").choices
+        has = {a.option_strings[0][2:] for a in subcommands[command]._actions
+               if a.option_strings}
+        for name, value in self._VALID.items():
+            dest = name.replace("-", "_")
+            for key in {name, dest}:
+                if name in has:
+                    ns = self._apply(tmp_path, command, {key: value})
+                    flag = cli._parser().parse_args(
+                        [command, "--" + name, str(value)])
+                    assert getattr(ns, dest) == getattr(flag, dest)
+                else:
+                    with pytest.raises(UsageError) as info:
+                        self._apply(tmp_path, command, {key: value})
+                    assert str(info.value) == (
+                        "config key %r does not apply to %r" % (key, command))
+
+    @pytest.mark.parametrize("key", ["help", "command", "config"])
+    def test_parser_only_names_are_unknown_keys(self, tmp_path, key):
+        for command in cli._COMMANDS:
+            with pytest.raises(UsageError) as info:
+                self._apply(tmp_path, command, {key: "evolve"})
+            assert str(info.value) == "unknown config key %r" % key
+
 
 #: Usage errors on one bad input: (argv, config file body or None, the
 #: message after "cyclewalk: error: ").

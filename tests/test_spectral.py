@@ -80,6 +80,13 @@ class TestBlocks:
                     build_Nk(k, d).matrix):
             assert np.abs(mat.conj().T @ mat - np.eye(4)).max() < 1e-12
 
+    def test_cycle_of_one_site_rejected(self):
+        for build in (lambda: build_Mk(0, 1, CoinConfig(0.5)),
+                      lambda: spectral_cache(1, CoinConfig(0.5))):
+            with pytest.raises(ValueError, match="cycle length d must be "
+                               ">= 2, got 1"):
+                build()
+
     @pytest.mark.parametrize("k", [-1, 5, 99])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="momentum"):
@@ -140,6 +147,23 @@ class TestEigensystem:
             assert np.abs(gram - np.eye(4)).max() < 1e-9
             assert np.abs(np.abs(es.eigenvalues) - 1.0).max() < 1e-10
 
+    def test_block_must_be_4x4(self):
+        with pytest.raises(ValueError,
+                           match=r"expected a \(4, 4\) block, got \(3, 3\)"):
+            eigensystem(np.eye(3))
+
+    def test_eigenvalue_off_unit_circle_rejected(self, monkeypatch):
+        lapack = spectral._lapack_eig
+
+        def scaled(mats):
+            lams, vecs = lapack(mats)
+            return 1.1 * lams, vecs
+
+        monkeypatch.setattr(spectral, "_lapack_eig", scaled)
+        with pytest.raises(RuntimeError,
+                           match=r"eigenvalue left the unit circle by 0\.1$"):
+            eigensystem(build_Mk(1, 5, CoinConfig(0.5)))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             eigensystem(np.diag([1.0, 1.0, 1.0, 0.5]))
@@ -166,7 +190,9 @@ class TestEigensystem:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             lams, vecs = spectral._eig(mats)
-            spectral._screen_blocks(spectral._block_screen(lams), range(5))
+            gaps, near, _ = spectral._block_screen(lams)
+            for k in np.flatnonzero(near):
+                spectral._warn_ambiguous(gaps[k], "block k=%d" % k)
         assert len(rec) == 1
         assert rec[0].category is DegenerateClusterWarning
         assert "block k=2" in str(rec[0].message)
@@ -185,6 +211,11 @@ class TestEigensystem:
             lam_a = np.linalg.eigvals(build_Mk(k, d, cfg).matrix)
             lam_b = np.linalg.eigvals(build_Mk(k, d, cfg_neg).matrix)
             assert eigenvalue_multiset_distance(lam_a, lam_b) < 1e-9
+
+    def test_multisets_of_different_sizes_rejected(self):
+        with pytest.raises(ValueError,
+                           match="multisets differ in size: 2 vs 1"):
+            eigenvalue_multiset_distance([1, 2], [1])
 
 
 class TestPhaseClusters:
@@ -316,6 +347,15 @@ class TestSpectralCache:
         assert np.abs(res).max() < 1e-13
         gram = vecs.conj().swapaxes(1, 2) @ vecs
         assert np.abs(gram - np.eye(4)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [4096, 4097, 4098])
+    @pytest.mark.parametrize("phi", [3.0, 7.0])
+    def test_both_eigen_routes_meet_one_orthonormality_bar(self, d, phi):
+        # Here some blocks fail the polynomial route's checks and go to
+        # LAPACK, whose eigenvectors are held to the same bar.
+        vecs = spectral_cache(d, CoinConfig(phi)).eigenvectors
+        gram = vecs.conj().swapaxes(1, 2) @ vecs
+        assert np.abs(gram - np.eye(4)).max() <= spectral._POLY_EIG_TOL
 
     @pytest.mark.parametrize("d", [3, 7, 61, 63, 353, 4097])
     @pytest.mark.parametrize("phi", [0.0, 0.7, 3.0, None])
@@ -628,6 +668,11 @@ class TestClosedForm:
         init = InitialState.named("psi_a", position=2)
         with pytest.raises(ValueError, match="position 0"):
             closed_form_distribution(3, CoinConfig(0.0), init, d=5)
+
+    def test_needs_d_or_cache(self):
+        with pytest.raises(ValueError,
+                           match="need either d or a SpectralCache"):
+            closed_form_distribution(3, CoinConfig(0.0), named_coin4("psi_a"))
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

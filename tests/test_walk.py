@@ -88,6 +88,27 @@ class TestStates:
         with pytest.raises(ValueError, match="finite"):
             walk.Distribution(3, np.array([bad, 0.5, 0.5]))
 
+    def test_coin_state_needs_four_amplitudes(self):
+        with pytest.raises(ValueError, match=r"coin state must have exactly "
+                           r"4 amplitudes, got shape \(3,\)"):
+            InitialState(0, [1, 0, 0])
+
+    def test_walk_state_checks_model_and_shape(self):
+        with pytest.raises(ValueError, match="unknown model 'quantum'"):
+            WalkState(d=4, model="quantum",
+                      amplitudes=np.zeros((4, 4), dtype=np.complex128))
+        with pytest.raises(ValueError, match=r"amplitude table must have "
+                           r"shape \(4, 4\), got \(5, 4\)"):
+            WalkState(d=4, model=MODEL_RECYCLED,
+                      amplitudes=np.zeros((5, 4), dtype=np.complex128))
+
+    def test_distribution_checks_shape_and_sign(self):
+        with pytest.raises(ValueError,
+                           match=r"shape \(3,\), got \(2,\)"):
+            walk.Distribution(d=3, probs=[0.5, 0.5])
+        with pytest.raises(ValueError, match="negative probability -0.5"):
+            walk.Distribution(d=2, probs=[1.5, -0.5])
+
     def test_localized_position_range(self):
         init = InitialState.named("psi_a", position=5)
         with pytest.raises(ValueError, match="outside"):
@@ -163,6 +184,14 @@ class TestEvolve:
     def test_zero_steps_is_identity(self):
         st = WalkState.localized(6, InitialState.named("psi_c"))
         assert evolve(st, 0, CoinConfig(1.0)) is st
+
+    def test_zero_step_scans_return_the_state(self):
+        st = WalkState.localized(6, InitialState.named("psi_c"))
+        final, acc = walk.evolve_accumulate(st, 0, CoinConfig(1.0))
+        assert final is st
+        assert np.array_equal(acc, np.zeros(6))
+        assert norm_drift_scan(st, 0, CoinConfig(1.0)) == (
+            st, 0.0, st.norm())
 
     def test_negative_steps_rejected(self):
         st = WalkState.localized(6, InitialState.named("psi_c"))
