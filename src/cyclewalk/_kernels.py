@@ -1,11 +1,12 @@
 """Evolution kernels for the cycle walks.
 
-A walk is its pair of real 4x4 shift blocks, (A+, A-): one step of a
-(d, 4) complex128 amplitude table is
+A walk is one real 4x4 unitary U and one 0/1 shift mask Pi, and so
+its pair of real shift blocks A+ = Pi U and A- = (1 - Pi) U: one step
+of a (d, 4) complex128 amplitude table is
 
     out[n] = A+ a[n+1] + A- a[n-1]   (indices mod d).
 
-The walk module writes each walk's pair down once, as a spec
+The walk module derives each walk's pair once from (U, Pi), as a spec
 (``walk._WalkSpec``) that also holds two derived forms of it; every
 kernel takes the spec.  ``_site_step`` is the one step at the sites:
 the float view of a row of 4 amplitudes takes A+ and A- as real 8x8
@@ -133,9 +134,9 @@ def _momentum_blocks(k, d, spec):
     the float view of a row v (module docstring).  M_k = Re(x) S
     + i Im(x) D for S = A+ + A- and D = A+ - A-, so B_k is the (re, im)
     pair of x times the two constant terms of the spec
-    (``spec.terms``).  A+ and A- share no nonzero row, so every entry is
-    one exact product and the even rows of B_k, as (re, im) pairs, are
-    M_k^T bit for bit.
+    (``spec.terms``).  A+ and A- share no nonzero row (the mask gives
+    each row of U to one of them), so every entry is one exact product
+    and the even rows of B_k, as (re, im) pairs, are M_k^T bit for bit.
     """
     x = np.exp(2j * np.pi * k / d)
     pairs = x.view(np.float64).reshape(-1, 2)

@@ -2,17 +2,18 @@
 
 A translation-invariant walk on the d-cycle block-diagonalizes under
 the discrete Fourier transform of the position register into d unitary
-4x4 blocks, one per momentum k.  Each walk is its pair of shift
-blocks (A+, A-), one step being out[n] = A+ a[n+1] + A- a[n-1] (the
-walk module's specs); the kernels module builds the block
+4x4 blocks, one per momentum k.  Each walk is one real 4x4 unitary U
+and one 0/1 shift mask Pi, so its pair of shift blocks is A+ = Pi U
+and A- = (1 - Pi) U, one step being out[n] = A+ a[n+1] + A- a[n-1]
+(the walk module's specs); the kernels module builds the block
 M_k = x A+ + conj(x) A- with x = e^{2 pi i k/d}.  build_Mk gives the
-recycled-coin block at angle theta, build_Nk the memory-walk block.  With a walker starting
-localized at position 0 with coin vector psi, and writing lam_j(k),
-phi_j(k) for the block eigensystems and alpha_j(k) = <phi_j(k)|psi>,
-the state at step t has momentum amplitudes
-sum_j lam_j(k)^t alpha_j(k) phi_j(k), one 4-vector per block.  One
-inverse FFT over k takes them to the sites, and p(n, t) is the squared
-norm of the coin vector at site n.
+recycled-coin block at angle theta, build_Nk the memory-walk block.
+With a walker starting localized at position 0 with coin vector psi,
+and writing lam_j(k), phi_j(k) for the block eigensystems and
+alpha_j(k) = <phi_j(k)|psi>, the state at step t has momentum
+amplitudes sum_j lam_j(k)^t alpha_j(k) phi_j(k), one 4-vector per
+block.  One inverse FFT over k takes them to the sites, and p(n, t)
+is the squared norm of the coin vector at site n.
 
 Time-averaging kills every pair of eigenvectors whose eigenvalues
 differ and keeps the rest (the Cesaro limit of Aharonov, Ambainis,

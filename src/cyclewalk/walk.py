@@ -3,7 +3,7 @@
 The recycled-coin walk carries two qubit coins next to the position
 register.  Per site the four amplitudes are ordered by (c1 c2) with c1
 first: index 0 is down-down, 1 is down-up, 2 is up-down, 3 is up-up.
-One step applies the block coin diag(C(pi/4), C(theta)) on coin 2
+One step applies the block coin diag(H, C(theta)) on coin 2
 conditioned on coin 1, shifts the position by coin 2 (down moves to
 n-1, up to n+1, mod d), then swaps the two coins.  The second block
 angle is theta = pi*(1+phi)/4 with the memory parameter phi taken
@@ -12,18 +12,22 @@ mod 8.
 The memory walk carries one memory qubit and one coin qubit.  Per site
 the amplitudes are ordered (coin, memory): index 0 is coin-down
 memory-down, 1 is coin-down memory-up, 2 is coin-up memory-down, 3 is
-coin-up memory-up.  One step applies C(pi/4) to the coin and then the
+coin-up memory-up.  One step applies H to the coin and then the
 memory-conditioned shift that moves against the coin direction when
 memory and coin agree.
 
-C(theta) is the real symmetric coin [[cos, sin], [sin, -cos]]; pi/4
-gives the Hadamard.
+H is the exact Hadamard [[1, 1], [1, -1]]/sqrt(2), and C(theta) the
+real symmetric coin [[cos, sin], [sin, -cos]]; C(pi/4) is H up to one
+ulp on its diagonal.
 
-Each walk is its pair of real 4x4 shift blocks (A+, A-): one step is
-out[n] = A+ a[n+1] + A- a[n-1], A+ holding the rows of the coin-and-
-swap matrix A+ + A- that arrive from site n+1 and A- those from n-1.
-``_walk_spec`` writes both pairs down; stepping, the norm scan and
-the spectral module's Fourier blocks all come from them.
+Each walk is one real 4x4 unitary U, its coin followed by the register
+move (the coin swap, or writing the direction into memory), and one
+0/1 shift mask Pi: the components in Pi take their amplitude from site
+n+1, the rest from n-1.  So one step is out[n] = A+ a[n+1] + A- a[n-1]
+with the pair of shift blocks A+ = Pi U and A- = (1 - Pi) U, which
+share no nonzero row.  ``_walk_spec`` gives each walk's spec, built
+from (U, Pi) alone; stepping, the norm scan and the spectral module's
+Fourier blocks all come from it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ COIN_LABELS = ("dd", "du", "ud", "uu")
 
 PHI_PERIOD = 8.0
 
-_SQ2 = 1.0 / np.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def coin_block(theta: float) -> np.ndarray:
@@ -72,9 +76,14 @@ class CoinConfig:
 
 
 def coin_operator(cfg: CoinConfig) -> np.ndarray:
-    """4x4 block coin diag(C(pi/4), C(theta)) in the (c1 c2) basis."""
+    """4x4 block coin diag(H, C(theta)) in the (c1 c2) basis.
+
+    H is the exact Hadamard (module docstring).  This is the only
+    description of the recycled-coin walk's coin: ``_walk_spec`` builds
+    the walk from it.
+    """
     op = np.zeros((4, 4), dtype=np.complex128)
-    op[:2, :2] = coin_block(math.pi / 4.0)
+    op[:2, :2] = _HADAMARD
     op[2:, 2:] = coin_block(cfg.theta)
     return op
 
@@ -222,29 +231,37 @@ def _check_steps(steps: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _WalkSpec:
-    """One walk as its pair (A+, A-) (module docstring).
+    """One walk as its unitary U and shift mask Pi (module docstring).
 
-    a_plus and a_minus are read-only real 4x4 arrays; a complex pair
-    raises ValueError, since every kernel and the spectral cache rest
-    on M_{d-k} = conj(M_k).  Two read-only forms are derived once:
+    unitary is U as a read-only real 4x4 array, and a complex U raises
+    ValueError, since every kernel and the spectral cache rest on
+    M_{d-k} = conj(M_k).  mask is Pi as a tuple of four 0/1 entries.
+    The pair A+ = diag(mask) U and A- = U - A+ is derived once, as
+    read-only real 4x4 arrays, and from it two read-only forms:
     ``floats``, A+ and A- as (2, 8, 8) on the float view of a row of 4
     amplitudes, for the site step, and ``terms``, the two constant
     terms of ``_kernels._momentum_blocks``.  theta is the second-coin
     angle, None for the memory walk.
     """
 
-    a_plus: np.ndarray
-    a_minus: np.ndarray
+    unitary: np.ndarray
+    mask: tuple
     theta: float | None
+    a_plus: np.ndarray = field(init=False, repr=False)
+    a_minus: np.ndarray = field(init=False, repr=False)
     floats: np.ndarray = field(init=False, repr=False)
     terms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pair = np.array((self.a_plus, self.a_minus))
-        if pair.imag.any():
+        u = np.asarray(self.unitary)
+        if u.imag.any():
             raise ValueError("the mirror M_{d-k} = conj(M_k) needs real "
                              "shift blocks A+ and A-; this walk's are complex")
-        a_plus, a_minus = pair = pair.real.astype(np.float64)
+        # + 0.0 turns a -0.0 entry (np.kron makes them) into +0.0, so a
+        # walk's arrays have the same bytes however U was written.
+        u = u.real + 0.0
+        a_plus = np.where(np.array(self.mask, dtype=bool)[:, None], u, 0.0)
+        a_plus, a_minus = pair = np.array((a_plus, u - a_plus))
         # forms[f, j, p, i, q] is entry F[2j + p, 2i + q] of form f: the
         # float forms of A+ and A-, float(v) @ F = float(A v), then the
         # two terms of _momentum_blocks.
@@ -253,36 +270,39 @@ class _WalkSpec:
         forms[2, :, 0, :, 0] = forms[2, :, 1, :, 1] = (a_plus + a_minus).T
         forms[3, :, 0, :, 1] = (a_plus - a_minus).T
         forms[3, :, 1, :, 0] = (a_minus - a_plus).T
-        for arr in (pair, forms):
+        for arr in (u, pair, forms):
             arr.setflags(write=False)
         # Views of read-only arrays, which cannot be made writeable.
-        for name, value in zip(("a_plus", "a_minus", "floats", "terms"),
-                               (*pair, forms[:2].reshape(2, 8, 8),
-                                forms[2:].reshape(2, 64))):
+        for name, value in zip(
+                ("unitary", "a_plus", "a_minus", "floats", "terms"),
+                (u, *pair, forms[:2].reshape(2, 8, 8),
+                 forms[2:].reshape(2, 64))):
             object.__setattr__(self, name, value)
+
+
+# The memory walk: H on the coin, then the shift writes the direction
+# into memory (rows 2 and 3 of H x I swapped); components 0 and 2, whose
+# memory now reads down, arrive from site n+1.
+_MEMORY_SPEC = _WalkSpec(np.kron(_HADAMARD, np.eye(2))[[0, 1, 3, 2]],
+                         (1, 0, 1, 0), None)
 
 
 @functools.lru_cache(maxsize=256)
 def _walk_spec(model: str, cfg: CoinConfig | None = None) -> _WalkSpec:
     """The spec of a model, built once per (model, cfg).
 
-    The recycled-coin walk needs a CoinConfig.  Row i of A+ holds what
-    component i takes from site n+1, row i of A- what it takes from
-    n-1; q is the Hadamard entry and c, s = cos(theta), sin(theta).
+    The recycled-coin walk needs a CoinConfig.  Its U is
+    ``coin_operator`` with rows 1 and 2 swapped (the coin swap), and
+    components 0 and 1, whose coin 1 now reads down, arrive from site
+    n+1.  The memory walk has no free parameter: every call gets the
+    one ``_MEMORY_SPEC``.
     """
-    q = _SQ2
     if model == MODEL_MEMORY:
-        return _WalkSpec(np.array([[q, 0, q, 0], [0, 0, 0, 0],
-                                   [0, q, 0, -q], [0, 0, 0, 0]]),
-                         np.array([[0, 0, 0, 0], [0, q, 0, q],
-                                   [0, 0, 0, 0], [q, 0, -q, 0]]), None)
+        return _MEMORY_SPEC
     if cfg is None:
         raise ValueError("recycled-coin evolution requires a CoinConfig")
-    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    return _WalkSpec(np.array([[q, q, 0, 0], [0, 0, c, s],
-                               [0, 0, 0, 0], [0, 0, 0, 0]]),
-                     np.array([[0, 0, 0, 0], [0, 0, 0, 0],
-                               [q, -q, 0, 0], [0, 0, s, -c]]), cfg.theta)
+    return _WalkSpec(coin_operator(cfg).take([0, 2, 1, 3], axis=0),
+                     (1, 1, 0, 0), cfg.theta)
 
 
 def evolve(state: WalkState, steps: int,

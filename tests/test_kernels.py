@@ -257,6 +257,13 @@ class TestShiftBlocks:
             with pytest.raises(ValueError):
                 block.setflags(write=True)
 
+    def test_memory_walk_has_one_spec(self):
+        # The memory walk has no free parameter: a cfg passed with it
+        # gets the one spec, so the spectral module groups its caches
+        # as one walk.
+        assert walk._walk_spec(MODEL_MEMORY, CoinConfig(1.0)) \
+            is walk._walk_spec(MODEL_MEMORY) is MEMORY
+
     def test_coins_one_bit_apart_get_their_own_blocks(self):
         # At phi = 4.05 one bit of phi is one of theta, of c and of s.
         cfg = CoinConfig(4.05)
@@ -395,7 +402,7 @@ class TestPowerRoute:
         # Every kernel takes a spec, and no spec holds a complex pair:
         # here the walk out[n] = 1j a[n+1].
         with pytest.raises(ValueError, match="real shift"):
-            walk._WalkSpec(1j * np.eye(4), np.zeros((4, 4)), None)
+            walk._WalkSpec(1j * np.eye(4), (1, 1, 1, 1), None)
 
 
 def _site_stepped(a, steps, spec):

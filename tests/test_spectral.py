@@ -375,8 +375,7 @@ class TestSpectralCache:
         phase = np.exp(0.3j)
         spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(1.3))
         with pytest.raises(ValueError, match="real shift blocks"):
-            walk._WalkSpec(phase * spec.a_plus, phase * spec.a_minus,
-                           spec.theta)
+            walk._WalkSpec(phase * spec.unitary, spec.mask, spec.theta)
 
     def test_mirrored_blocks_keep_their_warnings(self):
         # Blocks 7, 9 and 15 mirror block 1, and warn in turn.

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -41,10 +42,14 @@ class TestCoinOperator:
         assert np.allclose(h, np.array([[1, 1], [1, -1]]) * SQ2, atol=1e-15)
 
     def test_phi0_both_blocks_hadamard(self):
+        # The first block is the exact Hadamard the walk steps with, the
+        # second C(pi/4), whose diagonal cos(pi/4) is one ulp above
+        # 1/sqrt(2).
         op = coin_operator(CoinConfig(0.0))
-        h = coin_block(math.pi / 4)
-        assert np.array_equal(op[:2, :2], op[2:, 2:])
-        assert np.allclose(op[:2, :2], h, atol=1e-15)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert np.array_equal(op[:2, :2], h)
+        assert np.array_equal(op[2:, 2:], coin_block(math.pi / 4))
+        assert np.abs(op[:2, :2] - op[2:, 2:]).max() <= 1.2e-16
 
     def test_phi2_lower_block(self):
         op = coin_operator(CoinConfig(2.0))
@@ -374,6 +379,65 @@ class TestEquivalenceOnShiftBlocks:
         a_plus, a_minus = self._blocks(model, cfg)
         g = a_plus + a_minus
         assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-14
+
+    # The same two results on each walk's unitary U = A+ + A- and shift
+    # mask: A+ = diag(mask) U, so they hold for the pair once they hold
+    # for (U, diag(mask)).
+    RESULT1_PHIS = [0.1 * m for m in range(80)] \
+        + list(np.random.default_rng(3).uniform(-20.0, 20.0, 200))
+
+    @staticmethod
+    def _unitary_and_mask(model, cfg=None):
+        spec = walk._walk_spec(model, cfg)
+        return spec.unitary, np.diag(spec.mask)
+
+    def test_result2_on_unitary_and_mask(self):
+        u_rec, pi_rec = self._unitary_and_mask(MODEL_RECYCLED,
+                                               CoinConfig(2.0))
+        u_mem, pi_mem = self._unitary_and_mask(MODEL_MEMORY)
+        assert np.abs(self.P.T @ u_rec @ self.P - u_mem).max() <= 2.3e-16
+        assert np.array_equal(self.P.T @ pi_rec @ self.P, pi_mem)
+
+    def test_result1_on_unitary_and_mask(self):
+        for phi in self.RESULT1_PHIS:
+            u_phi, pi_rec = self._unitary_and_mask(MODEL_RECYCLED,
+                                                   CoinConfig(phi))
+            u_reflected, _ = self._unitary_and_mask(
+                MODEL_RECYCLED, CoinConfig(-(2.0 + phi)))
+            assert np.abs(self.Q @ u_phi @ self.Q - u_reflected).max() \
+                < 1e-14, phi
+            assert np.array_equal(self.Q @ pi_rec, pi_rec @ self.Q)
+
+
+class TestSpecBytes:
+    """The spec arrays, pinned bit for bit, signed zeros included.
+
+    Every kernel and spectral path reads only these four arrays, so
+    equal bytes here keep every table; the value tests above compare
+    with a tolerance and cannot see a -0.0 for a +0.0.
+    """
+
+    @staticmethod
+    def _digest(specs):
+        h = hashlib.sha256()
+        for spec in specs:
+            for arr in (spec.a_plus, spec.a_minus, spec.floats, spec.terms):
+                h.update(arr.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("cfgs,want", [
+        ([CoinConfig(round(0.1 * m, 10)) for m in range(80)],
+         "b2e0503f531cca9acfeb691872dd0a29cd82bf3bc01a12d84158788d5d45490e"),
+        ([CoinConfig(4.05), CoinConfig(np.nextafter(4.05, 0.0))],
+         "87bc02f6fc1f74c2bdf56c76080c173f3a9e03167cc6980f87600c8e32cde26a"),
+    ], ids=["c07-grid", "one-bit-pair"])
+    def test_recycled_specs(self, cfgs, want):
+        specs = [walk._walk_spec(MODEL_RECYCLED, cfg) for cfg in cfgs]
+        assert self._digest(specs) == want
+
+    def test_memory_spec(self):
+        assert self._digest([walk._walk_spec(MODEL_MEMORY)]) == \
+            "d9a5b30e5c8a1d589e151c0220cbc52663320e52cdb60a67ca4798f9639ec069"
 
 
 class TestPairsAgainstOracle:
