@@ -308,10 +308,12 @@ def _power(amps, steps, spec):
 
 
 # Amplitudes held by one chunk of states in the scan, and by one batch
-# of cluster transforms in the spectral limit (one per start state and
-# cluster of more than sqrt(d) eigenvalues; the limit sums smaller ones
-# as pairs); it bounds their memory independently of the step count and
-# of the numbers of clusters and states.
+# of cluster transforms in the spectral limit (one column of d per start
+# state and cluster of more than sqrt(d) eigenvalues; the limit sums
+# smaller ones as pairs), and by one scatter buffer of such batches (a
+# batch of one column of more than this many has a buffer of its own);
+# it bounds their memory independently of the step count and of the
+# numbers of clusters, caches and states.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site

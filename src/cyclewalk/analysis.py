@@ -16,6 +16,7 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,68 +226,99 @@ def _state_label(st: InitialState) -> str:
     return st.name if st.name is not None else "custom"
 
 
-def _failed_row(label, exc):
-    return (label, math.nan, None, False, False, str(exc), None)
+class _Cells(NamedTuple):
+    """The cells of some sweep groups as (group, state) arrays.
+
+    tv is NaN, and uniform, boundary and warned are False, in a failed
+    cell; error holds its message (an object array, None elsewhere).
+    probs, when kept, is an object array of each cell's distribution
+    (None in a failed cell).
+    """
+
+    tv: np.ndarray
+    uniform: np.ndarray
+    boundary: np.ndarray
+    warned: np.ndarray
+    error: np.ndarray
+    probs: np.ndarray | None
 
 
-def _limit_rows(ds, warned, probs, labels, epsilon, keep_probs):
-    """The rows of groups whose limits sit side by side in probs.
+def _failed_cells(groups, states, keep_probs) -> _Cells:
+    """Cells of groups by states that all fail, with no message yet."""
+    shape = (groups, states)
+    return _Cells(np.full(shape, math.nan), np.zeros(shape, dtype=bool),
+                  np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool),
+                  np.full(shape, None, dtype=object),
+                  np.full(shape, None, dtype=object) if keep_probs else None)
+
+
+def _limit_cells(ds, warned, probs, epsilon, keep_probs) -> _Cells:
+    """The cells of groups whose limits sit side by side in probs.
 
     probs is (S, sum of ds), as spectral._limiting_probs returns it for
     caches of the cycle lengths ds; warned holds each group's flag.
-    Each row is checked as Distribution checks it (walk._probs_error)
-    and its TV from uniform taken as tv_from_uniform takes it, on
-    (groups, states) arrays; only the two sums run group by group, so
-    every bit is the one-group path's.  A row that fails the check
-    fails alone.
+    Each cell is checked as Distribution checks it (walk._probs_error,
+    called only for the cells that fail the check) and its TV from
+    uniform taken as tv_from_uniform takes it, on (groups, states)
+    arrays; only the two sums run group by group, so every bit is the
+    one-group path's.  A cell that fails the check fails alone.
     """
     firsts = list(itertools.accumulate(ds[:-1], initial=0))
-    low = np.minimum.reduceat(probs, firsts, axis=1).T.tolist()
+    low = np.minimum.reduceat(probs, firsts, axis=1).T
     probs = np.clip(probs, 0.0, None)
     dev = np.abs(probs - np.repeat(1.0 / np.array(ds), ds))
     groups = list(zip(firsts, ds))
     totals = np.array([probs[:, lo:lo + d].sum(axis=-1) for lo, d in groups])
     tv = 0.5 * np.array([dev[:, lo:lo + d].sum(axis=-1) for lo, d in groups])
-    uniform = (tv < epsilon).tolist()
-    boundary = ((epsilon / 10.0 <= tv) & (tv <= epsilon * 10.0)).tolist()
-    tv, totals = tv.tolist(), totals.tolist()
-    out = []
-    for g, (lo, d) in enumerate(groups):
-        rows = []
-        for s, label in enumerate(labels):
-            error = _probs_error(low[g][s], totals[g][s])
-            rows.append(_failed_row(label, error) if error is not None else
-                        (label, tv[g][s], uniform[g][s], boundary[g][s],
-                         warned[g], None,
-                         probs[s, lo:lo + d] if keep_probs else None))
-        out.append(rows)
-    return out
+    bad = ((low < -1e-9) | ~np.isfinite(totals)
+           | (np.abs(totals - 1.0) > 1e-9))
+    error = np.full(bad.shape, None, dtype=object)
+    for g, s in zip(*np.nonzero(bad)):
+        error[g, s] = _probs_error(float(low[g, s]), float(totals[g, s]))
+    tv[bad] = math.nan
+    kept = None
+    if keep_probs:
+        kept = np.full(bad.shape, None, dtype=object)
+        for g, (lo, d) in enumerate(groups):
+            for s in np.flatnonzero(~bad[g]):
+                kept[g, s] = probs[s, lo:lo + d]
+    return _Cells(tv, tv < epsilon,
+                  (epsilon / 10.0 <= tv) & (tv <= epsilon * 10.0),
+                  np.array(warned)[:, None] & ~bad, error, kept)
 
 
-def _sweep_pack(task):
+def _sweep_pack(task) -> _Cells:
     """The (d, phi) groups of one pack of d at one phi; runs in workers.
 
     One spectral._spectral_caches call builds the caches of every group
     and one spectral._limiting_probs call takes their limits for every
-    state (_limit_rows turns them into rows).  A group whose cache fails
-    fails its rows; an error in the pack-wide steps fails every row of
-    the pack.
+    state (_limit_cells turns them into cells).  A group whose cache
+    fails fails its cells; an error in the pack-wide steps fails every
+    cell of the pack.
     """
     phi, ds, states, epsilon, keep_probs = task
-    labels = [_state_label(st) for st in states]
     spec = _walk_spec(MODEL_RECYCLED, CoinConfig(phi))
     psis = np.array([st.coin4 for st in states], dtype=np.complex128)
+    cells = _failed_cells(len(ds), len(states), keep_probs)
     try:
         built = spectral._spectral_caches([(spec, d) for d in ds])
-        good = [b for b in built if b.error is None]
-        rows = iter(_limit_rows(
-            [b.cache.d for b in good], [b.warned for b in good],
-            spectral._limiting_probs([b.cache for b in good], psis),
-            labels, epsilon, keep_probs) if good else ())
+        good = [g for g, b in enumerate(built) if b.error is None]
+        if good:
+            caches = [built[g].cache for g in good]
+            limits = _limit_cells(
+                [c.d for c in caches], [built[g].warned for g in good],
+                spectral._limiting_probs(caches, psis), epsilon, keep_probs)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return [[_failed_row(label, exc) for label in labels] for _ in ds]
-    return [next(rows) if b.error is None else
-            [_failed_row(label, b.error) for label in labels] for b in built]
+        cells.error[:] = str(exc)
+        return cells
+    for g, b in enumerate(built):
+        if b.error is not None:
+            cells.error[g] = str(b.error)
+    if good:
+        for mine, theirs in zip(cells, limits):
+            if mine is not None:
+                mine[good] = theirs
+    return cells
 
 
 def _run(fn, tasks, jobs, chunksize=1) -> list:
@@ -302,6 +334,49 @@ def _run(fn, tasks, jobs, chunksize=1) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _sweep_columns(grid: SweepGrid, jobs: int, keep_probs: bool) -> dict:
+    """Every cell of the grid as columns, in (d, phi, state) order.
+
+    Keys and values are those of SweepRecord's fields, each a list of
+    one value per cell; classified_uniform is None in a failed cell,
+    and probs is there only when kept.  The packs' (group, state)
+    arrays arrive phi by phi, each phi's d in grid order, in process or
+    from the pool, and are reordered once per column.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1, got %d" % jobs)
+    packs = spectral._packs(grid.d_values)
+    tasks = [(phi, ds, grid.states, grid.epsilon, keep_probs)
+             for phi in grid.phi_values for ds in packs]
+    parts = _run(_sweep_pack, tasks, jobs)
+    nd, nphi, ns = len(grid.d_values), len(grid.phi_values), len(grid.states)
+
+    def cells(field):
+        # (phi, d, state) in, (d, phi, state) out.
+        arr = np.concatenate([getattr(part, field) for part in parts])
+        return arr.reshape(nphi, nd, ns).transpose(1, 0, 2).ravel()
+
+    ds = np.repeat(grid.d_values, nphi * ns)
+    error = cells("error")
+    uniform = cells("uniform").astype(object)
+    uniform[np.not_equal(error, None)] = None
+    columns = {
+        "d": ds.tolist(),
+        "phi": np.tile(np.repeat(grid.phi_values, ns), nd).tolist(),
+        "state": [_state_label(st) for st in grid.states] * (nd * nphi),
+        "tv_from_uniform": cells("tv").tolist(),
+        "classified_uniform": uniform.tolist(),
+        "boundary": cells("boundary").tolist(),
+        "warned": cells("warned").tolist(),
+        "d_mod_4": (ds % 4).tolist(),
+        "divisible_by_12": (ds % 12 == 0).tolist(),
+        "error": error.tolist(),
+    }
+    if keep_probs:
+        columns["probs"] = cells("probs").tolist()
+    return columns
+
+
 def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     """Classify every grid cell against the uniform distribution.
 
@@ -311,33 +386,16 @@ def sweep(grid: SweepGrid, jobs: int = 1, keep_probs: bool = True) -> list:
     jobs > 1 the packs are distributed over processes.  Each pack takes
     one diagonalization of all of its blocks, which builds the caches
     of all of its (d, phi) groups, and one limit for all of its groups
-    and states, whose rows are the one-group path's bit for bit.  A
-    group whose cache fails fails every row of the group and no other
-    group; a row whose distribution fails validation fails alone.
+    and states, whose cells are the one-group path's bit for bit.  A
+    group whose cache fails fails every cell of the group and no other
+    group; a cell whose distribution fails validation fails alone.
     Eigenvalues count as equal within spectral.PHASE_TOL; a group with
     a block or cluster phase gap within a decade of it is warned, as a
-    single limit would warn of it.
+    single limit would warn of it.  The records are built from the
+    columns that the sweep command writes (_sweep_columns).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1, got %d" % jobs)
-    packs = spectral._packs(grid.d_values)
-    tasks = [(phi, ds, grid.states, grid.epsilon, keep_probs)
-             for phi in grid.phi_values for ds in packs]
-    # Groups arrive phi by phi, each phi's d in grid order.
-    groups = list(itertools.chain.from_iterable(_run(_sweep_pack, tasks,
-                                                     jobs)))
-    nd = len(grid.d_values)
-    records = []
-    for i, d in enumerate(grid.d_values):
-        for j, phi in enumerate(grid.phi_values):
-            for row in groups[j * nd + i]:
-                label, tv, uniform, boundary, warned, error, probs = row
-                records.append(SweepRecord(
-                    d=d, phi=phi, state=label, tv_from_uniform=tv,
-                    classified_uniform=uniform, boundary=boundary,
-                    warned=warned, d_mod_4=d % 4,
-                    divisible_by_12=(d % 12 == 0), error=error, probs=probs))
-    return records
+    return list(map(SweepRecord, *_sweep_columns(grid, jobs,
+                                                 keep_probs).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import warnings
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -388,28 +388,29 @@ def cmd_sweep(ns):
     grid = analysis.SweepGrid(d_values=tuple(d_values),
                               phi_values=tuple(phi_values),
                               states=tuple(states), epsilon=epsilon)
-    records = analysis.sweep(grid, jobs=_at_least(ns, "jobs", 1, 1),
-                             keep_probs=False)
+    cells = analysis._sweep_columns(grid, _at_least(ns, "jobs", 1, 1),
+                                    keep_probs=False)
     config = {"command": "sweep", "d_values": list(grid.d_values),
               "phi_values": list(grid.phi_values),
               "states": [_state_config(s) for s in states],
               "epsilon": epsilon}
-    failures = 0
-    for r in records:
-        if r.error is not None:
-            failures += 1
-            _diag("cell d=%d phi=%g state=%s failed: %s"
-                  % (r.d, r.phi, r.state, r.error))
+    errors = cells["error"]
+    failures = len(errors) - errors.count(None)
+    if failures:
+        for i, error in enumerate(errors):
+            if error is not None:
+                _diag("cell d=%d phi=%g state=%s failed: %s"
+                      % (cells["d"][i], cells["phi"][i], cells["state"][i],
+                         error))
     fields = ("d", "phi", "state", "tv_from_uniform", "classified_uniform",
               "boundary", "warned", "d_mod_4", "divisible_by_12", "error")
     table = Table(schema="sweep.v1", config=config,
                   columns=("d", "phi", "state", "tv_from_uniform",
                            "uniform", "boundary", "warned", "d_mod_4",
                            "divisible_by_12", "error"),
-                  data=tuple(list(map(attrgetter(f), records))
-                             for f in fields),
-                  meta={"cells": len(records)})
-    return table, ("%d of %d sweep cells failed" % (failures, len(records))
+                  data=tuple(cells[f] for f in fields),
+                  meta={"cells": len(errors)})
+    return table, ("%d of %d sweep cells failed" % (failures, len(errors))
                    if failures else None)
 
 

@@ -48,19 +48,23 @@ bookkeeping (sizes, routes, members, pair indices and frequencies) and
 the pair terms are built once for every cache and state.  Each cache
 then takes its own sums, those whose order sets the bits: the lone
 eigenvalues' |alpha|^2, one inverse FFT per state along the last axis
-of its (S, d) share, and its transform batches, each holding columns
-of every state.  A sweep pack is one such call;
-limiting_distribution passes one cache and one state, and gets the
-same bits as in any pack.  A+ and A- are real for both walks, so
-M_{d-k} = conj(M_k), and block d - k takes the conjugate eigenvalues
-and eigenvectors, with exactly negated phases.  On an even cycle x
-changes sign when k moves by d/2, so M_{k+d/2} = -M_k and
-M_{d/2-k} = -conj(M_k) as well: block k + d/2 takes (-lam, v) and
-block d/2 - k takes (-conj(lam), conj(v)).  So only the representative
-blocks are diagonalized (_kernels._rep_stops): k <= d/4 on even d
-and k <= d/2 on odd d.  The eigenpairs of the others hold for the
-blocks built directly to rounding in x.  The per-block warnings are
-then issued for all d blocks in ascending k.
+of its (S, d) share, and its transform batches.  A transform batch
+holds one column of d amplitudes per (state, cluster) of one cache, up
+to _kernels._SCAN_CHUNK_AMPS amplitudes; consecutive batches, of one
+cache or several, share one buffer of at most that many, filled by one
+scatter of the clusters' amplitudes, and then each batch takes its
+inverse FFT and its reduction alone (_add_flat_bands).  A sweep pack
+is one such call; limiting_distribution passes one cache and one
+state, and gets the same bits as in any pack.  A+ and A- are real for
+both walks, so M_{d-k} = conj(M_k), and block d - k takes the
+conjugate eigenvalues and eigenvectors, with exactly negated phases.
+On an even cycle x changes sign when k moves by d/2, so M_{k+d/2} =
+-M_k and M_{d/2-k} = -conj(M_k) as well: block k + d/2 takes
+(-lam, v) and block d/2 - k takes (-conj(lam), conj(v)).  So only the
+representative blocks are diagonalized (_kernels._rep_stops): k <= d/4
+on even d and k <= d/2 on odd d.  The eigenpairs of the others hold
+for the blocks built directly to rounding in x.  The per-block
+warnings are then issued for all d blocks in ascending k.
 
 The eigensystems take one of two routes, by a fixed rule on the number
 of blocks in the stack (_POLY_MIN_BLOCKS, the measured break-even, 32
@@ -186,20 +190,28 @@ def _segment_clusters(phases: np.ndarray, sizes: np.ndarray, tol: float):
     """Label the phases that agree within tol, in each segment apart.
 
     phases is flat and holds consecutive segments of the given sizes.
-    Each segment is sorted (one stable lexsort on (segment, phase) sorts
-    them all), split where a gap (_sorted_gaps) exceeds tol, and its
-    last cluster takes its first one's label when the two meet across
-    the branch cut.  Returns (labels, gaps): labels[i] names the cluster
-    of phases[i] within its segment, counting from 0 in phase order;
-    gaps holds the _sorted_gaps of each segment in turn.
+    Each segment is sorted, split where a gap (_sorted_gaps) exceeds
+    tol, and its last cluster takes its first one's label when the two
+    meet across the branch cut.  One argsort of the phases, then, with
+    more than one segment, a stable one of the segment ids in the
+    smallest integer type that holds them (a radix sort), sort every
+    segment; + 0.0 makes a zero gap +0.0, whichever of two equal phases
+    (0.0 and -0.0) comes first.  Returns (labels, gaps): labels[i] names
+    the cluster of phases[i] within its segment, counting from 0 in
+    phase order; gaps holds the _sorted_gaps of each segment in turn.
     """
     ends = np.cumsum(sizes)
     starts, last = ends - sizes, ends - 1
-    order = np.lexsort((phases, np.repeat(np.arange(len(sizes)), sizes)))
+    order = np.argsort(phases)
+    if len(sizes) > 1:
+        segment = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
+            len(sizes))), sizes)
+        order = order[np.argsort(segment[order], kind="stable")]
     sp = phases[order]
     gaps = np.empty_like(sp)
     np.subtract(sp[1:], sp[:-1], out=gaps[:-1])
     gaps[last] = 2.0 * np.pi - (sp[last] - sp[starts])
+    gaps += 0.0
     split = gaps > tol
     sorted_labels = np.cumsum(split) - split
     sorted_labels -= np.repeat(sorted_labels[starts], sizes)
@@ -824,43 +836,112 @@ def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
     del z
 
     # Transform route: the big clusters are numbered cid = 0, 1, ...
-    # across the caches, nbig[g] of them in cache g from cid0[g] on.
-    k, members = k[split:], members[split:]
-    cid = np.cumsum(wide)[labels[members]] - 1
-    nbig = np.add.reduceat(wide, starts).tolist()
-    cid0 = itertools.accumulate(nbig[:-1], initial=0)
-    for first, d, n, c0 in zip(firsts, ds, nbig, cid0):
-        if n:
-            lo, hi = np.searchsorted(cid, (c0, c0 + n))
-            _add_flat_bands(probs[:, first:first + d], d, k[lo:hi] - first,
-                            amps(members[lo:hi]), cid[lo:hi] - c0, n)
+    # across the caches, nbig[g] of them in cache g.
+    members, k = members[split:], k[split:]
+    if members.size:
+        cid = np.cumsum(wide)[labels[members]] - 1
+        nbig = np.add.reduceat(wide, starts)
+        phi = np.conjugate(conj.take(members, axis=1).T)
+        alpha = alphas.take(members, axis=1)
+        # The buffers come after every other array of the stack goes:
+        # they would set the peak.
+        del conj, alphas, counts, wide, big, key, order, lone, end, later
+        _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha)
     return probs
 
 
-def _add_flat_bands(probs, d, k, amps, cid, nbig):
-    """Add the big clusters cid = 0..nbig-1 of one cache to probs (S, d).
+def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
+    """Add the big clusters of every cache to probs (S, sum of ds).
 
-    Member i of cluster cid[i] is on block k[i] with amplitudes
-    amps[:, i].  A batch holds at most `per` columns, one per (state,
-    cluster): nst states of ncl clusters.
+    Cache g, whose blocks are columns first..first + d - 1 of the joined
+    stack and of probs, holds nbig[g] of the clusters, numbered on across
+    the caches.  Member i, eigenvector phi[i] (4,) of block k[i] of the
+    stack with overlaps alpha[:, i] (S,), belongs to cluster cid[i]; the
+    members are sorted by cluster, then by block.  Each (state, cluster)
+    is one column of d amplitudes, the sum of the cluster's v = alpha
+    phi on each block k, and adds p_C(n) = |ifft over k of the column|^2
+    summed over coins.  A cache's columns go in batches of at most
+    per = _SCAN_CHUNK_AMPS // (4d) columns, nst states by ncl clusters,
+    laid out (k, state, cluster, coin); each batch takes one inverse FFT
+    along k and one reduction into probs, in a fixed order, so its bits
+    do not depend on the caches beside it.  Consecutive batches share
+    one buffer up to _SCAN_CHUNK_AMPS amplitudes (a larger batch has its
+    own, as has a batch of part of the states, which then holds one
+    cluster).  The v of the first member of each run (the members of a
+    cluster on one block) go in by one fancy-index assignment; a later
+    member of a run is added in turn, as np.add.at into zeros would add
+    it (np.add.reduceat would add a0 + (a1 + a2)).  The sign of a zero
+    entry cannot reach probs: the transform only adds and multiplies,
+    and the reduction squares.
     """
     ns = len(probs)
-    per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
-    nst = min(ns, per)
-    ncl = per // nst
-    for lo in range(0, nbig, ncl):
-        a, b = np.searchsorted(cid, (lo, lo + ncl))
-        for s in range(0, ns, nst):
-            # Column (s, c) sums cluster c's alpha phi for state s over
-            # its blocks k; one inverse FFT over k gives p_C(n) =
-            # |ifft|^2 summed over coins.
-            cols = amps[s:s + nst, a:b].swapaxes(0, 1)
-            buf = np.zeros((d, cols.shape[1], min(ncl, nbig - lo), 4),
-                           dtype=np.complex128)
-            np.add.at(buf, (k[a:b], slice(None), cid[a:b] - lo), cols)
-            np.fft.ifft(buf, axis=0, out=buf)
-            parts = buf.view(np.float64)
-            probs[s:s + nst] += np.einsum("nscj,nscj->sn", parts, parts)
+    cap = _kernels._SCAN_CHUNK_AMPS
+    # Batch (d, first, lo, h, s0, w): clusters lo..lo + h - 1 by states
+    # s0..s0 + w - 1 of the cache at block first.
+    batches = []
+    c0 = 0
+    for d, first, n in zip(ds, firsts, nbig.tolist()):
+        if not n:
+            continue
+        per = max(1, cap // (4 * d))
+        nst = min(ns, per)
+        ncl = per // nst
+        batches += [(d, first, lo, min(ncl, c0 + n - lo), s0,
+                     min(nst, ns - s0))
+                    for lo in range(c0, c0 + n, ncl)
+                    for s0 in range(0, ns, nst)]
+        c0 += n
+    buffers, used = [], cap
+    for batch in batches:
+        amps = 4 * batch[0] * batch[3] * batch[5]
+        if used + amps > cap or batch[5] < ns:
+            buffers.append([])
+            used = 0 if batch[5] == ns else cap
+        buffers[-1].append(batch)
+        used += amps
+    # A run is the members of one cluster on one block: runs holds the
+    # first member of each, ends the member after its last.
+    shared = (cid[1:] == cid[:-1]) & (k[1:] == k[:-1])
+    if shared.any():
+        runs = np.flatnonzero(np.append(True, ~shared))
+        ends = np.append(runs[1:], len(cid))
+        cid, k = cid[runs], k[runs]
+    else:
+        runs = None
+    bounds = np.searchsorted(cid, [(b[0][2], b[-1][2] + b[-1][3])
+                                   for b in buffers]).tolist()
+    for batches, (ra, rb) in zip(buffers, bounds):
+        _, _, lo, _, sa, width = batches[0]
+        # Per cluster (x, kstep, sstep): state s of block k is row
+        # x + k kstep + (s - sa) sstep of the buffer.
+        rows, size = [], 0
+        for d, first, _, h, _, w in batches:
+            rows += [(size - first * w * h + i, w * h, h) for i in range(h)]
+            size += d * w * h
+        x, kstep, sstep = np.array(rows)[cid[ra:rb] - lo].T
+        at = np.multiply.outer(np.arange(width), sstep)
+        at += x + k[ra:rb] * kstep
+        states = slice(sa, sa + width)
+        heads = slice(ra, rb) if runs is None else runs[ra:rb]
+        buf = np.zeros((size, 4), dtype=np.complex128)
+        buf[at] = phi[heads] * alpha[states, heads, None]
+        if runs is not None:
+            more = np.arange(ra, rb)
+            for r in range(1, (ends - runs)[ra:rb].max()):
+                more = more[ends[more] - runs[more] > r]
+                nth = runs[more] + r
+                buf[at[:, more - ra]] += phi[nth] * alpha[states, nth, None]
+        del at
+        row = 0
+        for d, first, _, h, s0, w in batches:
+            batch = buf[row:row + d * w * h].reshape(d, w, h, 4)
+            row += d * w * h
+            np.fft.ifft(batch, axis=0, out=batch)
+            parts = batch.view(np.float64)
+            probs[s0:s0 + w, first:first + d] += np.einsum(
+                "nscj,nscj->sn", parts, parts)
+        # Dropped before the next buffer is made: one bounds the peak.
+        del buf, batch, parts
 
 
 def _limiting(spec: _WalkSpec, d: int, psi,

@@ -287,20 +287,29 @@ _MEMORY_SPEC = _WalkSpec(np.kron(_HADAMARD, np.eye(2))[[0, 1, 3, 2]],
                          (1, 0, 1, 0), None)
 
 
-@functools.lru_cache(maxsize=256)
 def _walk_spec(model: str, cfg: CoinConfig | None = None) -> _WalkSpec:
-    """The spec of a model, built once per (model, cfg).
+    """The spec of a model.
 
-    The recycled-coin walk needs a CoinConfig.  Its U is
-    ``coin_operator`` with rows 1 and 2 swapped (the coin swap), and
-    components 0 and 1, whose coin 1 now reads down, arrive from site
-    n+1.  The memory walk has no free parameter: every call gets the
-    one ``_MEMORY_SPEC``.
+    The recycled-coin walk needs a CoinConfig, and its spec is built
+    once per cfg (``_recycled_spec``).  The memory walk has no free
+    parameter: every call gets the one ``_MEMORY_SPEC``, whatever cfg
+    it passes, before the cache, so such calls take no cache entry.
     """
     if model == MODEL_MEMORY:
         return _MEMORY_SPEC
     if cfg is None:
         raise ValueError("recycled-coin evolution requires a CoinConfig")
+    return _recycled_spec(cfg)
+
+
+@functools.lru_cache(maxsize=256)
+def _recycled_spec(cfg: CoinConfig) -> _WalkSpec:
+    """The recycled-coin walk's spec at cfg.
+
+    Its U is ``coin_operator`` with rows 1 and 2 swapped (the coin
+    swap), and components 0 and 1, whose coin 1 now reads down, arrive
+    from site n+1.
+    """
     return _WalkSpec(coin_operator(cfg).take([0, 2, 1, 3], axis=0),
                      (1, 1, 0, 0), cfg.theta)
 

@@ -168,6 +168,18 @@ def naive_limiting(d, psi0, phi=None, tol=1e-9):
         else:
             mat = _mk(k, d, np.pi * (1.0 + phi % 8.0) / 4.0)
         lam[k], vec[k] = _eig_orthonormal(mat, tol)
+    return naive_limit_of(lam, vec, psi0, tol)
+
+
+def naive_limit_of(lam, vec, psi0, tol=1e-9):
+    """The double loop of naive_limiting on given block eigensystems.
+
+    lam (d, 4) and vec (d, 4, 4), vectors in columns, are the
+    eigensystems of the d momentum blocks; they need not come from a
+    walk.
+    """
+    d = len(lam)
+    psi0 = np.asarray(psi0, dtype=np.complex128)
     alpha = np.empty((d, 4), dtype=np.complex128)
     for k in range(d):
         for j in range(4):

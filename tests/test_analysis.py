@@ -412,12 +412,13 @@ class TestSweep:
 
         monkeypatch.setattr(analysis.spectral, "_limiting_probs", boom)
         states = tuple(InitialState.named(n) for n in ("psi_a", "psi_c"))
-        groups = analysis._sweep_pack((0.5, [5, 6, 7], states, 1e-6, False))
-        assert len(groups) == 3
-        for rows in groups:
-            assert [row[0] for row in rows] == ["psi_a", "psi_c"]
-            assert all(row[5] == "boom" and math.isnan(row[1])
-                       for row in rows)
+        cells = analysis._sweep_pack((0.5, [5, 6, 7], states, 1e-6, False))
+        assert cells.error.shape == (3, 2)
+        assert (cells.error == "boom").all()
+        assert np.isnan(cells.tv).all()
+        assert not (cells.uniform.any() or cells.boundary.any()
+                    or cells.warned.any())
+        assert cells.probs is None
 
     def test_group_warning_marks_every_row(self):
         # d = 16, phi near 3 has phase gaps just outside the tolerance.
@@ -443,7 +444,7 @@ class TestSweep:
 
         monkeypatch.setattr(spectral, "_limiting_probs", counting_limit)
         monkeypatch.setattr(walk, "_WalkSpec", counting_spec)
-        walk._walk_spec.cache_clear()
+        walk._recycled_spec.cache_clear()
         records = sweep(SweepGrid.named(range(2, 13), (0.5,), STATE_NAMES))
         assert len(records) == 11 * len(STATE_NAMES)
         assert calls == {"limit": 1, "spec": 1}
@@ -454,13 +455,13 @@ class TestSweep:
         states = tuple(InitialState.named(n) for n in STATE_NAMES)
         tracemalloc.start()
         try:
-            rows, = analysis._sweep_pack((0.0, [4096], states, 1e-6, True))
+            cells = analysis._sweep_pack((0.0, [4096], states, 1e-6, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        assert [row[0] for row in rows] == list(STATE_NAMES)
-        assert all(row[5] is None and row[6].shape == (4096,) for row in rows)
+        assert cells.error.tolist() == [[None] * len(STATE_NAMES)]
+        assert all(p.shape == (4096,) for p in cells.probs[0])
 
 
 # The C07 grid's 80 phi and one with phase gaps just outside the

@@ -46,12 +46,13 @@ def test_full_size_sweep_ops_pass_their_gates():
     # At smoke size (d = 2..8, 17 blocks) a sweep column stays below
     # spectral._POLY_MIN_BLOCKS; at full size (d = 2..50, 505 blocks) it
     # takes the pack and polynomial route that the benchmark times.
+    # phi = 0 and 2 are flat columns, 2 with pair clusters in every cache.
     build, _ = WORKLOADS["sweep-grid"]
     ops = {op.name: op for op in build(cyclewalk, np.random.default_rng(3))}
     generic = [name for name in ops
                if not float(name.split("=")[1]).is_integer()]
-    assert "sweep phi=0" in ops and generic
-    for name in ("sweep phi=0", generic[0]):
+    assert "sweep phi=0" in ops and "sweep phi=2" in ops and generic
+    for name in ("sweep phi=0", "sweep phi=2", generic[0]):
         op = ops[name]
         assert op.check(op.run()) is None, name
 

@@ -418,6 +418,11 @@ _PINNED = {
                "--jobs", "1"),
               "7a37ccf9d9e8704ca65ffad6b3ec550a50791524ee56fab16684786fbdc1bb8f",
               "4fed33f9ca51a1e1c882b2c2a26121994da538aaeea6096590164d1787c497c0"),
+    # One pack on the polynomial route, with flat bands and pair
+    # clusters in every cache.
+    "sweep-flat": (("sweep", "--d-range", "2..50", "--phi", "2"),
+                   "6af6dc7f0b579309b3e5962fbd3fe4b3067854826415ba69ab23b987adf50118",
+                   "12c00de0fca5b582ba4c2adc79ed1539e263b904b5507e53eaff08fd55780a14"),
     "mixing": (("mixing", "--d", "7", "--phi", "0.5", "--state", "psi_b",
                 "--t-max", "64"),
                "95de152b8f437fd260efc14ea06884981f960ed63c26348577655469f78fd938",
@@ -432,6 +437,10 @@ _PINNED = {
 }
 _WARNED_STDERR = \
     "f575d5cdae24083951e41efd1c7dad4d3b7be7aeb385d9ba3d16857189e3bf99"
+#: The CSV of a sweep whose d = 3 cell fails, from
+#: test_failed_sweep_cell_keeps_the_other_rows.
+_FAILED_SWEEP_CSV = \
+    "ed2eb537eeda92f572d2ccd2708cf264604b487bad6936ce0a66ca83b30b4078"
 
 
 def _sha256(text):
@@ -654,6 +663,33 @@ class TestSweepCommand:
         code2, _, _ = run_cli(*args, "--jobs", "2", "--out", str(f2))
         assert code1 == code2 == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_records_match_the_table(self, monkeypatch):
+        # analysis.sweep builds its records from the columns that the
+        # command writes; the d = 3 group of each phi fails here.
+        real = _kernels._rep_blocks
+
+        def scaled(ds, spec):
+            mats = real(ds, spec)
+            mats[0] *= 1.1
+            return mats
+
+        monkeypatch.setattr(_kernels, "_rep_blocks", scaled)
+        code, out, _ = run_cli("sweep", "--d-range", "3..8", "--phi-grid",
+                               "0:2:2", "--state", "psi_a", "--state",
+                               "psi_c", "--format", "json")
+        assert code == 1
+        grid = cyclewalk.SweepGrid.named(range(3, 9), (0.0, 2.0),
+                                         ("psi_a", "psi_c"))
+        records = cyclewalk.sweep(grid, keep_probs=False)
+        fields = ("d", "phi", "state", "tv_from_uniform",
+                  "classified_uniform", "boundary", "warned", "d_mod_4",
+                  "divisible_by_12", "error")
+        cells = [[oracles._clean_cell(getattr(r, f)) for f in fields]
+                 for r in records]
+        assert cells == json.loads(out)["rows"]
+        assert [r.d for r in records if r.error is not None] == [3] * 4
+        assert all(r.probs is None for r in records)
 
     def test_d_and_d_range_conflict(self):
         code, _, err = run_cli("sweep", "--d", "4", "--d-range", "4..6",
@@ -1005,6 +1041,7 @@ class TestUsageErrors:
         assert [r[:3] for r in rows] == [["3", "0.5", "psi_a"],
                                           ["4", "0.5", "psi_a"]]
         assert rows[0][9] != "" and rows[1] == clean_rows[1]
+        assert _sha256(out) == _FAILED_SWEEP_CSV
 
 
 #: SHA-256 of each command's --help at 80 columns.

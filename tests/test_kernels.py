@@ -264,6 +264,17 @@ class TestShiftBlocks:
         assert walk._walk_spec(MODEL_MEMORY, CoinConfig(1.0)) \
             is walk._walk_spec(MODEL_MEMORY) is MEMORY
 
+    def test_memory_calls_leave_the_spec_cache_alone(self):
+        # 300 memory-walk calls, each with a cfg of its own, take no
+        # entry of the recycled walk's cache and evict none of it.
+        spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(2.0))
+        before = walk._recycled_spec.cache_info()
+        for p in range(300):
+            assert walk._walk_spec(MODEL_MEMORY, CoinConfig(0.01 * p)) \
+                is MEMORY
+        assert walk._recycled_spec.cache_info() == before
+        assert walk._walk_spec(MODEL_RECYCLED, CoinConfig(2.0)) is spec
+
     def test_coins_one_bit_apart_get_their_own_blocks(self):
         # At phi = 4.05 one bit of phi is one of theta, of c and of s.
         cfg = CoinConfig(4.05)

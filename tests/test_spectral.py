@@ -852,6 +852,137 @@ class TestBatchedLimit:
             "d=16 limiting distribution"]
 
 
+def _scatter_add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
+    """spectral._add_flat_bands as np.add.at into zeros, batch by batch.
+
+    The same batches in the same order, each with its own buffer: the
+    bits the one-scatter route must give.
+    """
+    ns, c0 = len(probs), 0
+    for d, first, n in zip(ds, firsts, nbig.tolist()):
+        per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
+        nst = min(ns, per)
+        ncl = per // nst
+        for lo in range(c0, c0 + n, ncl):
+            h = min(ncl, c0 + n - lo)
+            sel = (cid >= lo) & (cid < lo + h)
+            for s0 in range(0, ns, nst):
+                w = min(nst, ns - s0)
+                v = phi[sel] * alpha[s0:s0 + w, sel, None]
+                buf = np.zeros((d, w, h, 4), dtype=np.complex128)
+                np.add.at(buf, (k[sel] - first, slice(None), cid[sel] - lo),
+                          v.swapaxes(0, 1))
+                np.fft.ifft(buf, axis=0, out=buf)
+                parts = buf.view(np.float64)
+                probs[s0:s0 + w, first:first + d] += np.einsum(
+                    "nscj,nscj->sn", parts, parts)
+        c0 += n
+
+
+def _one_cluster_per_phase(d, phases, rng):
+    """A cache of random orthonormal blocks, eigenphases given per column.
+
+    Eigenvector j of every block has eigenvalue exp(i phases[j]), so
+    equal phases put eigenvectors of one block in one cluster.
+    """
+    mats = rng.normal(size=(d, 4, 4)) + 1j * rng.normal(size=(d, 4, 4))
+    vecs = np.linalg.qr(mats)[0]
+    lams = np.tile(np.exp(1j * np.asarray(phases)), (d, 1))
+    labels = np.tile(np.unique(phases, return_inverse=True)[1], d)
+    return spectral.SpectralCache(d=d, theta=None, eigenvalues=lams,
+                                  eigenvectors=vecs, labels=labels,
+                                  gaps=np.zeros(4 * d))
+
+
+class TestFlatBandScatter:
+    """The transform route's one scatter per buffer, against np.add.at."""
+
+    STATES = 5
+
+    def _psis(self, rng, count):
+        psis = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+        return psis / np.linalg.norm(psis, axis=1)[:, None]
+
+    # The default cap puts many caches in one buffer; 192 = 3 columns of
+    # d = 16 splits one cache's states over batches, each in a buffer of
+    # its own; 1000 gives each cluster its own batch, several per buffer.
+    @pytest.mark.parametrize("cap", [None, 3 * 4 * 16, 1000])
+    @pytest.mark.parametrize("phi", [0.0, 2.0, None])
+    def test_pack_has_the_scatter_add_bits(self, monkeypatch, rng, phi,
+                                           cap):
+        built = spectral._spectral_caches([(_spec(phi), d)
+                                           for d in range(2, 51)])
+        caches = [b.cache for b in built]
+        psis = self._psis(rng, self.STATES)
+        if cap is not None:
+            monkeypatch.setattr(_kernels, "_SCAN_CHUNK_AMPS", cap)
+        got = spectral._limiting_probs(caches, psis)
+        alone = np.concatenate([spectral._limiting_probs([c], psis)
+                                for c in caches], axis=1)
+        monkeypatch.setattr(spectral, "_add_flat_bands",
+                            _scatter_add_flat_bands)
+        want = spectral._limiting_probs(caches, psis)
+        assert got.tobytes() == want.tobytes()
+        assert alone.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0, 0.0),
+                                        (0.0, 1.0, 0.0, 1.0),
+                                        (0.5, 0.5, 0.5, 2.0)])
+    def test_clusters_that_share_a_block(self, monkeypatch, rng, phases):
+        # No walk of the C07 grid has a transform-route cluster with two
+        # eigenvectors of one block; here every block holds 2 to 4
+        # members of one cluster, which the scatter adds in turn.
+        d = 7
+        cache = _one_cluster_per_phase(d, phases, rng)
+        psis = self._psis(rng, 3)
+        got = spectral._limiting_probs([cache], psis)
+        for probs, psi in zip(got, psis):
+            want = oracles.naive_limit_of(cache.eigenvalues,
+                                          cache.eigenvectors, psi)
+            assert np.abs(probs - want).max() < 1e-14
+        if phases == (0.0, 0.0, 0.0, 0.0):
+            # One cluster holds every eigenvector: the start stays put.
+            assert np.abs(got - np.eye(d)[0]).max() < 1e-14
+        monkeypatch.setattr(_kernels, "_SCAN_CHUNK_AMPS", 4 * d * 2)
+        split = spectral._limiting_probs([cache], psis)
+        monkeypatch.setattr(spectral, "_add_flat_bands",
+                            _scatter_add_flat_bands)
+        assert split.tobytes() == spectral._limiting_probs(
+            [cache], psis).tobytes()
+        monkeypatch.undo()
+        monkeypatch.setattr(spectral, "_add_flat_bands",
+                            _scatter_add_flat_bands)
+        assert got.tobytes() == spectral._limiting_probs(
+            [cache], psis).tobytes()
+
+    @pytest.mark.parametrize("phi", [0.0, 2.0])
+    def test_buffers_stay_within_the_cap(self, monkeypatch, phi):
+        # The C07 pack, four states: the transform route holds a buffer
+        # of at most _SCAN_CHUNK_AMPS amplitudes and the arrays that fill
+        # it, and does not set the call's peak.
+        caches = [b.cache for b in spectral._spectral_caches(
+            [(_spec(phi), d) for d in range(2, 51)])]
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        real, seen = spectral._add_flat_bands, []
+
+        def measured(*args):
+            start, before = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            real(*args)
+            seen.append((start, before, tracemalloc.get_traced_memory()[1]))
+
+        monkeypatch.setattr(spectral, "_add_flat_bands", measured)
+        spectral._limiting_probs(caches, psis)
+        tracemalloc.start()
+        try:
+            spectral._limiting_probs(caches, psis)
+        finally:
+            tracemalloc.stop()
+        start, before, peak = seen[-1]
+        assert peak - start <= 4 * 16 * _kernels._SCAN_CHUNK_AMPS
+        assert peak < before
+
+
 class TestNearDegenerate:
     # At d = 16 near phi = 3 and 7 one block holds two phases just
     # outside PHASE_TOL, where eig returns nearly parallel eigenvectors.
