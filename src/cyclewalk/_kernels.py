@@ -80,33 +80,37 @@ only the final state back.
 
 The running sums, ``sums``, take one of two routes, by a fixed rule on
 d and the horizons, the last of them T (``_gram_route``).  The Gram
-route holds, in momentum space, s_t = blockdiag(M_k)^t s_0 for the
-orthonormal FFT s_0 of the table, and the (4d, 4d) Hermitian Gram
-R_h = sum_{t<h} s_t s_t^H.  With P = blockdiag(M_k^h) from the
-squaring ladder (polish included), doubling is R_2h = R_h + P R_h P^H,
+route steps the power route's real rows (``_real_rows``): X_t holds
+the 2 x 8h floats of the table's real and imaginary parts at the
+h = d//2 + 1 momenta k <= d/2, and X_{t+1} = X_t Q for
+Q = blockdiag(B_k).  It doubles their real symmetric (8h, 8h) Gram
+G_s = sum_{t<s} X_t^T X_t (^T a transpose): with Q_s = blockdiag(B_k^s)
+from the squaring ladder (polish included), G_2s = G_s + Q_s^T G_s Q_s,
 and a horizon with several set bits is built from its low bits up,
-R_{a + 2^m} = R_{2^m} + P_{2^m} R_a P_{2^m}^H for a < 2^m, one
-accumulator per pending horizon.  Then
-p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d} tr R(k, k'): one
-einsum for the coin traces and two FFTs.  That is O(d^2 log T) time
-and (4d)^2 complex entries per Gram.  The stream route sums the
-scan's states, with cumulative sums only in chunks that hold a
-horizon: O(d T) time, O(d) memory.  The Gram route's work is its
-conjugations P R P^H: one per doubling, bit_length(T) - 1 of them,
-and one per set bit of each horizon but its lowest
-(``_conjugations``).  Timed with numpy on 2 vCPUs (best of 3, recycled
-phi = 1.3), a conjugation costs about as much as 5 d to 7 d stream
-steps at d = 32 to 128 (ms Gram/stream at d = 128: T = 16384, one
-horizon, 14 conjugations, 69/143; T = 10000, 17, 76/87; T = 8191,
-24, 103/67; 15 horizons within 30 below T = 16384, 157 conjugations,
-648/130; at d = 64, T = 8191, 24 conjugations, 28/25; at d = 8, 15
-horizons below T = 8192, 142 conjugations, 2.6/2.0).  So the Gram
-route runs when T >= max(1024, 8 d c) for c conjugations (the floor
-is the Gram route's fixed cost on small cycles), for d up to
-``_GRAM_MAX_D`` = 128 (4 MiB per Gram) and at most bit_length(T) + 1
-horizons, which bounds the Grams held at once; larger cycles stream,
-so memory never grows as d^2.  ``evolve_accumulate`` takes its sums
-from the state after one step and its final state from ``evolve``.
+G_{a + 2^m} = G_{2^m} + Q_{2^m}^T G_a Q_{2^m} for a < 2^m, one
+accumulator per pending horizon.  Then p(n) = diag(L C L^T), for C
+the coin trace of G, a (2h, 2h) matrix over momenta and (re, im)
+parts, and L the orthonormal irfft of one (re, im) row: one einsum per
+horizon for the coin traces, then one irfft and one product for all
+horizons at once.  That is O(d^2 log T) time and (8h)^2 floats per
+Gram, 2.1 MiB at d = 128.  The stream route sums the scan's states,
+with cumulative sums only in chunks that hold a horizon: O(d T) time,
+O(d) memory.  The Gram route's work is its conjugations Q^T G Q: one
+per doubling, bit_length(T) - 1 of them, and one per set bit of each
+horizon but its lowest (``_conjugations``).  Timed with numpy on 2
+vCPUs (best of 3, alternating, recycled phi = 1.3), a conjugation
+costs about as much as d to 1.5 d stream steps at d = 32 to 128 (ms
+Gram/stream at d = 128: T = 16384, one horizon, 14 conjugations,
+13/82; T = 10000, 17, 18/50; T = 8191, 24, 21/40; T = 4095, 22,
+20/20; 15 horizons within 15 below T = 16384, 180 conjugations,
+140/81; at d = 64, the same 15 horizons, 29/38; at d = 8, T = 255,
+14 conjugations, 0.16/0.13, and T = 256, 8, 0.12/0.13).  So the Gram
+route runs when T >= max(256, 2 d c) for c conjugations (the floor is
+the Gram route's fixed cost on small cycles), for d up to
+``_GRAM_MAX_D`` = 128 and at most bit_length(T) + 1 horizons, which
+bounds the Grams held at once; larger cycles stream, so memory never
+grows as d^2.  ``evolve_accumulate`` takes its sums from the state
+after one step and its final state from ``evolve``.
 
 No eigendecomposition is involved anywhere here, so every kernel stays
 independent of the spectral module.
@@ -286,24 +290,34 @@ def evolve(amps, steps, spec):
     return _power(amps, steps, spec)
 
 
-def _power(amps, steps, spec):
-    """evolve's power route on the whole cycle (module docstring)."""
+def _real_rows(amps, spec):
+    """The table's real rows in momentum space, and their squaring ladder.
+
+    The pair is real, so it steps the real and imaginary parts of the
+    table apart: two real rows per site, whose transforms are fixed by
+    k <= d/2 (orthonormal rfft over sites).  Returns their float views,
+    an (h, 2, 8) array for h = d//2 + 1, and _squarings of the blocks
+    B_k, k < h, that step them.
+    """
     d = amps.shape[0]
-    # The pair is real, so it steps the real and imaginary parts of the
-    # table apart: two real rows per site, whose transforms are fixed by
-    # k <= d/2 (rfft).  There each row, as 8 floats, takes B_k^(2^m) for
-    # each set bit m of steps.
     parts = np.fft.rfft(np.stack((amps.real, amps.imag), axis=1), axis=0,
                         norm="ortho")
-    state = parts.view(np.float64)
-    for power in _squarings(_real_blocks(d, spec, stop=d // 2 + 1)):
+    return (parts.view(np.float64),
+            _squarings(_real_blocks(d, spec, stop=d // 2 + 1)))
+
+
+def _power(amps, steps, spec):
+    """evolve's power route on the whole cycle (module docstring)."""
+    # Each real row takes B_k^(2^m) for each set bit m of steps.
+    state, ladder = _real_rows(amps, spec)
+    for power in ladder:
         if steps & 1:
             state = state @ power
         steps >>= 1
         if not steps:
             break
-    parts = np.fft.irfft(state.view(np.complex128), n=d, axis=0,
-                         norm="ortho")
+    parts = np.fft.irfft(state.view(np.complex128), n=amps.shape[0],
+                         axis=0, norm="ortho")
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -388,54 +402,65 @@ def _probs(chunk, keep="nt"):
 
 
 def _conjugated(power, gram):
-    """P R P^H for P = blockdiag(power) and a Hermitian (4d, 4d) Gram R.
+    """Q^T G Q for Q = blockdiag(power) and a symmetric (8h, 8h) Gram G.
 
-    Row block k of P R is power[k] times row block k of R; R is
-    Hermitian, so P R P^H = P (P R)^H: two batched (d, 4, 4) @
-    (d, 4, 4d) products around one conjugate transpose.
+    Row block k of Q^T G is power[k]^T times row block k of G; G is
+    symmetric, so Q^T G Q = Q^T (Q^T G)^T: two batched (h, 8, 8) @
+    (h, 8, 8h) products around one transpose.
     """
-    d = power.shape[0]
-    rows = power @ gram.reshape(d, 4, 4 * d)
-    rows = rows.reshape(4 * d, 4 * d).conj().T.reshape(d, 4, 4 * d)
-    return (power @ rows).reshape(4 * d, 4 * d)
+    n = gram.shape[0]
+    turned = power.swapaxes(1, 2)
+    rows = turned @ gram.reshape(-1, 8, n)
+    rows = rows.reshape(n, n).T.reshape(-1, 8, n)
+    return (turned @ rows).reshape(n, n)
 
 
 def _gram_sums(amps, horizons, spec):
-    """sums() by doubling the momentum Gram (module docstring)."""
+    """sums() by doubling the Gram of the real rows (module docstring)."""
     d = amps.shape[0]
-    s = np.fft.fft(amps, axis=0, norm="ortho").reshape(4 * d)
-    gram = np.multiply.outer(s, s.conj())
-    # traces[i, k, k'] is the coin trace of block (k, k') of R_h, h =
-    # horizons[i]; pending[i] holds R_a for the bits of h seen so far.
-    traces = np.empty((len(horizons), d, d), dtype=np.complex128)
+    rows, ladder = _real_rows(amps, spec)
+    h = rows.shape[0]
+    x = rows.swapaxes(0, 1).reshape(2, 8 * h)
+    # A copy for the left factor: numpy hands x.T @ x to BLAS syrk, which
+    # took 8 ms at d = 128 for this rank-2 product, and gemm 0.2 ms.
+    gram = x.T.copy() @ x
+    # traces[i] is the coin trace of G_t, t = horizons[i], as (k, r, k',
+    # r') for momenta k and (re, im) parts r; pending[i] holds G_a for
+    # the bits of t seen so far.
+    traces = np.empty((len(horizons), h, 2, h, 2))
     pending = {}
-    for m, power in enumerate(_squarings(_fourier_blocks(d, spec))):
+    for m, power in enumerate(ladder):
         bit = 1 << m
-        for i, h in enumerate(horizons):
-            if not h & bit:
+        for i, t in enumerate(horizons):
+            if not t & bit:
                 continue
-            # R_{a + 2^m} = R_{2^m} + P_{2^m} R_a P_{2^m}^H for a < 2^m.
+            # G_{a + 2^m} = G_{2^m} + Q_{2^m}^T G_a Q_{2^m} for a < 2^m.
             acc = pending.pop(i, None)
             if acc is None:
                 acc = gram
             else:
                 acc = _conjugated(power, acc)
                 acc += gram
-            if h < 2 * bit:
-                np.einsum("kiqi->kq", acc.reshape(d, 4, d, 4),
+            if t < 2 * bit:
+                np.einsum("kcrqcs->krqs", acc.reshape(h, 4, 2, h, 4, 2),
                           out=traces[i])
             else:
                 pending[i] = acc
         if 2 * bit > horizons[-1]:
             break
-        # R_{2^(m+1)} = R_{2^m} + P_{2^m} R_{2^m} P_{2^m}^H.
+        # G_{2^(m+1)} = G_{2^m} + Q_{2^m}^T G_{2^m} Q_{2^m}.
         doubled = _conjugated(power, gram)
         doubled += gram
         gram = doubled
-    # p(n) = (1/d) sum_{k,k'} e^{2 pi i (k - k') n/d} tr R(k, k'): a
-    # transform over k', an inverse one over k, and the diagonal.
-    waves = np.fft.ifft(np.fft.fft(traces, axis=2), axis=1)
-    return waves.diagonal(axis1=1, axis2=2).real.copy()
+    # p(n) = diag(L C L^T) for a coin trace C and the orthonormal irfft
+    # L of one (re, im) row: L^T is the irfft of the unit rows, and
+    # C L^T that of the rows of C, read as complex along their last axis
+    # (C is symmetric).
+    unit = np.fft.irfft(np.eye(2 * h).view(np.complex128), n=d,
+                        norm="ortho")
+    coins = traces.view(np.complex128).reshape(len(horizons), 2 * h, h)
+    waves = np.fft.irfft(coins, n=d, norm="ortho")
+    return np.einsum("ibn,bn->in", waves, unit)
 
 
 def _stream_sums(amps, horizons, spec):
@@ -459,13 +484,13 @@ def _stream_sums(amps, horizons, spec):
 
 
 # Largest cycle whose running sums may take the Gram route.  A Gram
-# holds (4d)^2 complex entries, 4 MiB at d = 128, so its memory stays a
-# fixed constant; larger cycles stream in O(d) memory.
+# holds (8h)^2 floats, h = d//2 + 1, 2.1 MiB at d = 128, so its memory
+# stays a fixed constant; larger cycles stream in O(d) memory.
 _GRAM_MAX_D = 128
 
 
 def _conjugations(horizons):
-    """The P R P^H products _gram_sums takes for these horizons."""
+    """The Q^T G Q products _gram_sums takes for these horizons."""
     return (int(horizons[-1]).bit_length() - 1
             + sum(bin(h).count("1") - 1 for h in horizons))
 
@@ -473,14 +498,14 @@ def _conjugations(horizons):
 def _gram_route(d, horizons):
     """True when sums() doubles the Gram rather than streaming.
 
-    A conjugation costs 5 d to 7 d stream steps (module docstring), so
-    the Gram route runs from T = max(1024, 8 d c) steps on, for c
+    A conjugation costs d to 1.5 d stream steps (module docstring), so
+    the Gram route runs from T = max(256, 2 d c) steps on, for c
     conjugations.  At most bit_length(T) + 1 horizons (the default
     mixing horizons are that many) bound the Grams held at once.
     """
     steps = int(horizons[-1])
     return (d <= _GRAM_MAX_D and len(horizons) <= steps.bit_length() + 1
-            and steps >= max(1024, 8 * d * _conjugations(horizons)))
+            and steps >= max(256, 2 * d * _conjugations(horizons)))
 
 
 def sums(amps, horizons, spec):

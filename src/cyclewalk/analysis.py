@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -330,6 +329,9 @@ def _run(fn, tasks, jobs, chunksize=1) -> list:
     """
     if jobs == 1 or len(tasks) == 1:
         return list(map(fn, tasks))
+    # Here, not at the top: an in-process run loads neither
+    # concurrent.futures nor multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
@@ -455,9 +457,10 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
 
     psi may be an InitialState, a coin 4-vector (start at position 0),
     or a full WalkState for non-localized starts.  The running sums
-    come from ``_kernels.sums``: by doubling the momentum Gram in
-    O(d^2 log T) on small cycles at long horizons, from the stream of
-    states otherwise; neither route diagonalizes anything.
+    come from ``_kernels.sums``: by doubling the real Gram of the
+    momentum rows in O(d^2 log T) on small cycles at long horizons,
+    from the stream of states otherwise; neither route diagonalizes
+    anything.
     """
     if isinstance(psi, WalkState):
         if psi.d != d:
@@ -489,13 +492,14 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
 
     Both sides come from one walk description.  The running average is
     (1/T) sum_{t=1}^{T} p(., t), from ``_kernels.sums`` after one step:
-    the momentum Gram doubled by powers of the blocks on small cycles
-    at long horizons, the stream of states (block products or site
-    steps) otherwise.  Neither route takes an eigendecomposition or
-    reads the spectral module, so the average stays independent of the
-    spectral path; the two share only the walk's spec and its Fourier
-    blocks.  It converges to the limiting distribution like 1/T, so at
-    T = 10^6 the two should agree to well under 1e-2 in TV.
+    the real Gram of the momentum rows doubled by powers of the real
+    blocks on small cycles at long horizons, the stream of states
+    (block products or site steps) otherwise.  Neither route takes an
+    eigendecomposition or reads the spectral module, so the average
+    stays independent of the spectral path; the two share only the
+    walk's spec and its Fourier blocks.  It converges to the limiting
+    distribution like 1/T, so at T = 10^6 the two should agree to well
+    under 1e-2 in TV.
     """
     init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
     if init.position != 0:

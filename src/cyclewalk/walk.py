@@ -363,11 +363,12 @@ def evolve_accumulate(state: WalkState, steps: int,
     This is direct evolution, with no eigendecomposition.  The sums
     come from ``_kernels.sums``, started at the state after one step.
     On cycles up to ``_kernels._GRAM_MAX_D`` sites, from
-    max(1024, 8 d c) steps on, for the c = log2 steps to 2 log2 steps
+    max(256, 2 d c) steps on, for the c = log2 steps to 2 log2 steps
     conjugations that ``_kernels._conjugations`` counts, they double
-    the momentum Gram sum_t s_t s_t^H with powers of the Fourier blocks, in
-    O(d^2 log steps) time; otherwise they sum the stream of states
-    (products of the real 8x8 momentum blocks on small cycles, site
+    the real Gram sum_t X_t^T X_t of the momentum rows X_t of the
+    table's real and imaginary parts, with powers of the real 8x8
+    momentum blocks, in O(d^2 log steps) time; otherwise they sum the
+    stream of states (products of those blocks on small cycles, site
     steps on large ones) in O(d steps).  The final state comes from
     ``evolve``.  Either way the sums match plain stepping to rounding.
     """

@@ -1110,6 +1110,9 @@ class TestEntryPoint:
     """End-to-end runs through `python -m cyclewalk`."""
 
     def _run(self, *args, env=None):
+        return self._python("-m", "cyclewalk", *args, env=env)
+
+    def _python(self, *args, env=None):
         import os
         full_env = dict(os.environ)
         if env:
@@ -1119,9 +1122,18 @@ class TestEntryPoint:
         src = str(Path(cyclewalk.__file__).resolve().parent.parent)
         full_env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, full_env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "cyclewalk", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, env=full_env,
                               timeout=120)
+
+    def test_cli_import_loads_no_process_pool(self):
+        # A run at jobs = 1 needs no pool: analysis imports it on the
+        # pool branch only.
+        proc = self._python("-c", "import sys, cyclewalk.cli; print(sorted("
+                            "m for m in sys.modules if m.split('.')[0] in "
+                            "('concurrent', 'multiprocessing')))")
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"
 
     def test_evolve_roundtrip(self):
         proc = self._run("evolve", "--d", "4", "--phi", "0",

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cyclewalk import MODEL_MEMORY, MODEL_RECYCLED, CoinConfig, _kernels, walk
+from cyclewalk.analysis import default_horizons
 
 import oracles
 
@@ -96,9 +99,9 @@ class TestSums:
     @pytest.mark.parametrize("d", [5, 12])
     def test_matches_stepping_either_side_of_the_rule(self, d, rng,
                                                       monkeypatch):
-        # Horizons 1, 2^m, 2^m + 1 and an odd last one; 2051 >= 1024
-        # and >= 8 d c for their c = 14 conjugations takes the Gram
-        # route, 201 the stream.
+        # Horizons 1, 2^m, 2^m + 1 and an odd last one; 2051 >= 256
+        # and >= 2 d c for their c = 14 conjugations takes the Gram
+        # route, 201 < 256 the stream.
         ran = self._routes(monkeypatch)
         cases = (((1, 64, 65, 201), "_stream_sums"),
                  ((1, 2048, 2049, 2051), "_gram_sums"))
@@ -117,27 +120,33 @@ class TestSums:
                 assert (np.abs(got - by_dense) / scale).max() < 1e-12
                 assert np.array_equal(a, before)
 
-    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 128])
     def test_routes_agree(self, d, rng):
         # Every bit pattern up to 2^7, the combine of several set bits
         # in particular, a lone horizon T = 1, and horizons on either
-        # side of the stream's chunk boundaries (T = c + 1 ends on one).
+        # side of the stream's chunk boundaries (T = c + 1 ends on one),
+        # from a non-localized complex table and from a real named
+        # start away from site 0, for both walks.  d = 5 and 12 are the
+        # long-horizon benchmark's cycles, d = 128 the Gram cap.
         c = _kernels._scan_chunk_len(d)
+        named = walk.WalkState.localized(
+            d, walk.InitialState.named("psi_c", d // 2)).amplitudes
         for spec in (RECYCLED, MEMORY):
-            a = _random_state(rng, d)
-            for horizons in ((1,), (2,), (3,), (1, 2, 3, 5, 6, 7, 8, 9),
-                             (11, 64, 65, 127, 128, 129, 255),
-                             (c, c + 1, c + 2, 2 * c + 1, 2 * c + 3)):
-                gram = _kernels._gram_sums(a, horizons, spec)
-                stream = _kernels._stream_sums(a, horizons, spec)
-                scale = np.array(horizons)[:, None]
-                assert (np.abs(gram - stream) / scale).max() < 1e-12
-            p0 = np.sum(np.abs(a) ** 2, axis=1)
-            for route in (_kernels._gram_sums, _kernels._stream_sums):
-                assert np.abs(route(a, (1,), spec)[0] - p0).max() < 1e-15
+            for a in (_random_state(rng, d), named):
+                for horizons in ((1,), (2,), (3,), (1, 2, 3, 5, 6, 7, 8, 9),
+                                 (11, 64, 65, 127, 128, 129, 255),
+                                 (c, c + 1, c + 2, 2 * c + 1, 2 * c + 3)):
+                    gram = _kernels._gram_sums(a, horizons, spec)
+                    stream = _kernels._stream_sums(a, horizons, spec)
+                    scale = np.array(horizons)[:, None]
+                    assert (np.abs(gram - stream) / scale).max() < 1e-12
+                p0 = np.sum(np.abs(a) ** 2, axis=1)
+                for route in (_kernels._gram_sums, _kernels._stream_sums):
+                    got = route(a, (1,), spec)[0]
+                    assert np.abs(got - p0).max() < 1e-15
 
     def test_conjugations_counted(self, rng, monkeypatch):
-        # The rule prices the Gram route by the P R P^H products it
+        # The rule prices the Gram route by the Q^T G Q products it
         # takes: one per doubling, one per set bit of a horizon but its
         # lowest.
         count = []
@@ -155,13 +164,13 @@ class TestSums:
             count.clear()
 
     @pytest.mark.parametrize("d, stream, gram", [
-        (8, 1023, 1024),      # the floor: 8 d c is below 1024 here
-        (32, 3071, 3072),     # 21 conjugations against 12; 3072 = 8 d 12
-        (128, 16383, 16384),  # 26 conjugations against 14
+        (8, 255, 256),      # the floor: 2 d c is below 256 here
+        (32, 639, 640),     # 16 conjugations against 10; 640 = 2 d 10
+        (128, 3071, 3072),  # 21 conjugations against 12; 3072 = 2 d 12
     ])
     def test_route_pinned_either_side_of_the_rule(self, d, stream, gram,
                                                   monkeypatch):
-        # The measured break-even: T = max(1024, 8 d c) for the c
+        # The measured break-even: T = max(256, 2 d c) for the c
         # conjugations of the Gram route, for d <= 128.
         ran = self._routes(monkeypatch, run=False)
         a = np.zeros((d, 4), dtype=np.complex128)
@@ -187,12 +196,12 @@ class TestSums:
     def test_many_multi_bit_horizons_stream(self, monkeypatch):
         # Fifteen horizons just below 2^14 take 180 conjugations, about
         # 13 times those of T = 2^14 alone: the Gram route would be
-        # several times slower than the stream at d = 128, and is still
-        # the faster at d = 8.
+        # nearly twice as slow as the stream at d = 128, and is still
+        # the faster at d = 32.
         ran = self._routes(monkeypatch, run=False)
         horizons = tuple(range(16369, 16384))
         assert _kernels._conjugations(horizons) == 180
-        for d, route in ((8, "_gram_sums"), (16, "_stream_sums"),
+        for d, route in ((32, "_gram_sums"), (64, "_stream_sums"),
                          (128, "_stream_sums")):
             a = np.zeros((d, 4), dtype=np.complex128)
             _kernels.sums(a, horizons, RECYCLED)
@@ -202,8 +211,8 @@ class TestSums:
         assert ran.pop() == "_gram_sums"
 
     def test_stream_above_the_gram_cap(self, monkeypatch):
-        # A Gram has (4d)^2 entries; above d = 128 the sums stream in O(d)
-        # memory at any horizon.
+        # A Gram has (8h)^2 entries, h = d//2 + 1; above d = 128 the sums
+        # stream in O(d) memory at any horizon.
         ran = self._routes(monkeypatch, run=False)
         assert _kernels._GRAM_MAX_D == 128
         for d, route in ((128, "_gram_sums"), (129, "_stream_sums"),
@@ -211,6 +220,26 @@ class TestSums:
             a = np.zeros((d, 4), dtype=np.complex128)
             _kernels.sums(a, (10 ** 9,), RECYCLED)
             assert ran.pop() == route
+
+    def test_long_horizons_take_the_gram_route(self):
+        # C09's one horizon and the mixing curve's default horizons at
+        # T = 10^4, on the cycles of the long-horizon benchmark and
+        # around them.
+        for d in range(5, 13):
+            assert _kernels._gram_route(d, (10 ** 4,))
+            assert _kernels._gram_route(d, default_horizons(10 ** 4))
+
+    def test_gram_memory_is_three_grams(self, rng):
+        # At the cap a Gram is 2.1 MiB; one horizon holds the Gram and a
+        # conjugation's two products at a time.
+        a = _random_state(rng, 128)
+        tracemalloc.start()
+        try:
+            _kernels._gram_sums(a, (1 << 14,), RECYCLED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6
 
     def test_accumulate_on_the_gram_route(self, rng, monkeypatch):
         # acc sums t = 1..steps: the sums started one step in.
