@@ -321,13 +321,12 @@ def _power(amps, steps, spec):
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-# Amplitudes held by one chunk of states in the scan, and by one batch
-# of cluster transforms in the spectral limit (one column of d per start
-# state and cluster of more than sqrt(d) eigenvalues; the limit sums
-# smaller ones as pairs), and by one scatter buffer of such batches (a
-# batch of one column of more than this many has a buffer of its own);
-# it bounds their memory independently of the step count and of the
-# numbers of clusters, caches and states.
+# Amplitudes held by one chunk of states in the scan, and by the buffer
+# of one batch of cluster transforms in the spectral limit (one column
+# of d per start state and cluster of more than sqrt(d) eigenvalues; the
+# limit sums smaller ones as pairs, and a batch holds at least one
+# column, however long); it bounds their memory independently of the
+# step count and of the numbers of clusters, caches and states.
 _SCAN_CHUNK_AMPS = 1 << 14
 
 # Largest cycle the scan runs in momentum space.  Above it one O(d) site

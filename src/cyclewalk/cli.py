@@ -39,6 +39,8 @@ THEOREM_TOL = 1e-10
 #: Most points a --phi grid may hold, far beyond any grid of the paper
 #: (C07 takes 80).
 PHI_GRID_MAX_POINTS = 100_000
+#: Most cycle lengths a --d-range may hold (C07 takes 49).
+D_RANGE_MAX_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -53,7 +55,10 @@ def _diag(msg: str):
 # Value parsing
 
 def parse_d_range(text: str) -> list:
-    """Inclusive integer range 'A..B'."""
+    """Inclusive integer range 'A..B' of at most D_RANGE_MAX_POINTS values.
+
+    The values are counted before any is built.
+    """
     parts = text.split("..")
     if len(parts) != 2:
         raise UsageError("bad --d-range %r (expected A..B)" % text)
@@ -65,6 +70,9 @@ def parse_d_range(text: str) -> list:
         raise UsageError("empty --d-range %r" % text)
     if lo < 2:
         raise UsageError("cycle sizes must be >= 2, got %d" % lo)
+    if hi - lo + 1 > D_RANGE_MAX_POINTS:
+        raise UsageError("--d-range %r has %d values, more than %d"
+                         % (text, hi - lo + 1, D_RANGE_MAX_POINTS))
     return list(range(lo, hi + 1))
 
 

@@ -50,11 +50,10 @@ then takes its own sums, those whose order sets the bits: the lone
 eigenvalues' |alpha|^2, one inverse FFT per state along the last axis
 of its (S, d) share, and its transform batches.  A transform batch
 holds one column of d amplitudes per (state, cluster) of one cache, up
-to _kernels._SCAN_CHUNK_AMPS amplitudes; consecutive batches, of one
-cache or several, share one buffer of at most that many, filled by one
-scatter of the clusters' amplitudes, and then each batch takes its
-inverse FFT and its reduction alone (_add_flat_bands).  A sweep pack
-is one such call; limiting_distribution passes one cache and one
+to _kernels._SCAN_CHUNK_AMPS amplitudes, in a buffer of its own that
+the clusters' amplitudes fill; one inverse FFT and one reduction then
+add it to the distributions (_add_flat_bands).  A sweep pack is one
+such call; limiting_distribution passes one cache and one
 state, and gets the same bits as in any pack.  A+ and A- are real for
 both walks, so M_{d-k} = conj(M_k), and block d - k takes the
 conjugate eigenvalues and eigenvectors, with exactly negated phases.
@@ -862,86 +861,53 @@ def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     phi on each block k, and adds p_C(n) = |ifft over k of the column|^2
     summed over coins.  A cache's columns go in batches of at most
     per = _SCAN_CHUNK_AMPS // (4d) columns, nst states by ncl clusters,
-    laid out (k, state, cluster, coin); each batch takes one inverse FFT
-    along k and one reduction into probs, in a fixed order, so its bits
-    do not depend on the caches beside it.  Consecutive batches share
-    one buffer up to _SCAN_CHUNK_AMPS amplitudes (a larger batch has its
-    own, as has a batch of part of the states, which then holds one
-    cluster).  The v of the first member of each run (the members of a
-    cluster on one block) go in by one fancy-index assignment; a later
-    member of a run is added in turn, as np.add.at into zeros would add
-    it (np.add.reduceat would add a0 + (a1 + a2)).  The sign of a zero
+    each in a buffer of its own laid out (k, state, cluster, coin); each
+    batch takes one inverse FFT along k and one reduction into probs,
+    in a fixed order, so its bits do not depend on the caches beside
+    it.  The v of the first member of each run (the members of a cluster
+    on one block) go in by one fancy-index assignment; a later member of
+    a run is added in turn, as np.add.at into zeros would add it
+    (np.add.reduceat would add a0 + (a1 + a2)).  The sign of a zero
     entry cannot reach probs: the transform only adds and multiplies,
     and the reduction squares.
     """
     ns = len(probs)
-    cap = _kernels._SCAN_CHUNK_AMPS
-    # Batch (d, first, lo, h, s0, w): clusters lo..lo + h - 1 by states
-    # s0..s0 + w - 1 of the cache at block first.
-    batches = []
+    # Member i starts a run unless member i - 1 is on its cluster and block.
+    starts = np.append(True, (cid[1:] != cid[:-1]) | (k[1:] != k[:-1]))
+    shared = not starts.all()
     c0 = 0
     for d, first, n in zip(ds, firsts, nbig.tolist()):
-        if not n:
-            continue
-        per = max(1, cap // (4 * d))
+        per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
         nst = min(ns, per)
         ncl = per // nst
-        batches += [(d, first, lo, min(ncl, c0 + n - lo), s0,
-                     min(nst, ns - s0))
-                    for lo in range(c0, c0 + n, ncl)
-                    for s0 in range(0, ns, nst)]
+        for lo in range(c0, c0 + n, ncl):
+            h = min(ncl, c0 + n - lo)
+            a, b = cid.searchsorted((lo, lo + h)).tolist()
+            # ranks[r] selects the r-th member of every run that has one.
+            ranks = [slice(a, b)]
+            if shared:
+                i = np.arange(b - a)
+                rank = i - np.maximum.accumulate(np.where(starts[a:b], i, 0))
+                ranks = [a + np.flatnonzero(rank == r)
+                         for r in range(rank.max() + 1)]
+            at = [(k[m] - first, slice(None), cid[m] - lo) for m in ranks]
+            for s0 in range(0, ns, nst):
+                w = min(nst, ns - s0)
+                buf = np.zeros((d, w, h, 4), dtype=np.complex128)
+                for r, m in enumerate(ranks):
+                    v = (phi[m] * alpha[s0:s0 + w, m, None]).swapaxes(0, 1)
+                    if r:
+                        buf[at[r]] += v
+                    else:
+                        buf[at[r]] = v
+                np.fft.ifft(buf, axis=0, out=buf)
+                parts = buf.view(np.float64)
+                probs[s0:s0 + w, first:first + d] += np.einsum(
+                    "nscj,nscj->sn", parts, parts)
+                # Dropped before the next buffer is made: one batch's
+                # buffer and product bound the peak.
+                del buf, parts, v
         c0 += n
-    buffers, used = [], cap
-    for batch in batches:
-        amps = 4 * batch[0] * batch[3] * batch[5]
-        if used + amps > cap or batch[5] < ns:
-            buffers.append([])
-            used = 0 if batch[5] == ns else cap
-        buffers[-1].append(batch)
-        used += amps
-    # A run is the members of one cluster on one block: runs holds the
-    # first member of each, ends the member after its last.
-    shared = (cid[1:] == cid[:-1]) & (k[1:] == k[:-1])
-    if shared.any():
-        runs = np.flatnonzero(np.append(True, ~shared))
-        ends = np.append(runs[1:], len(cid))
-        cid, k = cid[runs], k[runs]
-    else:
-        runs = None
-    bounds = np.searchsorted(cid, [(b[0][2], b[-1][2] + b[-1][3])
-                                   for b in buffers]).tolist()
-    for batches, (ra, rb) in zip(buffers, bounds):
-        _, _, lo, _, sa, width = batches[0]
-        # Per cluster (x, kstep, sstep): state s of block k is row
-        # x + k kstep + (s - sa) sstep of the buffer.
-        rows, size = [], 0
-        for d, first, _, h, _, w in batches:
-            rows += [(size - first * w * h + i, w * h, h) for i in range(h)]
-            size += d * w * h
-        x, kstep, sstep = np.array(rows)[cid[ra:rb] - lo].T
-        at = np.multiply.outer(np.arange(width), sstep)
-        at += x + k[ra:rb] * kstep
-        states = slice(sa, sa + width)
-        heads = slice(ra, rb) if runs is None else runs[ra:rb]
-        buf = np.zeros((size, 4), dtype=np.complex128)
-        buf[at] = phi[heads] * alpha[states, heads, None]
-        if runs is not None:
-            more = np.arange(ra, rb)
-            for r in range(1, (ends - runs)[ra:rb].max()):
-                more = more[ends[more] - runs[more] > r]
-                nth = runs[more] + r
-                buf[at[:, more - ra]] += phi[nth] * alpha[states, nth, None]
-        del at
-        row = 0
-        for d, first, _, h, s0, w in batches:
-            batch = buf[row:row + d * w * h].reshape(d, w, h, 4)
-            row += d * w * h
-            np.fft.ifft(batch, axis=0, out=batch)
-            parts = batch.view(np.float64)
-            probs[s0:s0 + w, first:first + d] += np.einsum(
-                "nscj,nscj->sn", parts, parts)
-        # Dropped before the next buffer is made: one bounds the peak.
-        del buf, batch, parts
 
 
 def _limiting(spec: _WalkSpec, d: int, psi,

@@ -43,9 +43,6 @@ from . import _kernels
 MODEL_RECYCLED = "recycled"
 MODEL_MEMORY = "memory"
 
-#: Coin labels in index order, coin 1 (or the active coin) first.
-COIN_LABELS = ("dd", "du", "ud", "uu")
-
 PHI_PERIOD = 8.0
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -233,9 +230,11 @@ def _check_steps(steps: int) -> int:
 class _WalkSpec:
     """One walk as its unitary U and shift mask Pi (module docstring).
 
-    unitary is U as a read-only real 4x4 array, and a complex U raises
+    unitary is U as a read-only real 4x4 array.  A complex U raises
     ValueError, since every kernel and the spectral cache rest on
-    M_{d-k} = conj(M_k).  mask is Pi as a tuple of four 0/1 entries.
+    M_{d-k} = conj(M_k), and so does a real U with max |U^T U - 1|
+    above 1e-12, since a walk that is not unitary has no spectral
+    limit.  mask is Pi as a tuple of four 0/1 entries.
     The pair A+ = diag(mask) U and A- = U - A+ is derived once, as
     read-only real 4x4 arrays, and from it two read-only forms:
     ``floats``, A+ and A- as (2, 8, 8) on the float view of a row of 4
@@ -260,6 +259,9 @@ class _WalkSpec:
         # + 0.0 turns a -0.0 entry (np.kron makes them) into +0.0, so a
         # walk's arrays have the same bytes however U was written.
         u = u.real + 0.0
+        if np.abs(u.T @ u - np.eye(4)).max() > 1e-12:
+            raise ValueError("a walk's U must be orthogonal; this one's "
+                             "max |U^T U - 1| exceeds 1e-12")
         a_plus = np.where(np.array(self.mask, dtype=bool)[:, None], u, 0.0)
         a_plus, a_minus = pair = np.array((a_plus, u - a_plus))
         # forms[f, j, p, i, q] is entry F[2j + p, 2i + q] of form f: the

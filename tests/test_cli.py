@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 import cyclewalk
 import oracles
 from cyclewalk import _kernels, cli, output
-from cyclewalk.cli import (PHI_GRID_MAX_POINTS, UsageError, main,
-                           parse_d_range, parse_phi_grid, parse_state)
+from cyclewalk.cli import (D_RANGE_MAX_POINTS, PHI_GRID_MAX_POINTS,
+                           UsageError, main, parse_d_range, parse_phi_grid,
+                           parse_state)
 from cyclewalk.output import Table, render_csv, render_json
 from cyclewalk.walk import (MODEL_MEMORY, MODEL_RECYCLED, InitialState,
                             WalkState)
@@ -64,6 +66,30 @@ class TestParsers:
     def test_d_range_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_d_range(bad)
+
+    def test_d_range_point_cap(self, tmp_path):
+        # The values are counted before any is built: 2..10000000000
+        # would be 10^10 Python ints.  By flag, and by config file.
+        assert len(parse_d_range("2..100001")) == D_RANGE_MAX_POINTS
+        with pytest.raises(UsageError, match="100001 values"):
+            parse_d_range("2..100002")
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="10000000000 values"):
+                parse_d_range("2..10000000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"d_range": "2..10000000001"}')
+        for command, extra in (("sweep", ("--d-range", "2..10000000001")),
+                               ("verify", ("--config", str(cfg))),
+                               ("residue", ("--config", str(cfg)))):
+            code, out, err = run_cli(command, *extra)
+            assert code == 2, command
+            assert out == ""
+            assert "10000000000 values" in err
 
     def test_phi_grid_tenths(self):
         grid = parse_phi_grid("0:0.1:7.9")

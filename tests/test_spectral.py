@@ -856,7 +856,8 @@ def _scatter_add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     """spectral._add_flat_bands as np.add.at into zeros, batch by batch.
 
     The same batches in the same order, each with its own buffer: the
-    bits the one-scatter route must give.
+    bits that assigning the run heads and adding the later members must
+    give.
     """
     ns, c0 = len(probs), 0
     for d, first, n in zip(ds, firsts, nbig.tolist()):
@@ -895,7 +896,7 @@ def _one_cluster_per_phase(d, phases, rng):
 
 
 class TestFlatBandScatter:
-    """The transform route's one scatter per buffer, against np.add.at."""
+    """The transform route's assignment per batch, against np.add.at."""
 
     STATES = 5
 
@@ -903,9 +904,9 @@ class TestFlatBandScatter:
         psis = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
         return psis / np.linalg.norm(psis, axis=1)[:, None]
 
-    # The default cap puts many caches in one buffer; 192 = 3 columns of
-    # d = 16 splits one cache's states over batches, each in a buffer of
-    # its own; 1000 gives each cluster its own batch, several per buffer.
+    # The default cap gives each cache of the pack one batch; 192 = 3
+    # columns of d = 16 splits one cache's states over batches; 1000
+    # gives each cluster of the larger caches a batch of its own.
     @pytest.mark.parametrize("cap", [None, 3 * 4 * 16, 1000])
     @pytest.mark.parametrize("phi", [0.0, 2.0, None])
     def test_pack_has_the_scatter_add_bits(self, monkeypatch, rng, phi,
@@ -931,7 +932,7 @@ class TestFlatBandScatter:
     def test_clusters_that_share_a_block(self, monkeypatch, rng, phases):
         # No walk of the C07 grid has a transform-route cluster with two
         # eigenvectors of one block; here every block holds 2 to 4
-        # members of one cluster, which the scatter adds in turn.
+        # members of one cluster, which are added in turn.
         d = 7
         cache = _one_cluster_per_phase(d, phases, rng)
         psis = self._psis(rng, 3)
@@ -950,6 +951,20 @@ class TestFlatBandScatter:
         assert split.tobytes() == spectral._limiting_probs(
             [cache], psis).tobytes()
         monkeypatch.undo()
+        monkeypatch.setattr(spectral, "_add_flat_bands",
+                            _scatter_add_flat_bands)
+        assert got.tobytes() == spectral._limiting_probs(
+            [cache], psis).tobytes()
+
+    # At the default cap one column of d = 4096 fills a batch and one of
+    # d = 2048 half of one, so a single cache's four states split over
+    # four and two batches.
+    @pytest.mark.parametrize("phi,d", [(0.0, 4096), (None, 2048)])
+    def test_large_cache_has_the_scatter_add_bits(self, monkeypatch, phi,
+                                                  d):
+        cache = spectral._spectral_cache(_spec(phi), d)
+        psis = np.array([named_coin4(n) for n in STATE_NAMES])
+        got = spectral._limiting_probs([cache], psis)
         monkeypatch.setattr(spectral, "_add_flat_bands",
                             _scatter_add_flat_bands)
         assert got.tobytes() == spectral._limiting_probs(

@@ -408,6 +408,16 @@ class TestEquivalenceOnShiftBlocks:
                 < 1e-14, phi
             assert np.array_equal(self.Q @ pi_rec, pi_rec @ self.Q)
 
+    def test_non_orthogonal_unitary_rejected(self):
+        # A spec checks U^T U = 1 once, when it is built: a scaled U
+        # would step a walk that gains norm.
+        spec = walk._walk_spec(MODEL_RECYCLED, CoinConfig(1.3))
+        with pytest.raises(ValueError, match="orthogonal"):
+            walk._WalkSpec(1.5 * spec.unitary, spec.mask, spec.theta)
+        # The complex check comes first.
+        with pytest.raises(ValueError, match="real shift blocks"):
+            walk._WalkSpec(1.5j * spec.unitary, spec.mask, spec.theta)
+
 
 class TestSpecBytes:
     """The spec arrays, pinned bit for bit, signed zeros included.
