@@ -336,7 +336,11 @@ _FOURIER_SCAN_MAX_D = 352
 
 
 def _scan_chunk_len(d):
-    """Steps per chunk of the scan on a d-cycle."""
+    """Steps per chunk of the scan on a d-cycle.
+
+    Also the columns per batch of the spectral limit's cluster
+    transforms (spectral._add_flat_bands).
+    """
     return max(1, _SCAN_CHUNK_AMPS // (4 * d))
 
 

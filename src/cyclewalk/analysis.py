@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,8 +22,9 @@ import numpy as np
 
 from . import _kernels, spectral
 from .walk import (CoinConfig, Distribution, InitialState, WalkState,
-                   MODEL_MEMORY, MODEL_RECYCLED, _probs_error, _walk_spec,
-                   apply_P_adjoint, apply_Q, evolve, position_distribution)
+                   MODEL_MEMORY, MODEL_RECYCLED, _count, _probs_error,
+                   _walk_spec, apply_P_adjoint, apply_Q, evolve,
+                   position_distribution)
 
 
 def total_variation(p, q) -> float:
@@ -67,8 +69,7 @@ def _gap_at(sides, t):
 
 def _max_gap(sides, t_max):
     """Worst pointwise gap between two walks' p(., t) over t = 0..t_max."""
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0, got %d" % t_max)
+    t_max = _count(t_max, "t_max")
     lhs, rhs = (_kernels._states(s.amplitudes, t_max,
                                  _walk_spec(s.model, cfg))
                 for s, cfg in sides)
@@ -167,15 +168,13 @@ class SweepGrid:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "d_values",
-                           tuple(int(d) for d in self.d_values))
+        object.__setattr__(self, "d_values", tuple(
+            _count(d, "cycle length d", 2) for d in self.d_values))
         object.__setattr__(self, "phi_values",
                            tuple(float(p) for p in self.phi_values))
         object.__setattr__(self, "states", tuple(self.states))
         if not self.d_values or not self.phi_values or not self.states:
             raise ValueError("sweep grid must be non-empty on every axis")
-        if any(d < 2 for d in self.d_values):
-            raise ValueError("all cycle lengths must be >= 2")
         if any(not 0.0 <= p < 8.0 for p in self.phi_values):
             raise ValueError("all phi values must lie in [0, 8)")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -228,15 +227,13 @@ def _state_label(st: InitialState) -> str:
 class _Cells(NamedTuple):
     """The cells of some sweep groups as (group, state) arrays.
 
-    tv is NaN, and uniform, boundary and warned are False, in a failed
-    cell; error holds its message (an object array, None elsewhere).
-    probs, when kept, is an object array of each cell's distribution
-    (None in a failed cell).
+    tv is NaN, and warned False, in a failed cell; error holds its
+    message (an object array, None elsewhere).  probs, when kept, is an
+    object array of each cell's distribution (None in a failed cell).
+    The verdicts against epsilon are the grid's (_sweep_columns).
     """
 
     tv: np.ndarray
-    uniform: np.ndarray
-    boundary: np.ndarray
     warned: np.ndarray
     error: np.ndarray
     probs: np.ndarray | None
@@ -246,12 +243,11 @@ def _failed_cells(groups, states, keep_probs) -> _Cells:
     """Cells of groups by states that all fail, with no message yet."""
     shape = (groups, states)
     return _Cells(np.full(shape, math.nan), np.zeros(shape, dtype=bool),
-                  np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool),
                   np.full(shape, None, dtype=object),
                   np.full(shape, None, dtype=object) if keep_probs else None)
 
 
-def _limit_cells(ds, warned, probs, epsilon, keep_probs) -> _Cells:
+def _limit_cells(ds, warned, probs, keep_probs) -> _Cells:
     """The cells of groups whose limits sit side by side in probs.
 
     probs is (S, sum of ds), as spectral._limiting_probs returns it for
@@ -281,9 +277,7 @@ def _limit_cells(ds, warned, probs, epsilon, keep_probs) -> _Cells:
         for g, (lo, d) in enumerate(groups):
             for s in np.flatnonzero(~bad[g]):
                 kept[g, s] = probs[s, lo:lo + d]
-    return _Cells(tv, tv < epsilon,
-                  (epsilon / 10.0 <= tv) & (tv <= epsilon * 10.0),
-                  np.array(warned)[:, None] & ~bad, error, kept)
+    return _Cells(tv, np.array(warned)[:, None] & ~bad, error, kept)
 
 
 def _sweep_pack(task) -> _Cells:
@@ -295,7 +289,7 @@ def _sweep_pack(task) -> _Cells:
     fails fails its cells; an error in the pack-wide steps fails every
     cell of the pack.
     """
-    phi, ds, states, epsilon, keep_probs = task
+    phi, ds, states, keep_probs = task
     spec = _walk_spec(MODEL_RECYCLED, CoinConfig(phi))
     psis = np.array([st.coin4 for st in states], dtype=np.complex128)
     cells = _failed_cells(len(ds), len(states), keep_probs)
@@ -306,7 +300,7 @@ def _sweep_pack(task) -> _Cells:
             caches = [built[g].cache for g in good]
             limits = _limit_cells(
                 [c.d for c in caches], [built[g].warned for g in good],
-                spectral._limiting_probs(caches, psis), epsilon, keep_probs)
+                spectral._limiting_probs(caches, psis), keep_probs)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         cells.error[:] = str(exc)
         return cells
@@ -320,35 +314,40 @@ def _sweep_pack(task) -> _Cells:
     return cells
 
 
-def _run(fn, tasks, jobs, chunksize=1) -> list:
-    """[fn(task) for task in tasks], in order.
+def _run(fn, tasks, jobs) -> list:
+    """[fn(task) for task in tasks], in order, on at most jobs processes.
 
-    In process for jobs = 1 or a single task, else on a pool of jobs
-    processes, which hands each worker chunksize tasks at a time; fn
-    must then be a module-level function, so that it pickles.
+    jobs is a whole number >= 1.  A pool starts all of its workers at
+    once, so the work sizes it: min(jobs, len(tasks), os.cpu_count())
+    workers, and the tasks run in process when that is one.  A pool
+    hands each worker chunks of ceil(len(tasks) / (4 workers)) tasks,
+    the rule of multiprocessing.Pool.map; fn must then be a
+    module-level function, so that it pickles.
     """
-    if jobs == 1 or len(tasks) == 1:
+    workers = min(_count(jobs, "jobs", 1), len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return list(map(fn, tasks))
     # Here, not at the top: an in-process run loads neither
     # concurrent.futures nor multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks,
+                             chunksize=-(-len(tasks) // (4 * workers))))
 
 
 def _sweep_columns(grid: SweepGrid, jobs: int, keep_probs: bool) -> dict:
     """Every cell of the grid as columns, in (d, phi, state) order.
 
-    Keys and values are those of SweepRecord's fields, each a list of
-    one value per cell; classified_uniform is None in a failed cell,
-    and probs is there only when kept.  The packs' (group, state)
-    arrays arrive phi by phi, each phi's d in grid order, in process or
-    from the pool, and are reordered once per column.
+    Keys and values are those of SweepRecord's fields, in its order,
+    each a list of one value per cell; probs is there only when kept.
+    The packs' (group, state) arrays arrive phi by phi, each phi's d in
+    grid order, in process or from the pool, and are reordered once per
+    column.  The verdicts against epsilon are taken once, on the grid's
+    tv column: classified_uniform is tv < epsilon (None in a failed
+    cell), boundary tv within a decade of epsilon.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1, got %d" % jobs)
     packs = spectral._packs(grid.d_values)
-    tasks = [(phi, ds, grid.states, grid.epsilon, keep_probs)
+    tasks = [(phi, ds, grid.states, keep_probs)
              for phi in grid.phi_values for ds in packs]
     parts = _run(_sweep_pack, tasks, jobs)
     nd, nphi, ns = len(grid.d_values), len(grid.phi_values), len(grid.states)
@@ -360,15 +359,17 @@ def _sweep_columns(grid: SweepGrid, jobs: int, keep_probs: bool) -> dict:
 
     ds = np.repeat(grid.d_values, nphi * ns)
     error = cells("error")
-    uniform = cells("uniform").astype(object)
+    tv = cells("tv")
+    eps = grid.epsilon
+    uniform = (tv < eps).astype(object)
     uniform[np.not_equal(error, None)] = None
     columns = {
         "d": ds.tolist(),
         "phi": np.tile(np.repeat(grid.phi_values, ns), nd).tolist(),
         "state": [_state_label(st) for st in grid.states] * (nd * nphi),
-        "tv_from_uniform": cells("tv").tolist(),
+        "tv_from_uniform": tv.tolist(),
         "classified_uniform": uniform.tolist(),
-        "boundary": cells("boundary").tolist(),
+        "boundary": ((eps / 10.0 <= tv) & (tv <= eps * 10.0)).tolist(),
         "warned": cells("warned").tolist(),
         "d_mod_4": (ds % 4).tolist(),
         "divisible_by_12": (ds % 12 == 0).tolist(),
@@ -421,8 +422,7 @@ class MixingCurve:
 
 def default_horizons(t_max: int) -> tuple:
     """Powers of two up to t_max, with t_max itself appended."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1, got %d" % t_max)
+    t_max = _count(t_max, "t_max", 1)
     hs = []
     h = 1
     while h <= t_max:
@@ -504,8 +504,7 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
     if init.position != 0:
         raise ValueError("crosscheck requires a position-0 start")
-    if t_horizon < 1:
-        raise ValueError("t_horizon must be >= 1, got %d" % t_horizon)
+    t_horizon = _count(t_horizon, "t_horizon", 1)
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))
     pbar = spectral._limiting(spec, d, init, None)

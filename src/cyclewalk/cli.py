@@ -410,13 +410,11 @@ def cmd_sweep(ns):
                 _diag("cell d=%d phi=%g state=%s failed: %s"
                       % (cells["d"][i], cells["phi"][i], cells["state"][i],
                          error))
-    fields = ("d", "phi", "state", "tv_from_uniform", "classified_uniform",
-              "boundary", "warned", "d_mod_4", "divisible_by_12", "error")
     table = Table(schema="sweep.v1", config=config,
                   columns=("d", "phi", "state", "tv_from_uniform",
                            "uniform", "boundary", "warned", "d_mod_4",
                            "divisible_by_12", "error"),
-                  data=tuple(cells[f] for f in fields),
+                  data=tuple(cells.values()),
                   meta={"cells": len(errors)})
     return table, ("%d of %d sweep cells failed" % (failures, len(errors))
                    if failures else None)
@@ -451,8 +449,7 @@ def cmd_verify(ns):
              for d in d_values for phi in phi_values for s in states]
     tasks += [("theorem2", d, None, s, t_max)
               for d in d_values for s in states]
-    devs = analysis._run(_verify_cell, tasks, _at_least(ns, "jobs", 1, 1),
-                         chunksize=4)
+    devs = analysis._run(_verify_cell, tasks, _at_least(ns, "jobs", 1, 1))
     config = {"command": "verify", "d_values": d_values,
               "phi_values": phi_values,
               "states": [_state_config(s) for s in states],
@@ -524,10 +521,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         _diag("error: %s" % exc)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         # A numerical check failed (lost unitarity, an eigenvalue off
-        # the unit circle) or a worker process died (BrokenProcessPool
-        # is a RuntimeError).
+        # the unit circle), a worker process died (BrokenProcessPool
+        # is a RuntimeError) or an array did not fit in memory.
         _diag("error: %s" % exc)
         return 1
     if failure is None:

@@ -113,7 +113,7 @@ import numpy as np
 
 from . import _kernels
 from .walk import (CoinConfig, Distribution, InitialState, MODEL_MEMORY,
-                   MODEL_RECYCLED, _as_coin4, _walk_spec, _WalkSpec)
+                   MODEL_RECYCLED, _as_coin4, _count, _walk_spec, _WalkSpec)
 
 #: Two eigenvalues are treated as equal when their phases differ by
 #: less than this (radians, after unwrapping across the branch cut).
@@ -124,13 +124,6 @@ _UNITARITY_TOL = 1e-10
 
 class DegenerateClusterWarning(UserWarning):
     """Eigenvalue phase gaps near the matching tolerance."""
-
-
-def _check_k(k: int, d: int):
-    if d < 2:
-        raise ValueError("cycle length d must be >= 2, got %d" % d)
-    if not 0 <= k < d:
-        raise ValueError("momentum index k=%d outside 0..%d" % (k, d - 1))
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,10 @@ class FourierBlock:
 
 
 def _build_block(spec: _WalkSpec, k: int, d: int) -> FourierBlock:
-    _check_k(k, d)
+    d = _count(d, "cycle length d", 2)
+    k = _count(k, "momentum index k")
+    if k >= d:
+        raise ValueError("momentum index k=%d outside 0..%d" % (k, d - 1))
     block = _kernels._momentum_blocks(np.array([k]), d, spec)
     return FourierBlock(k=k, d=d, theta=spec.theta,
                         matrix=_kernels._complex_blocks(block)[0])
@@ -615,9 +611,7 @@ def _spectral_caches(groups) -> list:
     they cannot fail the stack.  A single cache is the one-group case
     (_spectral_cache).
     """
-    for _, d in groups:
-        if d < 2:
-            raise ValueError("cycle length d must be >= 2, got %d" % d)
+    groups = [(spec, _count(d, "cycle length d", 2)) for spec, d in groups]
     ds = np.array([d for _, d in groups])
     stops = np.array(_kernels._rep_stops(ds))
     starts = np.cumsum(stops) - stops
@@ -722,8 +716,7 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
     from spectral_cache to amortize diagonalization over many t and
     states.  The start must be localized at position 0.
     """
-    if t < 0:
-        raise ValueError("time step must be >= 0, got %d" % t)
+    t = _count(t, "time step")
     if cache is None:
         if d is None:
             raise ValueError("need either d or a SpectralCache")
@@ -744,8 +737,9 @@ def closed_form_probability(n: int, t: int, cfg: CoinConfig, psi,
                             d: int | None = None,
                             cache: SpectralCache | None = None) -> float:
     """p(n, t) from the block eigensystems; see closed_form_distribution."""
+    n = _count(n, "position")
     dist = closed_form_distribution(t, cfg, psi, d=d, cache=cache)
-    if not 0 <= n < dist.d:
+    if n >= dist.d:
         raise ValueError("position %d outside cycle of length %d" % (n, dist.d))
     return float(dist.probs[n])
 
@@ -860,8 +854,9 @@ def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     is one column of d amplitudes, the sum of the cluster's v = alpha
     phi on each block k, and adds p_C(n) = |ifft over k of the column|^2
     summed over coins.  A cache's columns go in batches of at most
-    per = _SCAN_CHUNK_AMPS // (4d) columns, nst states by ncl clusters,
-    each in a buffer of its own laid out (k, state, cluster, coin); each
+    per columns, the scan's chunk length on a d-cycle
+    (_kernels._scan_chunk_len), nst states by ncl clusters, each in a
+    buffer of its own laid out (k, state, cluster, coin); each
     batch takes one inverse FFT along k and one reduction into probs,
     in a fixed order, so its bits do not depend on the caches beside
     it.  The v of the first member of each run (the members of a cluster
@@ -877,7 +872,7 @@ def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     shared = not starts.all()
     c0 = 0
     for d, first, n in zip(ds, firsts, nbig.tolist()):
-        per = max(1, _kernels._SCAN_CHUNK_AMPS // (4 * d))
+        per = _kernels._scan_chunk_len(d)
         nst = min(ns, per)
         ncl = per // nst
         for lo in range(c0, c0 + n, ncl):

@@ -28,12 +28,17 @@ with the pair of shift blocks A+ = Pi U and A- = (1 - Pi) U, which
 share no nonzero row.  ``_walk_spec`` gives each walk's spec, built
 from (U, Pi) alone; stepping, the norm scan and the spectral module's
 Fourier blocks all come from it.
+
+The library reads each whole-number input (a step count, a time, a
+cycle size, a momentum or a position) through one function, ``_count``,
+which rejects a value that is not an integer or is below its floor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,8 +151,7 @@ class WalkState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("cycle length d must be >= 2, got %d" % self.d)
+        object.__setattr__(self, "d", _count(self.d, "cycle length d", 2))
         if self.model not in (MODEL_RECYCLED, MODEL_MEMORY):
             raise ValueError("unknown model %r" % (self.model,))
         arr = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
@@ -161,11 +165,13 @@ class WalkState:
     @classmethod
     def localized(cls, d: int, initial: InitialState,
                   model: str = MODEL_RECYCLED) -> "WalkState":
-        if not 0 <= initial.position < d:
+        d = _count(d, "cycle length d", 2)
+        position = _count(initial.position, "position")
+        if position >= d:
             raise ValueError("position %d outside cycle of length %d"
-                             % (initial.position, d))
+                             % (position, d))
         amps = np.zeros((d, 4), dtype=np.complex128)
-        amps[initial.position] = initial.coin4
+        amps[position] = initial.coin4
         return cls(d=d, model=model, amplitudes=amps)
 
     def norm(self) -> float:
@@ -220,10 +226,20 @@ def position_distribution(state: WalkState) -> Distribution:
                         probs=np.sum(np.abs(state.amplitudes) ** 2, axis=1))
 
 
-def _check_steps(steps: int) -> int:
-    if steps < 0:
-        raise ValueError("step count must be >= 0, got %d" % steps)
-    return int(steps)
+def _count(value, name: str, low: int = 0) -> int:
+    """value as a Python int, whole and at least low (module docstring).
+
+    A value that operator.index does not take (a float, even a whole
+    one) raises ValueError naming the input, as does one below low.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (name, value)) from None
+    if n < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, n))
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +351,7 @@ def evolve(state: WalkState, steps: int,
     dense operator of the test oracles to 1e-12, and the power route
     holds the norm to about 1e-13 even at t = 10^6.
     """
-    steps = _check_steps(steps)
+    steps = _count(steps, "step count")
     if steps == 0:
         return state
     spec = _walk_spec(state.model, cfg)
@@ -374,7 +390,7 @@ def evolve_accumulate(state: WalkState, steps: int,
     steps on large ones) in O(d steps).  The final state comes from
     ``evolve``.  Either way the sums match plain stepping to rounding.
     """
-    steps = _check_steps(steps)
+    steps = _count(steps, "step count")
     if steps == 0:
         return state, np.zeros(state.d)
     spec = _walk_spec(state.model, cfg)
@@ -397,7 +413,7 @@ def norm_drift_scan(state: WalkState, steps: int,
     products in each chunk, not of T sequential site steps; on larger
     cycles they come from site steps.
     """
-    steps = _check_steps(steps)
+    steps = _count(steps, "step count")
     if steps == 0:
         n = state.norm()
         return state, 0.0, n

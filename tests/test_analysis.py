@@ -1,7 +1,9 @@
 """Distances, equivalence checks, sweeps and time averages."""
 
+import concurrent.futures
 import itertools
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -299,6 +301,59 @@ class TestResidueCurve:
         assert [m for _, m, _ in pts] == [1, 2, 3, 0]
 
 
+class TestWholeNumberInputs:
+    """Each step count, time, horizon and cycle length is read whole."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda psi: verify_theorem1(5, 3.5, 0.5, psi.coin4),
+         "step count must be an integer, got 3.5"),
+        (lambda psi: theorem1_max_deviation(5, 3.5, 0.5, psi.coin4),
+         "t_max must be an integer, got 3.5"),
+        (lambda psi: default_horizons(10.0),
+         "t_max must be an integer, got 10.0"),
+        (lambda psi: mixing_curve(5, 0.5, psi, 10.5),
+         "t_max must be an integer, got 10.5"),
+        (lambda psi: crosscheck_limiting(5, 0.5, psi, 100.5),
+         "t_horizon must be an integer, got 100.5"),
+        (lambda psi: SweepGrid(d_values=(7.9,), phi_values=(0.5,),
+                               states=(psi,)),
+         "cycle length d must be an integer, got 7.9"),
+        (lambda psi: theorem1_max_deviation(5, -1, 0.5, psi.coin4),
+         "t_max must be >= 0, got -1"),
+        (lambda psi: default_horizons(0), "t_max must be >= 1, got 0"),
+        (lambda psi: crosscheck_limiting(5, 0.5, psi, 0),
+         "t_horizon must be >= 1, got 0"),
+        (lambda psi: SweepGrid(d_values=(4, 1), phi_values=(0.5,),
+                               states=(psi,)),
+         "cycle length d must be >= 2, got 1"),
+        (lambda psi: sweep(SweepGrid((4,), (0.5,), (psi,)), jobs=0),
+         "jobs must be >= 1, got 0"),
+    ], ids=["theorem1-t", "theorem1-t-max", "horizons-t-max",
+            "mixing-t-max", "crosscheck-t", "sweep-d", "negative-t-max",
+            "zero-horizon", "zero-crosscheck-t", "sweep-d-of-one",
+            "zero-jobs"])
+    def test_messages(self, call, message):
+        # SweepGrid once swept d = 7 for 7.9.
+        with pytest.raises(ValueError) as info:
+            call(InitialState.named("psi_b"))
+        assert str(info.value) == message
+
+    def test_numpy_integers_give_the_same_values(self):
+        psi = InitialState.named("psi_b")
+        n = np.int64
+        assert (theorem1_max_deviation(n(7), n(20), 0.5, psi.coin4)
+                == theorem1_max_deviation(7, 20, 0.5, psi.coin4))
+        assert (crosscheck_limiting(n(7), 0.5, psi, n(300))
+                == crosscheck_limiting(7, 0.5, psi, 300))
+        assert default_horizons(n(10)) == default_horizons(10)
+        grid = SweepGrid((n(5), n(6)), (0.5,), (psi,))
+        assert [type(d) for d in grid.d_values] == [int, int]
+        got = sweep(grid)
+        want = sweep(SweepGrid((5, 6), (0.5,), (psi,)))
+        assert [(r.d, r.tv_from_uniform) for r in got] == [
+            (r.d, r.tv_from_uniform) for r in want]
+
+
 class TestSweepGrid:
     def test_named_factory(self):
         grid = SweepGrid.named((3, 4), (0.0, 0.5), ("psi_a", "psi_c"))
@@ -412,13 +467,17 @@ class TestSweep:
 
         monkeypatch.setattr(analysis.spectral, "_limiting_probs", boom)
         states = tuple(InitialState.named(n) for n in ("psi_a", "psi_c"))
-        cells = analysis._sweep_pack((0.5, [5, 6, 7], states, 1e-6, False))
+        cells = analysis._sweep_pack((0.5, [5, 6, 7], states, False))
         assert cells.error.shape == (3, 2)
         assert (cells.error == "boom").all()
         assert np.isnan(cells.tv).all()
-        assert not (cells.uniform.any() or cells.boundary.any()
-                    or cells.warned.any())
         assert cells.probs is None
+        records = sweep(SweepGrid((5, 6, 7), (0.5,), states), jobs=1)
+        assert len(records) == 6
+        for r in records:
+            assert r.error == "boom"
+            assert r.classified_uniform is None
+            assert r.boundary is False and r.warned is False
 
     def test_group_warning_marks_every_row(self):
         # d = 16, phi near 3 has phase gaps just outside the tolerance.
@@ -455,13 +514,72 @@ class TestSweep:
         states = tuple(InitialState.named(n) for n in STATE_NAMES)
         tracemalloc.start()
         try:
-            cells = analysis._sweep_pack((0.0, [4096], states, 1e-6, True))
+            cells = analysis._sweep_pack((0.0, [4096], states, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert cells.error.tolist() == [[None] * len(STATE_NAMES)]
         assert all(p.shape == (4096,) for p in cells.probs[0])
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process, and maps in process."""
+
+    def __init__(self, made, max_workers):
+        self.max_workers, self.chunksize = max_workers, None
+        made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, tasks)
+
+
+class TestPoolSizing:
+    """analysis._run sizes its pool by the work; no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: _FakePool(made, max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        return made
+
+    @pytest.mark.parametrize("jobs, tasks, workers, chunk", [
+        (10_000, 3, 3, 1), (2, 100, 2, 13), (3, 5, 3, 1), (64, 1000, 64, 4)])
+    def test_workers_and_chunks(self, pools, jobs, tasks, workers, chunk):
+        assert analysis._run(abs, list(range(-tasks, 0)), jobs) == list(
+            range(tasks, 0, -1))
+        assert [(p.max_workers, p.chunksize) for p in pools] == [
+            (workers, chunk)]
+
+    def test_cpu_count_caps_the_workers(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        analysis._run(abs, list(range(100)), 8)
+        assert [(p.max_workers, p.chunksize) for p in pools] == [(4, 7)]
+
+    @pytest.mark.parametrize("jobs, tasks, cpus", [
+        (1, 10, 64), (5, 1, 64), (5, 0, 64), (4, 10, 1), (4, 10, None)])
+    def test_one_worker_builds_no_pool(self, pools, monkeypatch, jobs, tasks,
+                                       cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert analysis._run(abs, [-1] * tasks, jobs) == [1] * tasks
+        assert pools == []
+
+    def test_sweep_sizes_its_pool(self, pools):
+        grid = SweepGrid.named((5, 6), (0.0, 0.5, 1.0), ("psi_a",))
+        assert [r.tv_from_uniform for r in sweep(grid, jobs=10_000)] == [
+            r.tv_from_uniform for r in sweep(grid, jobs=1)]
+        # One pack per phi: three tasks.
+        assert [(p.max_workers, p.chunksize) for p in pools] == [(3, 1)]
 
 
 # The C07 grid's 80 phi and one with phase gaps just outside the

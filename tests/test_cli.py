@@ -1069,6 +1069,19 @@ class TestUsageErrors:
         assert rows[0][9] != "" and rows[1] == clean_rows[1]
         assert _sha256(out) == _FAILED_SWEEP_CSV
 
+    @pytest.mark.parametrize("args", [
+        ("evolve", "--d", "1000000000000000", "--phi", "0.5", "--t", "1"),
+        ("limiting", "--d", "1000000000000000", "--phi", "0.5"),
+    ], ids=["evolve", "limiting"])
+    def test_out_of_memory_is_one_diagnostic(self, args):
+        # The first array of d = 10^15 asks for petabytes, past any
+        # address space, so numpy fails it at once and nothing is held.
+        code, out, err = run_cli(*args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cyclewalk: error: Unable to allocate ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 #: SHA-256 of each command's --help at 80 columns.
 _HELP_DIGESTS = {

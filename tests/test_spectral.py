@@ -94,6 +94,31 @@ class TestBlocks:
         with pytest.raises(ValueError, match="momentum"):
             build_Nk(k, 5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_Mk(1.5, 4, CoinConfig(0.5)),
+         "momentum index k must be an integer, got 1.5"),
+        (lambda: build_Nk(1.5, 4),
+         "momentum index k must be an integer, got 1.5"),
+        (lambda: build_Mk(1, 4.0, CoinConfig(0.5)),
+         "cycle length d must be an integer, got 4.0"),
+        (lambda: spectral_cache(7.9, CoinConfig(0.5)),
+         "cycle length d must be an integer, got 7.9"),
+        (lambda: limiting_distribution_memory(7.9, named_coin4("psi_a")),
+         "cycle length d must be an integer, got 7.9"),
+    ], ids=["Mk", "Nk", "block-d", "cache-d", "limit-d"])
+    def test_non_integer_input_rejected(self, call, message):
+        # build_Mk(1.5, ...) once returned a matrix that is no block of
+        # the walk.
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_numpy_integers_give_the_same_block(self):
+        got = build_Mk(np.int64(3), np.int64(7), CoinConfig(1.3))
+        want = build_Mk(3, 7, CoinConfig(1.3))
+        assert (type(got.k), type(got.d)) == (int, int)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
     @pytest.mark.parametrize("d", [7, 64, 1001])
     def test_single_block_is_its_row_of_the_stack(self, d):
         for model, build in ((MODEL_RECYCLED,
@@ -682,6 +707,39 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=">= 0"):
             closed_form_distribution(-1, CoinConfig(0.0),
                                      named_coin4("psi_a"), d=5)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda cfg, psi: closed_form_distribution(2.5, cfg, psi, d=5),
+         "time step must be an integer, got 2.5"),
+        (lambda cfg, psi: closed_form_probability(1, 2.5, cfg, psi, d=5),
+         "time step must be an integer, got 2.5"),
+        (lambda cfg, psi: closed_form_probability(1.5, 2, cfg, psi, d=5),
+         "position must be an integer, got 1.5"),
+        (lambda cfg, psi: closed_form_distribution(2, cfg, psi, d=5.0),
+         "cycle length d must be an integer, got 5.0"),
+        (lambda cfg, psi: closed_form_distribution(-1, cfg, psi, d=5),
+         "time step must be >= 0, got -1"),
+        (lambda cfg, psi: closed_form_probability(-1, 2, cfg, psi, d=5),
+         "position must be >= 0, got -1"),
+        (lambda cfg, psi: closed_form_probability(5, 2, cfg, psi, d=5),
+         "position 5 outside cycle of length 5"),
+    ], ids=["t", "probability-t", "position", "d", "negative-t",
+            "negative-position", "position-past-d"])
+    def test_inputs_read_as_counts(self, call, message):
+        # A fractional t once gave a distribution at a time the walk
+        # never reaches.
+        with pytest.raises(ValueError) as info:
+            call(CoinConfig(0.5), named_coin4("psi_b"))
+        assert str(info.value) == message
+
+    def test_numpy_integers_give_the_same_bytes(self):
+        cfg, psi = CoinConfig(1.3), named_coin4("psi_c")
+        got = closed_form_distribution(np.int64(37), cfg, psi,
+                                       d=np.int64(11))
+        want = closed_form_distribution(37, cfg, psi, d=11)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert closed_form_probability(np.int64(4), np.int64(37), cfg, psi,
+                                       d=11) == want.probs[4]
 
 
 class TestLimiting:

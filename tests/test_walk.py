@@ -251,6 +251,70 @@ class TestEvolve:
         b = evolve(st, 25, CoinConfig(9.3))
         assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda st, cfg: evolve(st, 2.5, cfg),
+         "step count must be an integer, got 2.5"),
+        (lambda st, cfg: evolve(st, 2.0, cfg),
+         "step count must be an integer, got 2.0"),
+        (lambda st, cfg: walk.evolve_accumulate(st, 2.5, cfg),
+         "step count must be an integer, got 2.5"),
+        (lambda st, cfg: norm_drift_scan(st, 2.5, cfg),
+         "step count must be an integer, got 2.5"),
+        (lambda st, cfg: WalkState.localized(
+            6, InitialState.named("psi_a", position=1.5)),
+         "position must be an integer, got 1.5"),
+        (lambda st, cfg: WalkState.localized(6.0, InitialState.named("psi_a")),
+         "cycle length d must be an integer, got 6.0"),
+        (lambda st, cfg: WalkState(6.0, MODEL_RECYCLED, st.amplitudes),
+         "cycle length d must be an integer, got 6.0"),
+    ], ids=["evolve", "evolve-whole-float", "accumulate", "normscan",
+            "position", "localized-d", "state-d"])
+    def test_non_integer_input_rejected(self, call, message):
+        # A fractional step count was once cut to its integer part.
+        st = WalkState.localized(6, InitialState.named("psi_c"))
+        with pytest.raises(ValueError) as info:
+            call(st, CoinConfig(1.0))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda st, cfg: evolve(st, -1, cfg),
+         "step count must be >= 0, got -1"),
+        (lambda st, cfg: walk.evolve_accumulate(st, -2, cfg),
+         "step count must be >= 0, got -2"),
+        (lambda st, cfg: norm_drift_scan(st, -3, cfg),
+         "step count must be >= 0, got -3"),
+        (lambda st, cfg: WalkState.localized(1, InitialState.named("psi_a")),
+         "cycle length d must be >= 2, got 1"),
+        (lambda st, cfg: WalkState(0, MODEL_RECYCLED, st.amplitudes),
+         "cycle length d must be >= 2, got 0"),
+        (lambda st, cfg: WalkState.localized(
+            6, InitialState.named("psi_a", position=6)),
+         "position 6 outside cycle of length 6"),
+    ], ids=["evolve", "accumulate", "normscan", "localized-d", "state-d",
+            "position"])
+    def test_out_of_range_messages(self, call, message):
+        st = WalkState.localized(6, InitialState.named("psi_c"))
+        with pytest.raises(ValueError) as info:
+            call(st, CoinConfig(1.0))
+        assert str(info.value) == message
+
+    def test_numpy_integers_give_the_same_bytes(self):
+        cfg = CoinConfig(1.3)
+        a = WalkState.localized(
+            np.int64(9), InitialState.named("psi_b", position=np.int64(3)))
+        b = WalkState.localized(9, InitialState.named("psi_b", position=3))
+        assert type(a.d) is int
+        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        # 300 steps at d = 9 take the Gram route of the running sums.
+        for steps in (40, 300):
+            n = np.int64(steps)
+            assert (evolve(a, n, cfg).amplitudes.tobytes()
+                    == evolve(b, steps, cfg).amplitudes.tobytes())
+            assert (walk.evolve_accumulate(a, n, cfg)[1].tobytes()
+                    == walk.evolve_accumulate(b, steps, cfg)[1].tobytes())
+            assert (norm_drift_scan(a, n, cfg)[1:]
+                    == norm_drift_scan(b, steps, cfg)[1:])
+
     def test_uniform_position_superposition(self):
         d = 8
         amps = np.zeros((d, 4), dtype=np.complex128)
