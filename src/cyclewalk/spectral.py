@@ -51,10 +51,10 @@ eigenvalues' |alpha|^2, one inverse FFT per state along the last axis
 of its (S, d) share, and its transform batches.  A transform batch
 holds one column of d amplitudes per (state, cluster) of one cache, up
 to _kernels._SCAN_CHUNK_AMPS amplitudes, in a buffer of its own that
-the clusters' amplitudes fill; one inverse FFT and one reduction then
-add it to the distributions (_add_flat_bands).  A sweep pack is one
-such call; limiting_distribution passes one cache and one
-state, and gets the same bits as in any pack.  A+ and A- are real for
+one assignment of the clusters' amplitudes fills; one inverse FFT and
+one reduction then add it to the distributions (_add_flat_bands).  A
+sweep pack is one such call; limiting_distribution passes one cache
+and one state, and gets the same bits as in any pack.  A+ and A- are real for
 both walks, so M_{d-k} = conj(M_k), and block d - k takes the
 conjugate eigenvalues and eigenvectors, with exactly negated phases.
 On an even cycle x changes sign when k moves by d/2, so M_{k+d/2} =
@@ -113,7 +113,7 @@ import numpy as np
 
 from . import _kernels
 from .walk import (CoinConfig, Distribution, InitialState, MODEL_MEMORY,
-                   MODEL_RECYCLED, _as_coin4, _count, _walk_spec, _WalkSpec)
+                   MODEL_RECYCLED, _count, _walk_spec, _WalkSpec)
 
 #: Two eigenvalues are treated as equal when their phases differ by
 #: less than this (radians, after unwrapping across the branch cut).
@@ -527,13 +527,14 @@ class SpectralCache:
 
 def _coin4_or_initial(psi) -> np.ndarray:
     # The Fourier route hard-codes the start at position 0; the phase
-    # bookkeeping below is only valid there.
-    if isinstance(psi, InitialState):
-        if psi.position != 0:
-            raise ValueError("spectral route requires the walk to start at "
-                             "position 0, got position %d" % psi.position)
-        return np.asarray(psi.coin4)
-    return _as_coin4(psi)
+    # bookkeeping below is only valid there.  A raw coin vector is read
+    # as a start there, so it takes InitialState's checks.
+    if not isinstance(psi, InitialState):
+        psi = InitialState(0, psi)
+    if psi.position != 0:
+        raise ValueError("spectral route requires the walk to start at "
+                         "position 0, got position %d" % psi.position)
+    return np.asarray(psi.coin4)
 
 
 def _conj_t(stacks) -> np.ndarray:
@@ -859,17 +860,16 @@ def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     buffer of its own laid out (k, state, cluster, coin); each
     batch takes one inverse FFT along k and one reduction into probs,
     in a fixed order, so its bits do not depend on the caches beside
-    it.  The v of the first member of each run (the members of a cluster
-    on one block) go in by one fancy-index assignment; a later member of
-    a run is added in turn, as np.add.at into zeros would add it
-    (np.add.reduceat would add a0 + (a1 + a2)).  The sign of a zero
+    it.  A batch's v go in by one fancy-index assignment, unless some
+    cluster holds two members of one block: then every batch takes
+    np.add.at into its zeros, which adds them.  The sign of a zero
     entry cannot reach probs: the transform only adds and multiplies,
     and the reduction squares.
     """
     ns = len(probs)
-    # Member i starts a run unless member i - 1 is on its cluster and block.
-    starts = np.append(True, (cid[1:] != cid[:-1]) | (k[1:] != k[:-1]))
-    shared = not starts.all()
+    # Members are sorted by cluster, then by block: a shared block shows
+    # as two neighbours on one cluster and one block.
+    shared = ((cid[1:] == cid[:-1]) & (k[1:] == k[:-1])).any()
     c0 = 0
     for d, first, n in zip(ds, firsts, nbig.tolist()):
         per = _kernels._scan_chunk_len(d)
@@ -878,23 +878,15 @@ def _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
         for lo in range(c0, c0 + n, ncl):
             h = min(ncl, c0 + n - lo)
             a, b = cid.searchsorted((lo, lo + h)).tolist()
-            # ranks[r] selects the r-th member of every run that has one.
-            ranks = [slice(a, b)]
-            if shared:
-                i = np.arange(b - a)
-                rank = i - np.maximum.accumulate(np.where(starts[a:b], i, 0))
-                ranks = [a + np.flatnonzero(rank == r)
-                         for r in range(rank.max() + 1)]
-            at = [(k[m] - first, slice(None), cid[m] - lo) for m in ranks]
+            at = (k[a:b] - first, slice(None), cid[a:b] - lo)
             for s0 in range(0, ns, nst):
                 w = min(nst, ns - s0)
                 buf = np.zeros((d, w, h, 4), dtype=np.complex128)
-                for r, m in enumerate(ranks):
-                    v = (phi[m] * alpha[s0:s0 + w, m, None]).swapaxes(0, 1)
-                    if r:
-                        buf[at[r]] += v
-                    else:
-                        buf[at[r]] = v
+                v = (phi[a:b] * alpha[s0:s0 + w, a:b, None]).swapaxes(0, 1)
+                if shared:
+                    np.add.at(buf, at, v)
+                else:
+                    buf[at] = v
                 np.fft.ifft(buf, axis=0, out=buf)
                 parts = buf.view(np.float64)
                 probs[s0:s0 + w, first:first + d] += np.einsum(
@@ -958,6 +950,7 @@ def memory_spectrum_mismatch(d: int) -> float:
     The memory-walk block is unitarily equivalent to the recycled-coin
     block at phi = 2, so this should vanish to rounding error.
     """
+    d = _count(d, "cycle length d", 2)
     ms = _kernels._fourier_blocks(d, _walk_spec(MODEL_RECYCLED,
                                                 CoinConfig(2.0)))
     ns = _kernels._fourier_blocks(d, _walk_spec(MODEL_MEMORY))

@@ -68,7 +68,10 @@ class CoinConfig:
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite, got %r" % (self.phi,))
-        object.__setattr__(self, "phi", float(self.phi) % PHI_PERIOD)
+        # A negative phi of size below about 4.4e-16 reduces to 8.0 once;
+        # the second remainder takes that to 0.0 and leaves the rest alone.
+        object.__setattr__(self, "phi",
+                           float(self.phi) % PHI_PERIOD % PHI_PERIOD)
 
     @property
     def theta(self) -> float:
@@ -186,6 +189,7 @@ class Distribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _count(self.d, "cycle length d", 2))
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.shape != (self.d,):
             raise ValueError("probability vector must have shape (%d,), got %s"
@@ -200,6 +204,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, d: int) -> "Distribution":
+        d = _count(d, "cycle length d", 2)
         return cls(d=d, probs=np.full(d, 1.0 / d))
 
 

@@ -1143,6 +1143,16 @@ class TestDeterminismAndFormats:
         json_probs = [r[1] for r in doc["rows"]]
         assert csv_probs == json_probs
 
+    @pytest.mark.parametrize("args", [("evolve", "--d", "9", "--t", "7"),
+                                      ("limiting", "--d", "12")],
+                             ids=["evolve", "limiting"])
+    def test_tiny_negative_phi_is_phi_zero(self, args):
+        # -1e-20 % 8 rounds to 8.0: the config once echoed "phi":8.0, and
+        # the cells moved in the last bit, as 9 pi/4 is not pi/4.
+        got = run_cli(*args, "--phi=-1e-20")
+        assert got[0] == 0
+        assert got == run_cli(*args, "--phi", "0")
+
 
 @pytest.mark.subprocess
 class TestEntryPoint:

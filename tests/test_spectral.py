@@ -16,7 +16,7 @@ from cyclewalk import (CoinConfig, InitialState, WalkState,
                        position_distribution, spectral_cache,
                        spectral_cache_memory, total_variation)
 
-from cyclewalk import _kernels, spectral, walk
+from cyclewalk import _kernels, analysis, spectral, walk
 from cyclewalk.spectral import PHASE_TOL
 
 import oracles
@@ -105,7 +105,9 @@ class TestBlocks:
          "cycle length d must be an integer, got 7.9"),
         (lambda: limiting_distribution_memory(7.9, named_coin4("psi_a")),
          "cycle length d must be an integer, got 7.9"),
-    ], ids=["Mk", "Nk", "block-d", "cache-d", "limit-d"])
+        (lambda: memory_spectrum_mismatch(7.9),
+         "cycle length d must be an integer, got 7.9"),
+    ], ids=["Mk", "Nk", "block-d", "cache-d", "limit-d", "mismatch-d"])
     def test_non_integer_input_rejected(self, call, message):
         # build_Mk(1.5, ...) once returned a matrix that is no block of
         # the walk.
@@ -142,6 +144,14 @@ class TestBlocks:
     @pytest.mark.parametrize("d", [3, 8, 13, 32])
     def test_nk_spectrum_equals_mk_phi2(self, d):
         assert memory_spectrum_mismatch(d) < 1e-9
+
+    def test_mismatch_reads_d_as_a_count(self):
+        # d = 1 once gave a value for a cycle every other entry rejects.
+        with pytest.raises(ValueError) as info:
+            memory_spectrum_mismatch(1)
+        assert str(info.value) == "cycle length d must be >= 2, got 1"
+        assert (memory_spectrum_mismatch(np.int64(5))
+                == memory_spectrum_mismatch(5))
 
 
 class TestEigensystem:
@@ -769,6 +779,23 @@ class TestLimiting:
         with pytest.raises(ValueError, match="position 0"):
             limiting_distribution(CoinConfig(0.0), 5, init)
 
+    @pytest.mark.parametrize("psi", [named_coin4("psi_a") * (1 + 1e-10),
+                                     [1, 1, 0, 0]], ids=["near", "far"])
+    @pytest.mark.parametrize("call", [
+        lambda psi: limiting_distribution(CoinConfig(0.5), 5, psi),
+        lambda psi: limiting_distribution_memory(5, psi),
+        lambda psi: closed_form_distribution(3, CoinConfig(0.5), psi, d=5),
+        lambda psi: analysis.verify_pbar_identities(5, psi),
+        lambda psi: analysis.residue_distance_curve([5], psi),
+    ], ids=["limit", "memory-limit", "closed-form", "pbar", "residue"])
+    def test_raw_start_must_be_normalized(self, call, psi):
+        # A raw coin vector once skipped InitialState's checks: 1 + 1e-10
+        # gave a limit summing to 1 + 2e-10, and [1, 1, 0, 0] failed late
+        # on its probabilities' sum.
+        with pytest.raises(ValueError,
+                           match="initial coin state must be normalized"):
+            call(psi)
+
     @pytest.mark.parametrize("d,phi", ORACLE_CELLS)
     @pytest.mark.parametrize("name", ["psi_a", "psi_c"])
     def test_matches_naive_double_loop(self, d, phi, name):
@@ -914,8 +941,7 @@ def _scatter_add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha):
     """spectral._add_flat_bands as np.add.at into zeros, batch by batch.
 
     The same batches in the same order, each with its own buffer: the
-    bits that assigning the run heads and adding the later members must
-    give.
+    bits that assigning each batch's members must give.
     """
     ns, c0 = len(probs), 0
     for d, first, n in zip(ds, firsts, nbig.tolist()):
@@ -953,6 +979,18 @@ def _one_cluster_per_phase(d, phases, rng):
                                   gaps=np.zeros(4 * d))
 
 
+def _shared_blocks(cache):
+    """How many transform-route members share a block with a clustermate.
+
+    A cluster of s members takes the transform route when s^2 > d; its
+    member K = 4k + j is eigenvector j of block k.
+    """
+    counts = np.bincount(cache.labels)
+    flat = np.flatnonzero(counts[cache.labels] ** 2 > cache.d)
+    pairs = cache.labels[flat] * cache.d + flat // 4
+    return pairs.size - np.unique(pairs).size, flat.size
+
+
 class TestFlatBandScatter:
     """The transform route's assignment per batch, against np.add.at."""
 
@@ -984,13 +1022,33 @@ class TestFlatBandScatter:
         assert got.tobytes() == want.tobytes()
         assert alone.tobytes() == want.tobytes()
 
+    def test_no_walk_cluster_shares_a_block(self):
+        # The flat bands are filled by one assignment per batch; a cluster
+        # with two eigenvectors of one block would send every batch of
+        # its call through np.add.at.  The C07 grid and the memory walk,
+        # one pack per column, and the flat phi at large d.
+        seen = []
+        for phi in [round(0.1 * m, 10) for m in range(80)] + [None]:
+            built = spectral._spectral_caches([(_spec(phi), d)
+                                               for d in range(2, 51)])
+            seen += [(phi, b.cache.d) + _shared_blocks(b.cache)
+                     for b in built]
+        for phi in (0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 0.5, None):
+            for d in (1023, 1024, 2048, 4095, 4096):
+                cache = spectral._spectral_cache(_spec(phi), d)
+                seen.append((phi, d) + _shared_blocks(cache))
+        assert [s for s in seen if s[2]] == []
+        # Each flat walk's two flat bands take the route on every cycle.
+        assert all(s[3] >= 2 * s[1] for s in seen
+                   if s[0] in (0.0, 2.0, 4.0, 6.0, None))
+
     @pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0, 0.0),
                                         (0.0, 1.0, 0.0, 1.0),
                                         (0.5, 0.5, 0.5, 2.0)])
     def test_clusters_that_share_a_block(self, monkeypatch, rng, phases):
-        # No walk of the C07 grid has a transform-route cluster with two
-        # eigenvectors of one block; here every block holds 2 to 4
-        # members of one cluster, which are added in turn.
+        # No walk has a transform-route cluster with two eigenvectors of
+        # one block (test_no_walk_cluster_shares_a_block); here every
+        # block holds 2 to 4 members of one cluster, which np.add.at adds.
         d = 7
         cache = _one_cluster_per_phase(d, phases, rng)
         psis = self._psis(rng, 3)

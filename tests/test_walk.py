@@ -30,6 +30,11 @@ class TestCoinConfig:
         assert CoinConfig(1.0).theta == math.pi / 2
         assert CoinConfig(2.0).theta == 3 * math.pi / 4
 
+    def test_tiny_negative_phi_stays_below_8(self):
+        # -1e-20 % 8 rounds to 8.0, outside [0, 8).
+        assert CoinConfig(-1e-20).phi == 0.0
+        assert CoinConfig(-1e-20) == CoinConfig(0.0)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
@@ -113,6 +118,21 @@ class TestStates:
             walk.Distribution(d=3, probs=[0.5, 0.5])
         with pytest.raises(ValueError, match="negative probability -0.5"):
             walk.Distribution(d=2, probs=[1.5, -0.5])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: walk.Distribution.uniform(0),
+         "cycle length d must be >= 2, got 0"),
+        (lambda: walk.Distribution.uniform(2.0),
+         "cycle length d must be an integer, got 2.0"),
+        (lambda: walk.Distribution(d=2.5, probs=[0.5, 0.5]),
+         "cycle length d must be an integer, got 2.5"),
+    ], ids=["uniform-0", "uniform-float", "fractional"])
+    def test_distribution_reads_d_as_a_count(self, call, message):
+        # uniform(0) once divided by zero, and d = 2.5 read "must have
+        # shape (2,), got (2,)".
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_localized_position_range(self):
         init = InitialState.named("psi_a", position=5)
