@@ -43,7 +43,9 @@ block eigensystems and the clustering of their phases.
 The start state enters only through alpha, so one cache serves every
 state and every time step.  The limit (_limiting_probs) takes a list
 of caches and a stack of S start states.  Their blocks are joined into
-one stack: the alphas come from one einsum, and the cluster
+one stack: the alphas come from one einsum over the distinct
+representatives' eigenvectors and their conjugates, gathered to every
+block through the caches' maps (_projection), and the cluster
 bookkeeping (sizes, routes, members, pair indices and frequencies) and
 the pair terms are built once for every cache and state.  Each cache
 then takes its own sums, those whose order sets the bits: the lone
@@ -62,8 +64,13 @@ On an even cycle x changes sign when k moves by d/2, so M_{k+d/2} =
 (-lam, v) and block d/2 - k takes (-conj(lam), conj(v)).  So only the
 representative blocks are diagonalized (_kernels._rep_stops): k <= d/4
 on even d and k <= d/2 on odd d.  The eigenpairs of the others hold
-for the blocks built directly to rounding in x.  The per-block
-warnings are then issued for all d blocks in ascending k.
+for the blocks built directly to rounding in x.  A cache holds all 4d
+eigenvalues, gathered, but the eigenvectors of the representatives
+only, with a map from each block to its representative (a source
+index and a conjugate flag); the pair and transform routes gather the
+member vectors they need through it, and SpectralCache.eigenvectors
+gathers all d.  The per-block warnings are then issued for all d
+blocks in ascending k.
 
 The eigensystems take one of two routes, by a fixed rule on the number
 of blocks in the stack (_POLY_MIN_BLOCKS, the measured break-even, 32
@@ -84,21 +91,30 @@ eigensystem and memory_spectrum_mismatch always use LAPACK, so they
 stay independent witnesses of the polynomial route.
 
 Caches are built a pack at a time (_spectral_caches).  A pack is a
-list of (walk, d) groups whose representative blocks form one stack:
-one unitarity screen, one diagonalization and one screen of the block
-phase gaps serve the whole stack.  One gather mirrors the blocks of
-every group, one sort clusters the phases of every group, each apart
-(_segment_clusters), and the unit-circle check and the warned flag (a
-block or cluster gap within a decade of PHASE_TOL) are taken per group
-by reduceat.  A group that fails a check fails alone, and a pack warns
-of nothing: its groups carry the flags.  A sweep diagonalizes one pack
-per run of consecutive d of a phi column, up to _POLY_CHUNK blocks
-(_packs), so one C07 column, d = 2..50, is a single stack of 505
-blocks on the polynomial route, although each of its caches alone
-would take LAPACK, and then takes one limit for all of its groups and
-states.  A single cache is the one-group pack (_checked issues its
-warnings and raises its error), so its route and its bits do not
-depend on the packs.
+list of (walk, d) groups whose representative blocks form one stack.
+Block k of a d-cycle and block k' of a d'-cycle of one walk are one
+matrix whenever their x have the same bits (k = 0 in every group, for
+one), so the pack keeps each distinct block once (_distinct): one
+unitarity screen, one diagonalization and one screen of the block
+phase gaps serve the distinct blocks, and each group reads its
+representatives through the inverse index.  One map takes every block
+of every group to its distinct representative, one sort clusters the
+phases of every group, each apart (_segment_clusters), and the
+unit-circle check and the warned flag (a block or cluster gap within a
+decade of PHASE_TOL) are taken per group by reduceat; the groups'
+caches share the distinct eigenvectors.  A group that fails a check
+fails alone, and a pack warns of nothing: its groups carry the flags.
+A sweep diagonalizes one pack per run of consecutive d of a phi
+column, up to _POLY_CHUNK representative blocks (_packs), so one C07
+column, d = 2..50, is a single stack of 338 distinct blocks (of 505
+representatives; 337 at phi = 0, 2 and 4, where the blocks of 1/13
+and 3/39 agree although their x do not).  The count of
+representatives sets the route, so the column takes the polynomial
+route, although each of its caches alone would take LAPACK, and then
+takes one limit for all of its groups and states.  A single cache is
+the one-group pack (_checked issues its warnings and raises its
+error), which has no two equal blocks, so its route and its bits do
+not depend on the packs.
 """
 
 from __future__ import annotations
@@ -414,16 +430,17 @@ _POLY_MIN_BLOCKS = 32
 _POLY_CHUNK = 1024
 
 
-def _eig(mats: np.ndarray):
+def _eig(mats: np.ndarray, reps: int | None = None):
     """Eigenvalues (n, 4) and orthonormal eigenvectors (n, 4, 4) of a stack.
 
-    vecs[b][:, j] belongs to lams[b, j].  Stacks of _POLY_MIN_BLOCKS
-    blocks or more take _poly_eig, in passes of at most _POLY_CHUNK
-    blocks, and the blocks it rejects go through _lapack_eig in one
-    batched call; smaller stacks take _lapack_eig alone.
+    vecs[b][:, j] belongs to lams[b, j].  The route is set by reps, the
+    representative blocks the stack stands for (by default its own
+    length): from _POLY_MIN_BLOCKS on, the stack takes _poly_eig, in
+    passes of at most _POLY_CHUNK blocks, and the blocks it rejects go
+    through _lapack_eig in one batched call; below, _lapack_eig alone.
     """
     n = len(mats)
-    if n < _POLY_MIN_BLOCKS:
+    if (n if reps is None else reps) < _POLY_MIN_BLOCKS:
         return _lapack_eig(mats)
     lams = np.empty((n, 4), dtype=np.complex128)
     vecs = np.empty((n, 4, 4), dtype=np.complex128)
@@ -504,25 +521,41 @@ def eigensystem(block) -> EigenSystem:
 class SpectralCache:
     """Spectrum of one walk on one d-cycle, with its phases clustered.
 
-    eigenvalues has shape (d, 4); eigenvectors (d, 4, 4) with vectors
-    in columns.  Only the representative blocks (k <= d/4 on even d,
-    k <= d/2 on odd d) hold eigensystems of their own; the others hold
-    theirs mirrored: conjugated, and on even d negated (module
-    docstring).  labels and gaps are the equal-phase clustering of the
-    4d eigenphases at PHASE_TOL, flattened as K = 4k + j (see
-    _phase_clusters); the limit sums clusters of s members with
-    s^2 <= d as pairs and transforms the larger ones.  theta is None
-    for the memory walk.  The cache holds no start state: every
-    consumer takes one, and the limit a stack of them for a list of
-    caches, so a sweep pack's groups and states share one batch.
+    Only the representative blocks (k <= d/4 on even d, k <= d/2 on odd
+    d) are diagonalized; the others take a representative's eigensystem
+    conjugated, and on even d negated (module docstring).  eigenvalues
+    has shape (d, 4), all of them.  The eigenvectors are held once per
+    distinct representative: vectors (n, 4, 4), vectors in columns,
+    and block k takes vectors[source[k]], conjugated where
+    conjugate[k].  (A negated block keeps its eigenvectors, so the map
+    needs no negate flag.)  The caches of one sweep pack share one
+    vectors stack, in which each distinct block of the pack appears
+    once: a C07 column's 505 representatives hold 338.  eigenvectors
+    gathers the (d, 4, 4) stack on demand.  labels and gaps are the
+    equal-phase clustering of the 4d eigenphases at PHASE_TOL,
+    flattened as K = 4k + j (see _phase_clusters); the limit sums
+    clusters of s members with s^2 <= d as pairs and transforms the
+    larger ones.  theta is None for the memory walk.  The cache holds
+    no start state: every consumer takes one, and the limit a stack of
+    them for a list of caches, so a sweep pack's groups and states
+    share one batch.
     """
 
     d: int
     theta: float | None
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    conjugate: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     gaps: np.ndarray = field(repr=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The (d, 4, 4) eigenvectors of every block, vectors in columns."""
+        vecs = self.vectors[self.source]
+        return np.conjugate(vecs, out=vecs,
+                            where=self.conjugate[:, None, None])
 
 
 def _coin4_or_initial(psi) -> np.ndarray:
@@ -537,28 +570,42 @@ def _coin4_or_initial(psi) -> np.ndarray:
     return np.asarray(psi.coin4)
 
 
-def _conj_t(stacks) -> np.ndarray:
-    """The conjugated eigenvector stacks (K, 4, 4) joined, laid out (i, k, j).
+def _projection(caches):
+    """The caches' eigenvectors laid out for overlaps, their stack once.
 
-    Returns (4, sum of K, 4): conj(vecs[k, i, j]) of each stack in turn.
+    The caches share one vectors stack of n distinct representatives,
+    as a sweep pack's caches do and a single cache does alone.  Returns
+    (w, bra): w (4, 2n, 4) holds conj(vectors[m, i, j]) at [i, m, j]
+    and vectors[m, i, j] at [i, n + m, j].  Block b of the caches
+    joined has its eigenvectors conjugated in column bra[b] of w: a
+    conjugated block takes the plain half.  So the overlaps take the
+    same products as on the gathered eigenvectors, over 2n blocks.
     """
-    conj = np.empty((4, sum(map(len, stacks)), 4), dtype=np.complex128)
-    lo = 0
-    for vecs in stacks:
-        np.conjugate(vecs.transpose(1, 0, 2), out=conj[:, lo:lo + len(vecs)])
-        lo += len(vecs)
-    return conj
+    vecs = caches[0].vectors
+    n = len(vecs)
+    rows = vecs.transpose(1, 0, 2)
+    w = np.empty((4, 2 * n, 4), dtype=np.complex128)
+    np.conjugate(rows, out=w[:, :n])
+    w[:, n:] = rows
+    if len(caches) == 1:
+        return w, caches[0].source + n * caches[0].conjugate
+    if any(c.vectors is not vecs for c in caches):
+        raise ValueError("the caches of one limit must share one "
+                         "eigenvector stack")
+    return w, (np.concatenate([c.source for c in caches])
+               + n * np.concatenate([c.conjugate for c in caches]))
 
 
-def _alphas(conj: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Overlaps alphas[..., k, j] = <phi_j(k)|psi> of position-0 starts.
+def _alphas(w: np.ndarray, bra: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Overlaps alphas[..., b, j] = <phi_j(b)|psi> of position-0 starts.
 
-    conj holds the eigenvectors as _conj_t lays them out; psis is one
-    coin 4-vector or a stack (S, 4) of them.  Laid out (i, k, j), the
-    einsum takes the same sums as on the stack itself ("kij"), in half
-    the time for a stack of states.
+    w and bra as _projection gives them; psis is one coin 4-vector or
+    a stack (S, 4) of them.  One einsum over the 2n columns of w, then
+    one gather along the blocks.  Laid out (i, k, j), the einsum takes
+    the same sums as on the stack itself ("kij"), in half the time for
+    a stack of states.
     """
-    return np.einsum("ikj,...i->...kj", conj, psis)
+    return np.einsum("ikj,...i->...kj", w, psis).take(bra, axis=-2)
 
 
 def _packs(ds) -> list:
@@ -593,6 +640,20 @@ class _Built(NamedTuple):
     near_blocks: tuple
 
 
+def _distinct(mats: np.ndarray):
+    """The distinct blocks of a stack, by bit pattern.
+
+    Returns (keep, inv): keep holds one block of each pattern, so that
+    mats[keep][inv] is mats bit for bit.  The key is a block's bytes,
+    not its complex values, which take -0.0 and 0.0 as equal.
+    """
+    keys = mats.reshape(len(mats), -1).view(np.dtype((np.void,
+                                                       mats[0].nbytes)))
+    _, keep, inv = np.unique(keys.ravel(), return_index=True,
+                             return_inverse=True)
+    return keep, inv
+
+
 def _spectral_caches(groups) -> list:
     """Caches of each group (spec, d) of groups, from one stack.
 
@@ -600,17 +661,23 @@ def _spectral_caches(groups) -> list:
     k <= d/2 on odd d, whose blocks k > d/2 are the conjugates of
     blocks d - k, and k <= d/4 on even d, whose blocks k + d/2 are -M_k
     and d/2 - k are -conj(M_k) too; the eigensystems follow the blocks.
-    The representatives of every group form one stack, which takes one
-    unitarity screen (per group, by reduceat), one _eig call and one
-    _block_screen.  One gather mirrors the eigensystems of every group
-    (a source block, a conjugate flag and a negate flag each), one
-    _segment_clusters call clusters the phases of each, and the
-    unit-circle check and the warned flag are taken per group by
-    reduceat.  Returns one _Built per group, in order: a group that
-    fails either check fails alone.  The blocks of a group that fails
-    the unitarity screen (NaN fails it) enter _eig as identities, so
-    they cannot fail the stack.  A single cache is the one-group case
-    (_spectral_cache).
+    A block is a function of x = e^{2 pi i k/d} and the walk, so block
+    k of a d-cycle and block k' of a d'-cycle of a pack are one block
+    when their x have the same bits, and the pack keeps each distinct
+    block once (_distinct); a single group has no two equal blocks.
+    The distinct blocks take one unitarity screen, one _eig call (whose
+    route the count of representatives sets) and one _block_screen,
+    and every group reads its representatives through the inverse
+    index: its unitarity and unit-circle checks and its near blocks by
+    reduceat.  One map then takes every block of every group to its
+    distinct representative (a source, a conjugate flag and a negate
+    flag each): the eigenvalues are gathered through it, one
+    _segment_clusters call clusters the phases of each group, and the
+    caches share the distinct eigenvectors (SpectralCache).  Returns
+    one _Built per group, in order: a group that fails either check
+    fails alone.  A block that fails the unitarity screen (NaN fails
+    it) enters _eig as the identity, so it cannot fail the stack.  A
+    single cache is the one-group case (_spectral_cache).
     """
     groups = [(spec, _count(d, "cycle length d", 2)) for spec, d in groups]
     ds = np.array([d for _, d in groups])
@@ -619,13 +686,21 @@ def _spectral_caches(groups) -> list:
     runs = [_kernels._rep_blocks([d for _, d in run], spec)
             for spec, run in itertools.groupby(groups, key=lambda g: g[0])]
     mats = runs[0] if len(runs) == 1 else np.concatenate(runs)
-    devs = np.maximum.reduceat(_unitarity_deviation(mats), starts)
+    reps = len(mats)
+    if len(groups) > 1:
+        keep, inv = _distinct(mats)
+        mats = mats[keep]
+    else:
+        inv = np.arange(reps)
+    dev = _unitarity_deviation(mats)
+    devs = np.maximum.reduceat(dev[inv], starts)
     unitary = devs <= _UNITARITY_TOL
     if not unitary.all():
-        mats[np.repeat(~unitary, stops)] = np.eye(4)
-    lams, vecs = _eig(mats)
+        mats[~(dev <= _UNITARITY_TOL)] = np.eye(4)
+    lams, vecs = _eig(mats, reps)
     bgaps, bnear, moddev = _block_screen(lams)
-    moddev = np.maximum.reduceat(moddev, starts)
+    moddev = np.maximum.reduceat(moddev[inv], starts)
+    near = np.logical_or.reduceat(bnear[inv], starts)
     # All d blocks of every group, one after the other: block k of a
     # group takes block m = min(k, d - k), conjugated for k > d/2.
     firsts = np.cumsum(ds) - ds
@@ -635,19 +710,17 @@ def _spectral_caches(groups) -> list:
     # With p = d/2 on even d, M_{p-m} = -conj(M_m), so m takes
     # representative min(m, p - m), conjugated once more and with its
     # eigenvalues negated where that moved it; p = d on odd d moves
-    # none, so every cycle takes the same gather.
+    # none, so every cycle takes the same map.
     p = np.repeat(np.where(ds % 2, ds, ds // 2), ds)
     rep = np.minimum(m, p - m)
     neg = rep < m
     flip = (2 * k > dk) ^ neg
-    src = np.repeat(starts, ds) + rep
-    lams, vecs = lams[src], vecs[src]
+    src = inv[np.repeat(starts, ds) + rep]
+    lams = lams[src]
     np.conjugate(lams, out=lams, where=flip[:, None])
     np.negative(lams, out=lams, where=neg[:, None])
-    np.conjugate(vecs, out=vecs, where=flip[:, None, None])
     labels, gaps = _segment_clusters(np.angle(lams.reshape(-1)), 4 * ds,
                                      PHASE_TOL)
-    near = np.logical_or.reduceat(bnear, starts)
     warned = near | np.logical_or.reduceat(_near(gaps), 4 * firsts)
     built = []
     for g, (spec, d) in enumerate(groups):
@@ -658,15 +731,16 @@ def _spectral_caches(groups) -> list:
         lo, hi = firsts[g], firsts[g] + d
         blocks = ()
         if near[g]:
-            blocks = tuple((i, bgaps[b]) for i, b in enumerate(src[lo:hi])
-                           if bnear[b])
+            ks = np.flatnonzero(bnear[src[lo:hi]])
+            blocks = tuple(zip(ks.tolist(), bgaps[src[lo + ks]]))
         error = _off_circle(moddev[g])
         if error is not None:
             built.append(_Built(None, error, False, blocks))
             continue
         built.append(_Built(
             SpectralCache(d=d, theta=spec.theta, eigenvalues=lams[lo:hi],
-                          eigenvectors=vecs[lo:hi],
+                          vectors=vecs, source=src[lo:hi],
+                          conjugate=flip[lo:hi],
                           labels=labels[4 * lo:4 * hi],
                           gaps=gaps[4 * lo:4 * hi]),
             None, bool(warned[g]), blocks))
@@ -727,9 +801,10 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
     # lam^t as e^{i t arg(lam)}: a power of |lam| = 1 + O(ulp) would
     # drift off the unit circle linearly in t.
     phases = np.exp(1j * t * np.angle(cache.eigenvalues))
-    amps = np.einsum("kij,kj->ki", cache.eigenvectors,
-                     phases * _alphas(_conj_t([cache.eigenvectors]),
-                                      _coin4_or_initial(psi)))
+    w, bra = _projection([cache])
+    alphas = _alphas(w, bra, _coin4_or_initial(psi))
+    del w
+    amps = np.einsum("kij,kj->ki", cache.eigenvectors, phases * alphas)
     sites = np.fft.ifft(amps, axis=0)
     return Distribution(d=cache.d, probs=np.sum(np.abs(sites) ** 2, axis=1))
 
@@ -751,20 +826,23 @@ def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
     Returns (S, D), D the sum of the caches' d: the distributions on
     each cache of caches side by side, in order.  The caches' blocks
     are joined into one stack, and each cache's cluster labels are
-    moved into the flat indices it owns there: the alphas, the cluster
-    bookkeeping and the pair terms are built once for every cache and
-    every state.  The sums whose order sets the bits (the lone
-    eigenvalues' |alpha|^2, the inverse FFTs and the transform batches)
-    are taken cache by cache, so each cache's distributions are its
-    one-cache limit bit for bit.
+    moved into the flat indices it owns there: the alphas (taken on
+    the distinct representatives and their conjugates, and gathered
+    through the caches' maps; _projection), the cluster bookkeeping
+    and the pair terms are built once for every cache and every state.
+    The member vectors are gathered through the maps as well.  The
+    sums whose order sets the bits (the lone eigenvalues' |alpha|^2,
+    the inverse FFTs and the transform batches) are taken cache by
+    cache, so each cache's distributions are its one-cache limit bit
+    for bit.
     """
     ns = len(psis)
     ds = [c.d for c in caches]
     firsts = list(itertools.accumulate(ds[:-1], initial=0))
     sizes, starts = [4 * d for d in ds], [4 * lo for lo in firsts]
-    conj = _conj_t([c.eigenvectors for c in caches])
-    alphas = _alphas(conj, psis).reshape(ns, -1)
-    conj = conj.reshape(4, -1)
+    proj, bra = _projection(caches)
+    alphas = _alphas(proj, bra, psis).reshape(ns, -1)
+    proj = proj.reshape(4, -1)
     labels = np.concatenate([c.labels for c in caches])
     # Flat index K = 4k + j is eigenvector j of block k of the joined
     # stack; a cache with its first block at first owns K = 4 first to
@@ -786,13 +864,18 @@ def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
     members, key = members[order], key[order]
     split = np.searchsorted(key, labels.size)
     k = members // 4
+    # Eigenvector j of block b, conjugated, is column 4 bra[b] + j of
+    # proj.
+    col = 4 * bra[k] + members % 4
+    del bra
 
-    def amps(flat):
-        # v = alpha phi (S, len(flat), 4) of the flat indices, phi the
-        # conjugate of conj's column.  take, not alphas[:, flat]: that
+    def amps(i):
+        # v = alpha phi (S, len(i), 4) of the members i, phi the
+        # conjugate of proj's column.  take, not alphas[:, flat]: that
         # one comes out in column order.
-        phi = np.conjugate(conj.take(flat, axis=1).T)
-        return phi * alphas.take(flat, axis=1)[..., None]
+        phi = proj.take(col[i], axis=1).T
+        np.conjugate(phi, out=phi)
+        return phi * alphas.take(members[i], axis=1)[..., None]
 
     # Pair route: each eigenvalue outside the big clusters adds |alpha|^2
     # at frequency 0, each pair a < b of a small cluster 2 <v_a|v_b> at
@@ -806,9 +889,8 @@ def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
     later = end - 1 - np.arange(split)
     a = np.repeat(np.arange(split), later)
     b = np.arange(a.size) + (end - np.cumsum(later))[a]
-    va = amps(members[a])
-    w = 2.0 * np.einsum("spc,spc->sp", np.conjugate(va, out=va),
-                        amps(members[b]))
+    va = amps(a)
+    w = 2.0 * np.einsum("spc,spc->sp", np.conjugate(va, out=va), amps(b))
     ka = sk[a]
     f = (sk[b] - ka) % dflat[::4][ka] + offset[::4][ka] // 4
     # A pack's arrays are dropped once used: they bound its peak.
@@ -831,15 +913,16 @@ def _limiting_probs(caches, psis: np.ndarray) -> np.ndarray:
 
     # Transform route: the big clusters are numbered cid = 0, 1, ...
     # across the caches, nbig[g] of them in cache g.
-    members, k = members[split:], k[split:]
+    members, k, col = members[split:], k[split:], col[split:]
     if members.size:
         cid = np.cumsum(wide)[labels[members]] - 1
         nbig = np.add.reduceat(wide, starts)
-        phi = np.conjugate(conj.take(members, axis=1).T)
+        phi = proj.take(col, axis=1).T
+        np.conjugate(phi, out=phi)
         alpha = alphas.take(members, axis=1)
         # The buffers come after every other array of the stack goes:
         # they would set the peak.
-        del conj, alphas, counts, wide, big, key, order, lone, end, later
+        del proj, col, alphas, counts, wide, big, key, order, lone, end, later
         _add_flat_bands(probs, ds, firsts, nbig, k, cid, phi, alpha)
     return probs
 

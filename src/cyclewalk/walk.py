@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -66,6 +67,9 @@ class CoinConfig:
     phi: float
 
     def __post_init__(self):
+        if not isinstance(self.phi, numbers.Real):
+            raise ValueError("phi must be a real number, got %r"
+                             % (self.phi,))
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite, got %r" % (self.phi,))
         # A negative phi of size below about 4.4e-16 reduces to 8.0 once;
@@ -129,6 +133,8 @@ class InitialState:
     name: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "position",
+                           _count(self.position, "position"))
         arr = _as_coin4(self.coin4).copy()
         if not np.isfinite(arr).all():
             raise ValueError("initial coin state must be finite, got %s"
@@ -169,12 +175,11 @@ class WalkState:
     def localized(cls, d: int, initial: InitialState,
                   model: str = MODEL_RECYCLED) -> "WalkState":
         d = _count(d, "cycle length d", 2)
-        position = _count(initial.position, "position")
-        if position >= d:
+        if initial.position >= d:
             raise ValueError("position %d outside cycle of length %d"
-                             % (position, d))
+                             % (initial.position, d))
         amps = np.zeros((d, 4), dtype=np.complex128)
-        amps[position] = initial.coin4
+        amps[initial.position] = initial.coin4
         return cls(d=d, model=model, amplitudes=amps)
 
     def norm(self) -> float:

@@ -592,9 +592,9 @@ def _recording_eig(monkeypatch):
     stacks = []
     real = spectral._eig
 
-    def recording(mats):
+    def recording(mats, *args):
         stacks.append(mats.copy())
-        return real(mats)
+        return real(mats, *args)
 
     monkeypatch.setattr(spectral, "_eig", recording)
     return stacks
@@ -603,6 +603,19 @@ def _recording_eig(monkeypatch):
 def _stop(d):
     """Representative blocks of a d-cycle: k <= d/4 on even d, else d/2."""
     return d // 4 + 1 if d % 2 == 0 else d // 2 + 1
+
+
+def _distinct_blocks(ds, phi):
+    """How many distinct blocks, by bits, the representatives of ds hold.
+
+    A pack diagonalizes each once.  Blocks of one walk with equal bits
+    of x = e^{2 pi i k/d} are equal; equal fractions k/d need not give
+    equal x, so d = 2..50 has 323 fractions but 338 patterns of x.  At
+    phi = 0, 2 and 4 the blocks of 1/13 and 3/39, whose x differ in
+    the last bit of Im x, are equal too: 337 distinct blocks there.
+    """
+    mats = _kernels._rep_blocks(list(ds), _recycled_spec(phi))
+    return len({m.tobytes() for m in mats})
 
 
 def _corrupt_groups(monkeypatch, edits):
@@ -637,8 +650,8 @@ class TestPacks:
         eigs, packed = [], []
         real_eig, real_limit = spectral._eig, spectral._limiting_probs
 
-        def recording_eig(mats):
-            lams, vecs = real_eig(mats)
+        def recording_eig(mats, reps=None):
+            lams, vecs = real_eig(mats, reps)
             eigs.append((mats.copy(), lams.copy(), vecs.copy()))
             return lams, vecs
 
@@ -650,23 +663,32 @@ class TestPacks:
         monkeypatch.setattr(spectral, "_limiting_probs", recording_limit)
         records = sweep(SweepGrid.named(d_values, PACK_PHIS, STATE_NAMES))
         monkeypatch.undo()
-        # One stack per column, 505 blocks: the polynomial route.
-        assert [len(m) for m, _, _ in eigs] == [505] * len(PACK_PHIS)
+        # One stack per column, the distinct blocks of the 505
+        # representatives (338 at a generic phi): the polynomial route,
+        # as for 505.
+        assert [len(m) for m, _, _ in eigs] == [
+            _distinct_blocks(d_values, phi) for phi in PACK_PHIS]
+        assert len(eigs[7][0]) == 338 and PACK_PHIS[7] == 0.7
         assert len(packed) == len(PACK_PHIS) * len(d_values)
         by_cell = {(r.d, r.phi, r.state): r for r in records}
         psis = np.array([named_coin4(n) for n in STATE_NAMES])
         packed = iter(packed)
         for phi, (stack, lams, vecs) in zip(PACK_PHIS, eigs):
-            cfg, lo = CoinConfig(phi), 0
+            cfg = CoinConfig(phi)
             for d in d_values:
-                hi = lo + _stop(d)
+                # The group's representatives, read through its map.
+                pack_cache = next(packed)
+                assert pack_cache.d == d
+                rep = pack_cache.source[:_stop(d)]
+                assert not pack_cache.conjugate[:_stop(d)].any()
                 blocks = _kernels._fourier_blocks(d, _recycled_spec(phi),
                                                   stop=_stop(d))
-                assert stack[lo:hi].tobytes() == blocks.tobytes()
+                assert stack[rep].tobytes() == blocks.tobytes()
 
-                def share(mats, lo=lo, hi=hi):
-                    assert mats.tobytes() == stack[lo:hi].tobytes()
-                    return lams[lo:hi].copy(), vecs[lo:hi].copy()
+                def share(mats, reps, rep=rep):
+                    assert mats.tobytes() == stack[rep].tobytes()
+                    assert reps == len(rep)
+                    return lams[rep], vecs[rep]
 
                 monkeypatch.setattr(spectral, "_eig", share)
                 with warnings.catch_warnings(record=True) as caught:
@@ -676,9 +698,10 @@ class TestPacks:
                     spectral.limiting_distribution(cfg, d, psis[0],
                                                    cache=cache)
                 monkeypatch.undo()
-                lo = hi
-                pack_cache = next(packed)
-                assert pack_cache.d == d
+                assert (pack_cache.eigenvalues.tobytes()
+                        == cache.eigenvalues.tobytes())
+                assert (pack_cache.eigenvectors.tobytes()
+                        == cache.eigenvectors.tobytes())
                 assert pack_cache.labels.tobytes() == cache.labels.tobytes()
                 assert pack_cache.gaps.tobytes() == cache.gaps.tobytes()
                 probs = spectral._limiting_probs([cache], psis)
@@ -768,7 +791,8 @@ class TestPacks:
         assert all(r.error is None for r in records)
         packs = spectral._packs(self.WIDE.d_values)
         assert [len(m) for m in stacks] == [
-            sum(map(_stop, pack)) for pack in packs] * 3
+            _distinct_blocks(pack, phi) for phi in self.WIDE.phi_values
+            for pack in packs]
         assert calls == packs * 3
 
     def test_wide_column_holds_one_pack_at_a_time(self):
@@ -793,7 +817,9 @@ class TestPacks:
                                       33: lambda m: 1.5 * m})
         stacks = _recording_eig(monkeypatch)
         records = sweep(grid)
-        assert [len(m) for m in stacks] == [505]
+        # The 338 distinct blocks, and d = 20's block 1, which no longer
+        # equals d = 40's block 2.
+        assert [len(m) for m in stacks] == [339]
         for a, b in zip(clean, records):
             if a.d in (20, 33):
                 assert b.error.startswith("momentum block lost unitarity")
@@ -806,18 +832,24 @@ class TestPacks:
     @pytest.mark.parametrize("factor", [0.5, math.nan])
     def test_eigenvalues_off_the_circle_fail_only_their_group(
             self, factor, monkeypatch):
+        # Block 1 of d = 33 belongs to its group alone; block 1 of d = 20
+        # is block 2 of d = 40 too, and the pack diagonalizes it once.
         grid = SweepGrid.named(range(2, 51), (0.5,), ("psi_a",))
         real = spectral._eig
+        for d, failed in ((33, [33]), (20, [20, 40])):
+            block = _kernels._fourier_blocks(d, _recycled_spec(0.5),
+                                             stop=2)[1]
 
-        def one_moved(mats):
-            lams, vecs = real(mats)
-            lams[sum(map(_stop, range(2, 20))) + 1, 0] *= factor
-            return lams, vecs
+            def one_moved(mats, *args, block=block):
+                lams, vecs = real(mats, *args)
+                lams[(mats == block).all(axis=(1, 2)), 0] *= factor
+                return lams, vecs
 
-        monkeypatch.setattr(spectral, "_eig", one_moved)
-        records = sweep(grid)
-        assert [r.d for r in records if r.error is not None] == [20]
-        assert "unit circle" in records[18].error
+            monkeypatch.setattr(spectral, "_eig", one_moved)
+            records = sweep(grid)
+            assert [r.d for r in records if r.error is not None] == failed
+            assert all("unit circle" in records[f - 2].error
+                       for f in failed)
 
 
 class TestMixing:

@@ -18,12 +18,16 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 
 class TestCoinConfig:
+    # Ints, bools and numpy scalars are real numbers too, and reduce to
+    # a float phi.
     @pytest.mark.parametrize("raw,reduced", [
         (0.0, 0.0), (8.0, 0.0), (-2.0, 6.0), (9.5, 1.5), (7.9, 7.9),
-        (16.25, 0.25),
+        (16.25, 0.25), (9, 1.0), (True, 1.0), (np.int64(17), 1.0),
+        (np.float32(9.5), 1.5), (np.float64(-10.0), 6.0),
     ])
     def test_phi_reduced_mod_8(self, raw, reduced):
         assert CoinConfig(raw).phi == pytest.approx(reduced, abs=1e-12)
+        assert type(CoinConfig(raw).phi) is float
 
     def test_theta_formula(self):
         assert CoinConfig(0.0).theta == math.pi / 4
@@ -39,6 +43,14 @@ class TestCoinConfig:
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             CoinConfig(bad)
+
+    @pytest.mark.parametrize("bad", ["1", 1 + 0j, np.complex128(1.0), None])
+    def test_rejects_what_is_not_a_real_number(self, bad):
+        # These once raised math's TypeError, which named no input.
+        with pytest.raises(ValueError) as info:
+            CoinConfig(bad)
+        assert str(info.value) == "phi must be a real number, got %r" % (
+            bad,)
 
 
 class TestCoinOperator:
@@ -133,6 +145,13 @@ class TestStates:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    def test_named_and_localized_keep_taking_ints(self):
+        init = InitialState.named("psi_a", position=np.int64(3))
+        assert type(init.position) is int and init.position == 3
+        assert InitialState.named("psi_b").position == 0
+        st = WalkState.localized(5, init)
+        assert st.amplitudes[3, 0] == 1.0
 
     def test_localized_position_range(self):
         init = InitialState.named("psi_a", position=5)
@@ -283,12 +302,19 @@ class TestEvolve:
         (lambda st, cfg: WalkState.localized(
             6, InitialState.named("psi_a", position=1.5)),
          "position must be an integer, got 1.5"),
+        # InitialState(1.5, ...) once failed only at the spectral route,
+        # as "got position 1", and 0.0 passed there as position 0.
+        (lambda st, cfg: InitialState(1.5, named_coin4("psi_a")),
+         "position must be an integer, got 1.5"),
+        (lambda st, cfg: InitialState(0.0, named_coin4("psi_a")),
+         "position must be an integer, got 0.0"),
         (lambda st, cfg: WalkState.localized(6.0, InitialState.named("psi_a")),
          "cycle length d must be an integer, got 6.0"),
         (lambda st, cfg: WalkState(6.0, MODEL_RECYCLED, st.amplitudes),
          "cycle length d must be an integer, got 6.0"),
     ], ids=["evolve", "evolve-whole-float", "accumulate", "normscan",
-            "position", "localized-d", "state-d"])
+            "position", "initial-position", "initial-whole-float",
+            "localized-d", "state-d"])
     def test_non_integer_input_rejected(self, call, message):
         # A fractional step count was once cut to its integer part.
         st = WalkState.localized(6, InitialState.named("psi_c"))
