@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _kernels, spectral
 from .walk import (CoinConfig, Distribution, InitialState, WalkState,
-                   MODEL_MEMORY, MODEL_RECYCLED, _count, _probs_error,
-                   _walk_spec, apply_P_adjoint, apply_Q, evolve,
+                   MODEL_MEMORY, MODEL_RECYCLED, _count, _initial,
+                   _probs_error, _walk_spec, apply_P_adjoint, apply_Q, evolve,
                    position_distribution)
 
 
@@ -57,9 +57,9 @@ def classify_uniform(dist: Distribution, epsilon: float) -> bool:
 # at (-(2+phi)) mod 8 started from Q psi give identical position
 # distributions at every step.  Result 2: the memory walk started from
 # P^dag psi reproduces the recycled-coin walk at phi = 2 started from
-# psi.  Both are checked for arbitrary start positions; translation
-# invariance makes the position choice immaterial and the tests use
-# that as an extra probe.
+# psi.  Both are checked from the start's own position; translation
+# invariance makes the position immaterial and the tests use that as
+# an extra probe.
 
 def _gap_at(sides, t):
     pl, pr = (position_distribution(evolve(s, t, cfg)).probs
@@ -77,43 +77,47 @@ def _max_gap(sides, t_max):
                for a, b in zip(lhs, rhs))
 
 
-def _start(d, position, coin4, model=MODEL_RECYCLED):
-    return WalkState.localized(d, InitialState(position, coin4), model)
+def _theorem1_sides(d, phi, psi):
+    init = _initial(psi)
+    mirror = InitialState(init.position, apply_Q(init.coin4))
+    return ((WalkState.localized(d, init), CoinConfig(phi)),
+            (WalkState.localized(d, mirror), CoinConfig(-(2.0 + phi))))
 
 
-def _theorem1_sides(d, phi, psi, position):
-    psi0 = np.asarray(psi, dtype=np.complex128)
-    return ((_start(d, position, psi0), CoinConfig(phi)),
-            (_start(d, position, apply_Q(psi0)), CoinConfig(-(2.0 + phi))))
+def verify_theorem1(d: int, t: int, phi: float, psi) -> float:
+    """Max pointwise gap between the two sides of result 1 at step t.
+
+    psi is a start as ``walk._initial`` reads it: an InitialState, at
+    its own position, or a coin 4-vector at position 0.  Both sides
+    start at that position.
+    """
+    return _gap_at(_theorem1_sides(d, phi, psi), t)
 
 
-def verify_theorem1(d: int, t: int, phi: float, psi,
-                    position: int = 0) -> float:
-    """Max pointwise gap between the two sides of result 1 at step t."""
-    return _gap_at(_theorem1_sides(d, phi, psi, position), t)
-
-
-def theorem1_max_deviation(d: int, t_max: int, phi: float, psi,
-                           position: int = 0) -> float:
+def theorem1_max_deviation(d: int, t_max: int, phi: float, psi) -> float:
     """Worst verify_theorem1 value over t = 0..t_max, in one stream."""
-    return _max_gap(_theorem1_sides(d, phi, psi, position), t_max)
+    return _max_gap(_theorem1_sides(d, phi, psi), t_max)
 
 
-def _theorem2_sides(d, psi, position):
-    psi0 = np.asarray(psi, dtype=np.complex128)
-    return ((_start(d, position, psi0), CoinConfig(2.0)),
-            (_start(d, position, apply_P_adjoint(psi0), MODEL_MEMORY), None))
+def _theorem2_sides(d, psi):
+    init = _initial(psi)
+    memory = InitialState(init.position, apply_P_adjoint(init.coin4))
+    return ((WalkState.localized(d, init), CoinConfig(2.0)),
+            (WalkState.localized(d, memory, MODEL_MEMORY), None))
 
 
-def verify_theorem2(d: int, t: int, psi, position: int = 0) -> float:
-    """Max pointwise gap between the two sides of result 2 at step t."""
-    return _gap_at(_theorem2_sides(d, psi, position), t)
+def verify_theorem2(d: int, t: int, psi) -> float:
+    """Max pointwise gap between the two sides of result 2 at step t.
+
+    psi is read as for verify_theorem1, and both sides start at its
+    position.
+    """
+    return _gap_at(_theorem2_sides(d, psi), t)
 
 
-def theorem2_max_deviation(d: int, t_max: int, psi,
-                           position: int = 0) -> float:
+def theorem2_max_deviation(d: int, t_max: int, psi) -> float:
     """Worst verify_theorem2 value over t = 0..t_max, in one stream."""
-    return _max_gap(_theorem2_sides(d, psi, position), t_max)
+    return _max_gap(_theorem2_sides(d, psi), t_max)
 
 
 #: The three phi pairs whose limiting distributions coincide once the
@@ -123,11 +127,11 @@ PBAR_IDENTITY_PAIRS = ((0.0, 6.0), (2.0, 4.0), (1.0, 5.0))
 
 def verify_pbar_identities(d: int, psi) -> dict:
     """TV between pbar(phi; psi) and pbar(phi'; Q psi) for each pair."""
-    psi0 = spectral._coin4_or_initial(psi)
-    qpsi = apply_Q(psi0)
+    init = _initial(psi, origin=True)
+    qpsi = apply_Q(init.coin4)
     out = {}
     for phi_a, phi_b in PBAR_IDENTITY_PAIRS:
-        pa = spectral.limiting_distribution(CoinConfig(phi_a), d, psi0)
+        pa = spectral.limiting_distribution(CoinConfig(phi_a), d, init)
         pb = spectral.limiting_distribution(CoinConfig(phi_b), d, qpsi)
         out[(phi_a, phi_b)] = total_variation(pa, pb)
     return out
@@ -140,8 +144,8 @@ def residue_distance_curve(d_values, psi) -> list:
     it vanishes when 4 divides d, is largest on the d = 4r + 2 class,
     and for psi_a decays with d inside each residue class.
     """
-    psi0 = spectral._coin4_or_initial(psi)
-    qpsi = apply_Q(psi0)
+    init = _initial(psi, origin=True)
+    qpsi = apply_Q(init.coin4)
     spec0, spec2 = (_walk_spec(MODEL_RECYCLED, CoinConfig(phi))
                     for phi in (0.0, 2.0))
     out = []
@@ -149,7 +153,7 @@ def residue_distance_curve(d_values, psi) -> list:
         # One stack per d for both walks; a column of d per walk would
         # move the small tables onto the polynomial route.
         built0, built2 = spectral._spectral_caches([(spec0, d), (spec2, d)])
-        p0 = spectral._limiting(spec0, d, psi0, spectral._checked(built0))
+        p0 = spectral._limiting(spec0, d, init, spectral._checked(built0))
         p2 = spectral._limiting(spec2, d, qpsi, spectral._checked(built2))
         out.append((int(d), int(d) % 4, total_variation(p0, p2)))
     return out
@@ -160,7 +164,10 @@ def residue_distance_curve(d_values, psi) -> list:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian grid of (d, phi, start state) cells for classification."""
+    """Cartesian grid of (d, phi, start state) cells for classification.
+
+    states are read by ``walk._initial``, each at position 0.
+    """
 
     d_values: tuple
     phi_values: tuple
@@ -172,18 +179,14 @@ class SweepGrid:
             _count(d, "cycle length d", 2) for d in self.d_values))
         object.__setattr__(self, "phi_values",
                            tuple(float(p) for p in self.phi_values))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", tuple(
+            _initial(st, origin=True) for st in self.states))
         if not self.d_values or not self.phi_values or not self.states:
             raise ValueError("sweep grid must be non-empty on every axis")
         if any(not 0.0 <= p < 8.0 for p in self.phi_values):
             raise ValueError("all phi values must lie in [0, 8)")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
-        for st in self.states:
-            if not isinstance(st, InitialState):
-                raise TypeError("grid states must be InitialState instances")
-            if st.position != 0:
-                raise ValueError("sweep cells start at position 0")
 
     @classmethod
     def named(cls, d_values, phi_values, names,
@@ -455,8 +458,9 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
                  label: str | None = None) -> MixingCurve:
     """Sample SD(T) at increasing horizons from one call to the kernels.
 
-    psi may be an InitialState, a coin 4-vector (start at position 0),
-    or a full WalkState for non-localized starts.  The running sums
+    psi is a start as ``walk._initial`` reads it (an InitialState at
+    its own position, or a coin 4-vector at position 0), or a full
+    WalkState for non-localized starts.  The running sums
     come from ``_kernels.sums``: by doubling the real Gram of the
     momentum rows in O(d^2 log T) on small cycles at long horizons,
     from the stream of states otherwise; neither route diagonalizes
@@ -468,7 +472,7 @@ def mixing_curve(d: int, phi: float | None, psi, t_max: int,
                              % (psi.d, d))
         state, model, name = psi, psi.model, label or "custom"
     else:
-        init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
+        init = _initial(psi)
         state = WalkState.localized(d, init, model)
         name = label or (init.name or "custom")
     if horizons is None:
@@ -501,9 +505,7 @@ def crosscheck_limiting(d: int, phi: float | None, psi, t_horizon: int,
     distribution like 1/T, so at T = 10^6 the two should agree to well
     under 1e-2 in TV.
     """
-    init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
-    if init.position != 0:
-        raise ValueError("crosscheck requires a position-0 start")
+    init = _initial(psi, origin=True)
     t_horizon = _count(t_horizon, "t_horizon", 1)
     amps = WalkState.localized(d, init, model).amplitudes
     spec = _walk_spec(model, None if phi is None else CoinConfig(phi))

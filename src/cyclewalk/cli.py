@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, spectral
 from .output import Table, write_table
 from .walk import (CoinConfig, InitialState, WalkState, MODEL_MEMORY,
-                   MODEL_RECYCLED, STATE_NAMES, evolve,
+                   MODEL_RECYCLED, STATE_NAMES, _initial, evolve,
                    position_distribution)
 
 #: phi values exercised by `verify` when no grid is given; 0, 1 and 2
@@ -157,8 +157,7 @@ def parse_state(text: str) -> InitialState:
     if abs(norm - 1.0) > 1e-6:
         _diag("warning: custom state norm deviates from 1 by %.3g; "
               "normalizing" % abs(norm - 1.0))
-    return InitialState(position=0, coin4=(parts / norm).view(np.complex128),
-                        name=None)
+    return _initial((parts / norm).view(np.complex128))
 
 
 def _state_config(init: InitialState):
@@ -336,7 +335,7 @@ def _single_walk(ns, **lows):
     Reads --d, --model, the integer flag of each keyword (required, and
     at least the keyword's value), --state and, for the recycled walk
     only, --phi, in that order, and echoes them into config in that
-    order; cfg is None for the memory walk.
+    order; cfg is None for the memory walk, which rejects --phi.
     """
     d = _check_d(ns.d)
     model = _fallback(ns.model, MODEL_RECYCLED)
@@ -344,12 +343,14 @@ def _single_walk(ns, **lows):
     start = _single_state(ns)
     config = {"command": ns.command, "model": model, "d": d,
               "state": _state_config(start), **fields}
-    cfg = None
-    if model == MODEL_RECYCLED:
-        if ns.phi is None:
-            raise UsageError("missing required flag --phi")
-        cfg = CoinConfig(ns.phi)
-        config["phi"] = cfg.phi
+    if model == MODEL_MEMORY:
+        if ns.phi is not None:
+            raise UsageError("--phi does not apply to --model memory")
+        return d, model, start, None, config
+    if ns.phi is None:
+        raise UsageError("missing required flag --phi")
+    cfg = CoinConfig(ns.phi)
+    config["phi"] = cfg.phi
     return d, model, start, cfg, config
 
 
@@ -373,9 +374,9 @@ def cmd_limiting(ns):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", spectral.DegenerateClusterWarning)
         if cfg is None:
-            dist = spectral.limiting_distribution_memory(d, start.coin4)
+            dist = spectral.limiting_distribution_memory(d, start)
         else:
-            dist = spectral.limiting_distribution(cfg, d, start.coin4)
+            dist = spectral.limiting_distribution(cfg, d, start)
     warned = False
     for w in caught:
         if issubclass(w.category, spectral.DegenerateClusterWarning):
@@ -431,8 +432,8 @@ def cmd_mixing(ns):
 def _verify_cell(task):
     check, d, phi, start, t_max = task
     if check == "theorem1":
-        return analysis.theorem1_max_deviation(d, t_max, phi, start.coin4)
-    return analysis.theorem2_max_deviation(d, t_max, start.coin4)
+        return analysis.theorem1_max_deviation(d, t_max, phi, start)
+    return analysis.theorem2_max_deviation(d, t_max, start)
 
 
 def cmd_verify(ns):
@@ -474,7 +475,7 @@ def cmd_residue(ns):
     init = _single_state(ns)
     config = {"command": "residue", "d_values": d_values,
               "state": _state_config(init)}
-    curve = analysis.residue_distance_curve(d_values, init.coin4)
+    curve = analysis.residue_distance_curve(d_values, init)
     return Table(schema="residue.v1", config=config,
                  columns=("d", "d_mod_4", "tv"),
                  data=tuple(list(map(itemgetter(i), curve))

@@ -128,8 +128,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .walk import (CoinConfig, Distribution, InitialState, MODEL_MEMORY,
-                   MODEL_RECYCLED, _count, _walk_spec, _WalkSpec)
+from .walk import (CoinConfig, Distribution, MODEL_MEMORY, MODEL_RECYCLED,
+                   _count, _initial, _walk_spec, _WalkSpec)
 
 #: Two eigenvalues are treated as equal when their phases differ by
 #: less than this (radians, after unwrapping across the branch cut).
@@ -558,18 +558,6 @@ class SpectralCache:
                             where=self.conjugate[:, None, None])
 
 
-def _coin4_or_initial(psi) -> np.ndarray:
-    # The Fourier route hard-codes the start at position 0; the phase
-    # bookkeeping below is only valid there.  A raw coin vector is read
-    # as a start there, so it takes InitialState's checks.
-    if not isinstance(psi, InitialState):
-        psi = InitialState(0, psi)
-    if psi.position != 0:
-        raise ValueError("spectral route requires the walk to start at "
-                         "position 0, got position %d" % psi.position)
-    return np.asarray(psi.coin4)
-
-
 def _projection(caches):
     """The caches' eigenvectors laid out for overlaps, their stack once.
 
@@ -802,7 +790,7 @@ def closed_form_distribution(t: int, cfg: CoinConfig, psi, d: int | None = None,
     # drift off the unit circle linearly in t.
     phases = np.exp(1j * t * np.angle(cache.eigenvalues))
     w, bra = _projection([cache])
-    alphas = _alphas(w, bra, _coin4_or_initial(psi))
+    alphas = _alphas(w, bra, _initial(psi, origin=True).coin4)
     del w
     amps = np.einsum("kij,kj->ki", cache.eigenvectors, phases * alphas)
     sites = np.fft.ifft(amps, axis=0)
@@ -986,7 +974,7 @@ def _limiting(spec: _WalkSpec, d: int, psi,
         cache = _spectral_cache(spec, d)
     else:
         _cache_matches(cache, d, spec.theta)
-    psis = _coin4_or_initial(psi)[None]
+    psis = _initial(psi, origin=True).coin4[None]
     _warn_ambiguous(cache.gaps, "d=%d limiting distribution" % d)
     return Distribution(d=d, probs=_limiting_probs([cache], psis)[0])
 
@@ -1022,9 +1010,10 @@ def eigenvalue_multiset_distance(a, b) -> float:
     for val in a:
         dists = [abs(val - other) for other in b]
         i = int(np.argmin(dists))
-        worst = max(worst, dists[i])
+        # np.maximum keeps a NaN distance, where max() would drop it.
+        worst = np.maximum(worst, dists[i])
         b.pop(i)
-    return worst
+    return float(worst)
 
 
 def memory_spectrum_mismatch(d: int) -> float:
@@ -1039,5 +1028,5 @@ def memory_spectrum_mismatch(d: int) -> float:
     ns = _kernels._fourier_blocks(d, _walk_spec(MODEL_MEMORY))
     lam_m = np.linalg.eigvals(ms)
     lam_n = np.linalg.eigvals(ns)
-    return max(eigenvalue_multiset_distance(lam_n[k], lam_m[k])
-               for k in range(d))
+    return float(np.max([eigenvalue_multiset_distance(lam_n[k], lam_m[k])
+                         for k in range(d)]))

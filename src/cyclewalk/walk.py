@@ -32,6 +32,12 @@ Fourier blocks all come from it.
 The library reads each whole-number input (a step count, a time, a
 cycle size, a momentum or a position) through one function, ``_count``,
 which rejects a value that is not an integer or is below its floor.
+It reads each start through one function too, ``_initial``: an
+InitialState as it is, a coin 4-vector as that coin at position 0.
+The entries whose phase bookkeeping holds at position 0 only (the
+closed form, the limits, the sweep and the crosscheck) raise one
+ValueError for a start elsewhere; the theorem checks and the mixing
+curve take the start at its own position.
 """
 
 from __future__ import annotations
@@ -252,6 +258,20 @@ def _count(value, name: str, low: int = 0) -> int:
     return n
 
 
+def _initial(psi, origin: bool = False) -> InitialState:
+    """psi as a start (module docstring).
+
+    An InitialState comes back unchanged and a coin 4-vector as
+    InitialState(0, psi), with InitialState's checks.  With origin set,
+    a start at any position but 0 raises ValueError.
+    """
+    init = psi if isinstance(psi, InitialState) else InitialState(0, psi)
+    if origin and init.position != 0:
+        raise ValueError("the start must be at position 0, got position %d"
+                         % init.position)
+    return init
+
+
 @dataclass(frozen=True, eq=False)
 class _WalkSpec:
     """One walk as its unitary U and shift mask Pi (module docstring).
@@ -259,8 +279,8 @@ class _WalkSpec:
     unitary is U as a read-only real 4x4 array.  A complex U raises
     ValueError, since every kernel and the spectral cache rest on
     M_{d-k} = conj(M_k), and so does a real U with max |U^T U - 1|
-    above 1e-12, since a walk that is not unitary has no spectral
-    limit.  mask is Pi as a tuple of four 0/1 entries.
+    above 1e-12 or not a number, since a walk that is not unitary has
+    no spectral limit.  mask is Pi as a tuple of four 0/1 entries.
     The pair A+ = diag(mask) U and A- = U - A+ is derived once, as
     read-only real 4x4 arrays, and from it two read-only forms:
     ``floats``, A+ and A- as (2, 8, 8) on the float view of a row of 4
@@ -285,7 +305,7 @@ class _WalkSpec:
         # + 0.0 turns a -0.0 entry (np.kron makes them) into +0.0, so a
         # walk's arrays have the same bytes however U was written.
         u = u.real + 0.0
-        if np.abs(u.T @ u - np.eye(4)).max() > 1e-12:
+        if not np.abs(u.T @ u - np.eye(4)).max() <= 1e-12:
             raise ValueError("a walk's U must be orthogonal; this one's "
                              "max |U^T U - 1| exceeds 1e-12")
         a_plus = np.where(np.array(self.mask, dtype=bool)[:, None], u, 0.0)

@@ -150,11 +150,10 @@ class TestTheorem1:
 
     def test_translation_invariance(self):
         # the identity holds verbatim from any start site
-        base = theorem1_max_deviation(9, 20, 0.7, named_coin4("psi_b"),
-                                      position=0)
+        coin = named_coin4("psi_b")
+        base = theorem1_max_deviation(9, 20, 0.7, InitialState(0, coin))
         for s in (1, 2):
-            dev = theorem1_max_deviation(9, 20, 0.7, named_coin4("psi_b"),
-                                         position=s)
+            dev = theorem1_max_deviation(9, 20, 0.7, InitialState(s, coin))
             assert dev < 1e-10
             assert abs(dev - base) < 1e-12
 
@@ -205,9 +204,9 @@ class TestTheorem2:
             assert verify_theorem2(9, 25, random_coin4()) < 1e-10
 
     def test_translation_invariance(self):
+        coin = named_coin4("psi_c")
         for s in (0, 1, 2):
-            assert theorem2_max_deviation(8, 20, named_coin4("psi_c"),
-                                          position=s) < 1e-10
+            assert theorem2_max_deviation(8, 20, InitialState(s, coin)) < 1e-10
 
     def test_negative_t_max_rejected(self):
         with pytest.raises(ValueError, match="t_max"):
@@ -354,6 +353,60 @@ class TestWholeNumberInputs:
             (r.d, r.tv_from_uniform) for r in want]
 
 
+#: Every library entry that takes a start: psi -> the floats it
+#: returns, and whether it requires the start at position 0.
+_START_ENTRIES = {
+    "closed-form": (lambda psi: spectral.closed_form_distribution(
+        5, CoinConfig(0.5), psi, d=7).probs, True),
+    "limiting": (lambda psi: spectral.limiting_distribution(
+        CoinConfig(0.5), 7, psi).probs, True),
+    "limiting-memory": (lambda psi: spectral.limiting_distribution_memory(
+        7, psi).probs, True),
+    "pbar-identities": (lambda psi: list(
+        verify_pbar_identities(7, psi).values()), True),
+    "residue": (lambda psi: [tv for _, _, tv in residue_distance_curve(
+        (5, 6), psi)], True),
+    "crosscheck": (lambda psi: crosscheck_limiting(7, 0.5, psi, 64), True),
+    "sweep-grid": (lambda psi: [r.tv_from_uniform for r in sweep(
+        SweepGrid((5, 6), (0.5,), (psi,)))], True),
+    "theorem1": (lambda psi: verify_theorem1(7, 5, 0.5, psi), False),
+    "theorem1-max": (lambda psi: theorem1_max_deviation(7, 6, 0.5, psi),
+                     False),
+    "theorem2": (lambda psi: verify_theorem2(7, 5, psi), False),
+    "theorem2-max": (lambda psi: theorem2_max_deviation(7, 6, psi), False),
+    "mixing": (lambda psi: mixing_curve(7, 0.5, psi, 32).sd, False),
+}
+
+
+class TestStartMatrix:
+    """Every entry reads its start through walk._initial."""
+
+    COIN = np.array([0.5, 0.5j, -0.5, 0.5])
+
+    @pytest.mark.parametrize("entry", sorted(_START_ENTRIES))
+    def test_coin_vector_is_the_start_at_site_0(self, entry):
+        call, _ = _START_ENTRIES[entry]
+        got = np.asarray(call(self.COIN), dtype=float)
+        want = np.asarray(call(InitialState(0, self.COIN)), dtype=float)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", sorted(_START_ENTRIES))
+    def test_start_at_site_2(self, entry):
+        call, origin = _START_ENTRIES[entry]
+        start = InitialState(2, self.COIN)
+        if origin:
+            with pytest.raises(ValueError) as info:
+                call(start)
+            assert str(info.value) == ("the start must be at position 0, "
+                                       "got position 2")
+        else:
+            # Taken at its own site, by translation invariance equal to
+            # the start at site 0.
+            got = np.asarray(call(start), dtype=float)
+            want = np.asarray(call(InitialState(0, self.COIN)), dtype=float)
+            assert np.abs(got - want).max() <= 1e-12
+
+
 class TestSweepGrid:
     def test_named_factory(self):
         grid = SweepGrid.named((3, 4), (0.0, 0.5), ("psi_a", "psi_c"))
@@ -370,9 +423,12 @@ class TestSweepGrid:
             SweepGrid(d_values=(3,), phi_values=(8.0,), states=st)
         with pytest.raises(ValueError, match="epsilon"):
             SweepGrid(d_values=(3,), phi_values=(0.0,), states=st, epsilon=0.0)
-        with pytest.raises(TypeError, match="InitialState"):
-            SweepGrid(d_values=(3,), phi_values=(0.0,),
-                      states=(named_coin4("psi_a"),))
+        # A coin vector is a start at position 0.
+        grid = SweepGrid(d_values=(3,), phi_values=(0.0,),
+                         states=(named_coin4("psi_a"),))
+        (start,) = grid.states
+        assert start.position == 0
+        assert np.array_equal(start.coin4, named_coin4("psi_a"))
         with pytest.raises(ValueError, match="position 0"):
             SweepGrid(d_values=(3,), phi_values=(0.0,),
                       states=(InitialState.named("psi_a", position=1),))
@@ -1007,7 +1063,7 @@ class TestCrosscheck:
         psi = InitialState.named("psi_a")
         with pytest.raises(ValueError, match="t_horizon"):
             crosscheck_limiting(5, 0.0, psi, 0)
-        with pytest.raises(ValueError, match="position-0"):
+        with pytest.raises(ValueError, match="at position 0, got position 1"):
             crosscheck_limiting(5, 0.0, InitialState.named("psi_a", position=1), 4)
 
     def test_recycled_needs_phi(self):

@@ -1029,6 +1029,12 @@ _USAGE_ERRORS = {
                                     "'sweep'"),
     "config-not-an-object": (("evolve", "--d", "5"), "[1, 2]",
                              "config file must hold a JSON object"),
+    "memory-with-phi": (("mixing", "--d", "5", "--model", "memory",
+                         "--t-max", "8", "--phi", "0.5"), None,
+                        "--phi does not apply to --model memory"),
+    "memory-with-phi-key": (("evolve", "--d", "5", "--model", "memory",
+                             "--t", "3"), '{"phi": 0.5}',
+                            "--phi does not apply to --model memory"),
 }
 
 

@@ -153,6 +153,19 @@ class TestBlocks:
         assert (memory_spectrum_mismatch(np.int64(5))
                 == memory_spectrum_mismatch(5))
 
+    def test_mismatch_keeps_a_nan_block(self, monkeypatch):
+        # max() over the blocks once dropped a NaN distance that did not
+        # come first, so a NaN spectrum read as a match.
+        real = np.linalg.eigvals
+
+        def last_block_nan(stack):
+            lam = real(stack)
+            lam[-1, 0] = np.nan
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", last_block_nan)
+        assert math.isnan(memory_spectrum_mismatch(6))
+
 
 class TestEigensystem:
     def test_identity_block(self):
@@ -251,6 +264,10 @@ class TestEigensystem:
         with pytest.raises(ValueError,
                            match="multisets differ in size: 2 vs 1"):
             eigenvalue_multiset_distance([1, 2], [1])
+
+    @pytest.mark.parametrize("a", [[np.nan, 1], [1, np.nan]])
+    def test_nan_eigenvalue_is_no_match(self, a):
+        assert math.isnan(eigenvalue_multiset_distance(a, [1, 1]))
 
 
 class TestPhaseClusters:

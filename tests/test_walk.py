@@ -528,6 +528,11 @@ class TestEquivalenceOnShiftBlocks:
         with pytest.raises(ValueError, match="real shift blocks"):
             walk._WalkSpec(1.5j * spec.unitary, spec.mask, spec.theta)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unitary_rejected(self, bad):
+        with pytest.raises(ValueError, match="orthogonal"):
+            walk._WalkSpec(np.full((4, 4), bad), (1, 1, 0, 0), None)
+
 
 class TestSpecBytes:
     """The spec arrays, pinned bit for bit, signed zeros included.
